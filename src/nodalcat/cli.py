@@ -277,6 +277,9 @@ def _parse_dims(spec: str) -> range:
         raise ExprParseError(f"bad dimension range {spec!r} (expected a..b)", 1)
     lo = int(m.group(1))
     hi = int(m.group(2)) if m.group(2) else lo
+    if hi < lo:
+        raise ExprParseError(f"empty dimension range {spec!r} (upper end below lower end)",
+                             m.start(2) + 1)
     return range(lo, hi + 1)
 
 

@@ -24,11 +24,13 @@ module implements:
   decomposed subcategory).
 * semiorthogonality / exceptionality / sphericalness checks.
 
-Contexts are immutable after construction; the only post-build state is a
-pair of append-only registries for freshly created mutation cones and
-their orthogonality facts, plus a memo table.  All entries are determined
-by the context itself, so repeated or concurrent computation is safe and
-reproducible.
+Contexts are immutable after construction apart from append-only state:
+registries of freshly created mutation cones and their orthogonality
+facts, a rotation index over every registered triangle (so cone
+identification is one dict lookup), and a memo table.  Entries are only
+ever added, never invalidated, so a memoized answer can predate a fact
+registered later.  This state is updated without locks: a context is not
+thread-safe.
 """
 
 from __future__ import annotations
@@ -49,24 +51,24 @@ from .graded import GradedDim
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gen:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Shift:
     expr: "ObjExpr"
     m: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum:
     # parts are (atom-or-shifted-atom, multiplicity), canonically sorted
     parts: tuple[tuple["ObjExpr", int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cone:
     src: "ObjExpr"
     tgt: "ObjExpr"
@@ -196,7 +198,7 @@ def map_gens(e: ObjExpr, f: Callable[[str], ObjExpr]) -> ObjExpr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triangle:
     """A registered exact triangle x -> y -> z; z is the cone on x -> y."""
 
@@ -247,6 +249,15 @@ class Context:
     _memo: dict = field(default_factory=dict, repr=False)
     _derived_triangles: list = field(default_factory=list, repr=False)
     _derived_zero_facts: set = field(default_factory=set, repr=False)
+    # static and derived triangles, for the dedupe in add_triangle
+    _known_triangles: set = field(default_factory=set, repr=False)
+    # rotation index: shift-normalized (src, tgt) -> cone, see _identify_cone
+    _cone_index: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self._known_triangles.update(self.triangles)
+        for tri in self.triangles:
+            self._index_triangle(tri.normalized())
 
     def all_triangles(self):
         yield from self.triangles
@@ -261,8 +272,17 @@ class Context:
 
     def add_triangle(self, tri: Triangle) -> None:
         tri = tri.normalized()
-        if tri not in self._derived_triangles and tri not in self.triangles:
+        if tri not in self._known_triangles:
+            self._known_triangles.add(tri)
             self._derived_triangles.append(tri)
+            self._index_triangle(tri)
+
+    def _index_triangle(self, t: Triangle) -> None:
+        # first wins: registry order, then rotation order, decides a key
+        x1 = shift_expr(t.x, 1)
+        for p, q, res in ((t.x, t.y, t.z), (t.y, t.z, x1), (t.z, x1, shift_expr(t.y, 1))):
+            key, m = _cone_key(p, q)
+            self._cone_index.setdefault(key, shift_expr(res, -m))
 
     def resolve(self, name: str):
         if self.gen_resolve is not None:
@@ -407,30 +427,36 @@ def _solve_contravariant(ctx: Context, Z: Cone, W: ObjExpr) -> GradedDim:
 # ---------------------------------------------------------------------------
 
 
+def _min_shift(e: ObjExpr) -> int:
+    """Smallest outer shift of a normalized term, over the parts of a sum."""
+    if isinstance(e, Sum):
+        return min((_outer_shift(p) for p, _ in e.parts), default=0)
+    return _outer_shift(e)
+
+
+def _cone_key(src: ObjExpr, tgt: ObjExpr) -> tuple[tuple[ObjExpr, ObjExpr], int]:
+    """The pair shifted by -m, with m = _min_shift(src), and m itself."""
+    m = _min_shift(src)
+    return (shift_expr(src, -m), shift_expr(tgt, -m)), m
+
+
 def _identify_cone(ctx: Context, src: ObjExpr, tgt: ObjExpr) -> ObjExpr | None:
     """Match cone(src -> tgt) against registered triangles.
 
     Matching is up to a common shift and up to rotation: a triangle
     x -> y -> z also certifies cone(y -> z) = x[1] and cone(z -> x[1]) = y[1].
+
+    Each registered triangle sits in ``ctx._cone_index`` under the keys of
+    its three rotations (p, q, r).  A key is (p[-m], q[-m]), where m is the
+    smallest outer shift of p (of its parts, for a sum), and maps to r[-m].
+    The probe is normalized the same way, so one lookup finds a match up to
+    a common shift, and the hit is shifted back by the probe's own m.  When
+    several rotations share a key, the first registered triangle, then its
+    first rotation, holds it.
     """
-
-    def min_shift(e: ObjExpr) -> int:
-        if isinstance(e, Sum):
-            return min(_outer_shift(p) for p, _ in e.parts)
-        return _outer_shift(e)
-
-    for tri in ctx.all_triangles():
-        t = tri.normalized()
-        rotations = (
-            (t.x, t.y, t.z),
-            (t.y, t.z, shift_expr(t.x, 1)),
-            (t.z, shift_expr(t.x, 1), shift_expr(t.y, 1)),
-        )
-        for p, q, res in rotations:
-            s = min_shift(src) - min_shift(p)
-            if shift_expr(p, s) == src and shift_expr(q, s) == tgt:
-                return shift_expr(res, s)
-    return None
+    key, m = _cone_key(src, tgt)
+    hit = ctx._cone_index.get(key)
+    return None if hit is None else shift_expr(hit, m)
 
 
 def _require_exceptional(ctx: Context, E: Gen) -> None:

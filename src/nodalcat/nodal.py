@@ -39,6 +39,7 @@ def push_name(F: quadric.QuadricSheaf) -> str:
     return "j*" + F.render()
 
 
+@cache
 def parse_push_name(name: str) -> quadric.QuadricSheaf:
     m = _PUSH_RE.match(name)
     if not m:
@@ -390,17 +391,28 @@ def verify_dim(d: int) -> VerificationReport:
           "the stored orthogonal collection of the resolution is semiorthogonal",
           "semiorthogonal", check_perp)
 
+    # built once for the three items below; a build error fails each of them
+    try:
+        kernel: ObjExpr | NodalcatError = kernel_generator(d)
+    except NodalcatError as exc:
+        kernel = exc
+
+    def built_kernel() -> ObjExpr:
+        if isinstance(kernel, NodalcatError):
+            raise kernel
+        return kernel
+
     expected_kernel = "j*S" if even else "cone(j*S' -> j*S''[2])"
     _item(items, "kernel-generator",
           "mutating the pushed spinor bundle through the orthogonal collection "
           "yields the kernel generator",
           expected_kernel,
           lambda: (lambda T: (formalcat.render(T), formalcat.render(T) == expected_kernel))(
-              kernel_generator(d)))
+              built_kernel()))
 
     k_spherical = 2 if even else 3
     def check_sph():
-        T = kernel_generator(d)
+        T = built_kernel()
         report = formalcat.check_spherical(ctx, setup.perp, T, k_spherical)
         serre_desc = (
             formalcat.render(report.serre_value) if report.serre_value is not None
@@ -417,7 +429,7 @@ def verify_dim(d: int) -> VerificationReport:
 
     rel_shift = (2 - d) if even else (3 - d)
     def check_rel():
-        T = kernel_generator(d)
+        T = built_kernel()
         got = relative_serre(d, T)
         want = formalcat.shift_expr(T, rel_shift)
         return formalcat.render(got), got == want

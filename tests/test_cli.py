@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -144,6 +145,14 @@ class TestCommands:
         assert main(["verify", "--dims", "4..6"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_verify_matches_stored_benchmark_range(self, capsys, tmp_path):
+        # the whole benchmark range, byte for byte against the stored report
+        expected = Path(__file__).resolve().parents[1] / "bench" / "expected" / "verify_2_48.json"
+        path = tmp_path / "reports.json"
+        assert main(["verify", "--dims", "2..48", "--json", str(path)]) == 0
+        capsys.readouterr()
+        assert path.read_bytes() == expected.read_bytes()
+
     def test_verify_full_range(self, capsys):
         assert main(["verify", "--dims", "2..13"]) == 0
         out = capsys.readouterr().out
@@ -161,6 +170,13 @@ class TestExitCodes:
     def test_parse_error_is_3(self, capsys):
         assert main(["hom", "--context", "nodal:5", "cone(j*S' ->", "j*S''"]) == 3
         assert "column 13" in capsys.readouterr().err
+
+    def test_empty_dims_range_is_3(self, capsys):
+        assert main(["verify", "--dims", "5..3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "empty dimension range '5..3'" in captured.err
 
     def test_usage_error_is_3(self, capsys):
         assert main(["hom", "--context", "nodal:5", "j*S'"]) == 3

@@ -1,4 +1,7 @@
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nodalcat import formalcat, nodal
 from nodalcat.errors import IndeterminateHom, NotExceptional, UnknownGenerator
@@ -9,6 +12,7 @@ from nodalcat.formalcat import (
     SOD,
     Shift,
     Sum,
+    Triangle,
     ZERO,
     check_exceptional,
     check_semiorthogonal,
@@ -277,3 +281,94 @@ def test_chi_conservation_across_registered_triangles():
                 except (UnsupportedPair, IndeterminateHom):
                     continue
                 assert by == bx + bz
+
+
+# ---------------------------------------------------------------------------
+# cone identification: the rotation index against a brute-force scan
+# ---------------------------------------------------------------------------
+
+
+def _scan_identify_cone(ctx, src, tgt):
+    """Reference: scan every triangle and rotation, first match wins."""
+
+    def min_shift(e):
+        if isinstance(e, Sum):
+            return min(formalcat._outer_shift(p) for p, _ in e.parts)
+        return formalcat._outer_shift(e)
+
+    for tri in ctx.all_triangles():
+        t = tri.normalized()
+        rotations = (
+            (t.x, t.y, t.z),
+            (t.y, t.z, shift_expr(t.x, 1)),
+            (t.z, shift_expr(t.x, 1), shift_expr(t.y, 1)),
+        )
+        for p, q, res in rotations:
+            s = min_shift(src) - min_shift(p)
+            if shift_expr(p, s) == src and shift_expr(q, s) == tgt:
+                return shift_expr(res, s)
+    return None
+
+
+def test_index_matches_scan_on_verify_probes(monkeypatch):
+    # fresh contexts, so the probes do not depend on what earlier tests
+    # registered; the process-wide cache is left untouched
+    monkeypatch.setattr(nodal, "_setup", functools.cache(nodal._setup.__wrapped__))
+    indexed = formalcat._identify_cone
+    probes = []
+
+    def recording(ctx, src, tgt):
+        got = indexed(ctx, src, tgt)
+        # repr shows the cone tags, which equality ignores
+        probes.append((repr(got), repr(_scan_identify_cone(ctx, src, tgt))))
+        return got
+
+    monkeypatch.setattr(formalcat, "_identify_cone", recording)
+    for d in range(2, 15):
+        assert nodal.verify_dim(d).all_pass
+    assert len(probes) > 300
+    assert [got for got, _ in probes] == [want for _, want in probes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 9), st.data(), st.integers(0, 2), st.integers(-4, 4))
+def test_index_finds_every_rotation_up_to_shift(d, data, r, s):
+    ctx = nodal.build_context(d)
+    triangles = list(ctx.all_triangles())
+    t = data.draw(st.sampled_from(triangles)).normalized()
+    x1 = shift_expr(t.x, 1)
+    p, q, res = ((t.x, t.y, t.z), (t.y, t.z, x1), (t.z, x1, shift_expr(t.y, 1)))[r]
+    got = formalcat._identify_cone(ctx, shift_expr(p, s), shift_expr(q, s))
+    assert got == shift_expr(res, s)
+
+
+def test_colliding_keys_first_registered_decides():
+    A, B = Gen("A"), Gen("B")
+    first = Triangle(A, B, Cone(A, B, tag="first"))
+    # equal to `first` up to tags: both sit in the static tuple
+    twin = Triangle(A, B, Cone(A, B, tag="twin"))
+    ctx = Context(name="toy", generators=("A", "B"), base_hom=lambda a, b: C,
+                  triangles=(first, twin))
+    assert formalcat._identify_cone(ctx, A, B).tag == "first"
+    # a shifted copy is a new triangle with the same keys
+    ctx.add_triangle(Triangle(Shift(A, 3), Shift(B, 3), Shift(Cone(A, B, tag="shifted"), 3)))
+    assert len(ctx._derived_triangles) == 1
+    got = formalcat._identify_cone(ctx, Shift(A, 2), Shift(B, 2))
+    assert got == Shift(Cone(A, B), 2) and got.expr.tag == "first"
+    assert repr(got) == repr(_scan_identify_cone(ctx, Shift(A, 2), Shift(B, 2)))
+    # rotations share the rule: cone(B -> cone(A -> B)) = A[1]
+    assert formalcat._identify_cone(ctx, B, Cone(A, B)) == Shift(A, 1)
+    assert formalcat._identify_cone(ctx, B, A) is None
+
+
+def test_add_triangle_dedupes_and_keeps_order():
+    A, B = Gen("A"), Gen("B")
+    static = Triangle(A, B, Cone(A, B))
+    ctx = Context(name="toy", generators=("A", "B"), base_hom=lambda a, b: C,
+                  triangles=(static,))
+    t1 = Triangle(B, A, Cone(B, A))
+    t2 = Triangle(A, Shift(B, 1), Cone(A, Shift(B, 1)))
+    for tri in (static, t1, Triangle(Shift(Shift(B, 1), -1), A, Cone(B, A), tag="again"), t2, t1):
+        ctx.add_triangle(tri)
+    assert ctx._derived_triangles == [t1, t2]
+    assert list(ctx.all_triangles()) == [static, t1, t2]

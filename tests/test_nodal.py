@@ -1,7 +1,7 @@
 import pytest
 
 from nodalcat import formalcat, nodal, quadric
-from nodalcat.errors import UnsupportedPair
+from nodalcat.errors import NodalcatError, UnsupportedPair
 from nodalcat.formalcat import Cone, Gen, Shift, render
 from nodalcat.graded import GradedDim
 from nodalcat.quadric import QuadricSheaf as QS
@@ -232,3 +232,18 @@ class TestVerifyDim:
         a = json.dumps(nodal.verify_dim(5).to_json())
         b = json.dumps(nodal.verify_dim(5).to_json())
         assert a == b
+
+    def test_kernel_build_error_fails_each_kernel_item(self, monkeypatch):
+        calls = []
+
+        def broken(d):
+            calls.append(d)
+            raise NodalcatError("kernel mutation did not close")
+
+        monkeypatch.setattr(nodal, "kernel_generator", broken)
+        rep = nodal.verify_dim(5)
+        kernel_items = [item for item in rep.items if item.id in
+                        ("kernel-generator", "kernel-spherical", "relative-serre-shift")]
+        assert [item.got for item in kernel_items] == ["error: kernel mutation did not close"] * 3
+        assert not any(item.passed for item in kernel_items)
+        assert calls == [5]
