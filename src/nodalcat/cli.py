@@ -17,6 +17,8 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
+from itertools import chain
 
 from . import cubic, formalcat, mukai, nodal, quadric
 from .errors import (
@@ -214,11 +216,21 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_PARSE)
 
 
-def _context_for(spec: str) -> formalcat.Context:
+def _context_for(spec: str) -> tuple[int, formalcat.Context]:
+    """The dimension d and the context of a ``nodal:<d>`` spec."""
     m = re.match(r"^nodal:(\d+)$", spec)
     if not m:
         raise ExprParseError(f"unknown context {spec!r} (expected nodal:<dim>)", 1)
-    return nodal.build_context(int(m.group(1)))
+    d = int(m.group(1))
+    return d, nodal.build_context(d)
+
+
+def _print_chunks(chunks, file=None) -> None:
+    """Write consecutive pieces of one line, then the newline."""
+    write = (file or sys.stdout).write
+    for chunk in chunks:
+        write(chunk)
+    write("\n")
 
 
 def _cmd_cohom(args) -> int:
@@ -228,7 +240,7 @@ def _cmd_cohom(args) -> int:
 
 
 def _cmd_hom(args) -> int:
-    ctx = _context_for(args.context)
+    _, ctx = _context_for(args.context)
     F = parse_expr(ctx, args.source)
     G = parse_expr(ctx, args.target)
     print(formalcat.hom(ctx, F, G).render())
@@ -236,26 +248,22 @@ def _cmd_hom(args) -> int:
 
 
 def _cmd_mutate(args) -> int:
-    ctx = _context_for(args.context)
+    _, ctx = _context_for(args.context)
     F = parse_expr(ctx, args.expr)
     through = [Gen(_canon_gen(ctx, t)) for t in args.through]
     mutate = formalcat.mutate_right if args.dir == "right" else formalcat.mutate_left
-    print(formalcat.render(mutate(ctx, through, F)))
+    _print_chunks(formalcat.render_chunks(mutate(ctx, through, F)))
     return EXIT_OK
 
 
 def _cmd_serre(args) -> int:
-    m = re.match(r"^nodal:(\d+)$", args.context)
-    if not m:
-        raise ExprParseError(f"unknown context {args.context!r}", 1)
-    d = int(m.group(1))
-    ctx = nodal.build_context(d)
+    d, ctx = _context_for(args.context)
     F = parse_expr(ctx, args.expr)
     if args.relative:
         out = nodal.relative_serre(d, F)
     else:
         out = formalcat.serre_in(ctx, nodal.perp_collection(d), F)
-    print(formalcat.render(out))
+    _print_chunks(formalcat.render_chunks(out))
     return EXIT_OK
 
 
@@ -324,7 +332,13 @@ def _cmd_mukai(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_arg_parser() -> _ArgumentParser:
+    """The command-line parser, built once per process and then shared.
+
+    Parsing leaves the parser unchanged (each call fills a fresh
+    namespace), so every ``main`` call can reuse it.
+    """
     parser = _ArgumentParser(prog="nodalcat", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -385,10 +399,10 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except (IndeterminateHom, UnsupportedPair, UnknownGenerator, NotExceptional,
             ParityMismatch, RuleNotApplicable) as exc:
-        print(f"nodalcat: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _print_chunks(chain((f"nodalcat: {type(exc).__name__}: ",), exc.chunks()), sys.stderr)
         return EXIT_UNDECIDED
     except NodalcatError as exc:
-        print(f"nodalcat: {exc}", file=sys.stderr)
+        _print_chunks(chain(("nodalcat: ",), exc.chunks()), sys.stderr)
         return EXIT_UNDECIDED
     except ValueError as exc:
         print(f"nodalcat: {exc}", file=sys.stderr)

@@ -7,9 +7,15 @@ input from an honest "outside the established range".
 
 from __future__ import annotations
 
+from typing import Callable, Iterable, Iterator
+
 
 class NodalcatError(Exception):
     """Base class for all engine errors."""
+
+    def chunks(self) -> Iterator[str]:
+        """The text of ``str(self)`` as consecutive pieces, for streaming."""
+        yield str(self)
 
 
 class ParityMismatch(NodalcatError):
@@ -29,14 +35,29 @@ class IndeterminateHom(NodalcatError):
 
     Carries the set of degrees that could not be decided.  An indeterminate
     outcome is always surfaced as this exception, never approximated.
+
+    ``message`` is a string or a thunk: a callable returning the message as
+    an iterable of string chunks.  A thunk runs only when the error is
+    printed (``str`` or ``chunks``), so raising, catching and memoizing the
+    error never render the objects it names, which can run to megabytes.
     """
 
-    def __init__(self, degrees, message=""):
+    def __init__(self, degrees, message: str | Callable[[], Iterable[str]] = ""):
         self.degrees = tuple(sorted(degrees))
-        text = f"indeterminate degrees {list(self.degrees)}"
-        if message:
-            text += f" ({message})"
-        super().__init__(text)
+        self.message = message
+        super().__init__(self.degrees, message)
+
+    def chunks(self) -> Iterator[str]:
+        yield f"indeterminate degrees {list(self.degrees)}"
+        if callable(self.message):
+            yield " ("
+            yield from self.message()
+            yield ")"
+        elif self.message:
+            yield f" ({self.message})"
+
+    def __str__(self) -> str:
+        return "".join(self.chunks())
 
 
 class UnknownGenerator(NodalcatError):

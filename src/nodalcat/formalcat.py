@@ -35,8 +35,9 @@ thread-safe.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import (
     IndeterminateHom,
@@ -85,18 +86,44 @@ def is_zero(e: ObjExpr) -> bool:
 
 
 def render(e: ObjExpr) -> str:
+    """The text of an expression, in the grammar the CLI parses."""
     if isinstance(e, Gen):
         return e.name
-    if isinstance(e, Shift):
-        return f"{render(e.expr)}[{e.m}]"
-    if isinstance(e, Cone):
-        return f"cone({render(e.src)} -> {render(e.tgt)})"
-    if not e.parts:
-        return "0"
-    bits = []
-    for part, mult in e.parts:
-        bits.extend([render(part)] * mult)
-    return " + ".join(bits)
+    return "".join(render_chunks(e))
+
+
+def render_chunks(e: ObjExpr) -> Iterator[str]:
+    """The text of ``render(e)`` as consecutive pieces, for streaming.
+
+    A summand of multiplicity m is rendered once, as s, and written as the
+    chunk ``(s + " + ") * (m - 1)`` followed by s: one copy of the run and
+    no per-copy list.
+    """
+    if isinstance(e, Gen):
+        yield e.name
+    elif isinstance(e, Shift):
+        yield from render_chunks(e.expr)
+        yield f"[{e.m}]"
+    elif isinstance(e, Cone):
+        yield "cone("
+        yield from render_chunks(e.src)
+        yield " -> "
+        yield from render_chunks(e.tgt)
+        yield ")"
+    elif not e.parts:
+        yield "0"
+    else:
+        first = True
+        for part, mult in e.parts:
+            if mult < 1:
+                continue
+            if not first:
+                yield " + "
+            first = False
+            s = render(part)
+            if mult > 1:
+                yield (s + " + ") * (mult - 1)
+            yield s
 
 
 def _outer_shift(e: ObjExpr) -> int:
@@ -303,17 +330,26 @@ def hom(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim:
 
 
 def _hom(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim:
+    """Memoized graded Hom of normalized terms.
+
+    A failure (UnsupportedPair, IndeterminateHom) is memoized too, as a
+    copy made before it propagates, so the stored exception has no
+    traceback, cause or context; each hit raises a fresh copy of it.
+    Storing the raised exception itself would pin every frame it passed
+    through (with their locals) for the life of the context, and each
+    re-raise would lengthen its traceback.
+    """
     key = (F, G)
     memo = ctx._memo
     if key in memo:
         val = memo[key]
         if isinstance(val, Exception):
-            raise val
+            raise copy.copy(val)
         return val
     try:
         val = _hom_compute(ctx, F, G)
     except (UnsupportedPair, IndeterminateHom) as exc:
-        memo[key] = exc
+        memo[key] = copy.copy(exc)
         raise
     memo[key] = val
     return val
@@ -352,6 +388,15 @@ def _hom_compute(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim:
     return _solve_contravariant(ctx, F, G)
 
 
+def _hom_label(F: ObjExpr, G: ObjExpr) -> Iterator[str]:
+    """The chunks of ``Hom(F, G)``, for an IndeterminateHom message."""
+    yield "Hom("
+    yield from render_chunks(F)
+    yield ", "
+    yield from render_chunks(G)
+    yield ")"
+
+
 def _solve_covariant(ctx: Context, W: ObjExpr, Z: Cone) -> GradedDim:
     """Row Hom(W, cone(X -> Y)) from Hom(W, X) and Hom(W, Y).
 
@@ -383,7 +428,7 @@ def _solve_covariant(ctx: Context, W: ObjExpr, Z: Cone) -> GradedDim:
         if part1 + part2:
             out[k] = part1 + part2
     if bad:
-        raise IndeterminateHom(bad, f"Hom({render(W)}, {render(Z)})")
+        raise IndeterminateHom(bad, lambda: _hom_label(W, Z))
     return GradedDim.from_dict(out)
 
 
@@ -418,7 +463,7 @@ def _solve_contravariant(ctx: Context, Z: Cone, W: ObjExpr) -> GradedDim:
         if part1 + part2:
             out[k] = part1 + part2
     if bad:
-        raise IndeterminateHom(bad, f"Hom({render(Z)}, {render(W)})")
+        raise IndeterminateHom(bad, lambda: _hom_label(Z, W))
     return GradedDim.from_dict(out)
 
 

@@ -137,17 +137,22 @@ def cone_ring_dim(n: int, k: int) -> int:
 
 
 @cache
-def _h0_spinor(n: int, kind: str, k: int) -> int:
+def _h0_spinor(n: int, k: int) -> int:
     """h^0 of a twisted spinor bundle, by the tautological-sequence recursion.
 
     The sequence 0 -> Sp(k-1) -> O(k-1)^r -> Sp'(k) -> 0 has no higher
     cohomology on the left for k >= 1 (interior vanishing plus the vanishing
-    range down to 1-n), so h^0 telescopes.
+    range down to 1-n), so h^0 telescopes:
+    h^0(Sp'(k)) = r h^0(O(k-1)) - h^0(Sp(k-1)), from 0 at k = 0.  The sum
+    is taken in a loop, so any twist works without deep recursion.  The
+    spinor kind does not enter: on even quadrics the recursion alternates
+    S' and S'' from the same zero start, so both get the same values.
     """
-    if k <= 0:
-        return 0
-    prev = SPINOR if n % 2 == 1 else _flip(kind)
-    return taut_rank(n) * cone_ring_dim(n, k - 1) - _h0_spinor(n, prev, k - 1)
+    r = taut_rank(n)
+    h0 = 0
+    for j in range(k):
+        h0 = r * cone_ring_dim(n, j) - h0
+    return h0
 
 
 def cohomology(n: int, F: QuadricSheaf) -> GradedDim:
@@ -164,12 +169,12 @@ def cohomology(n: int, F: QuadricSheaf) -> GradedDim:
             d[n] = hn
         return GradedDim.from_dict(d)
     if k >= 1:
-        return GradedDim.point(0, _h0_spinor(n, F.kind, k))
+        return GradedDim.point(0, _h0_spinor(n, k))
     if k >= 1 - n:
         return GradedDim.zero()
     # k <= -n: only H^n survives; Serre duality through the spinor dual
     dualF = dual_sheaf(n, F)  # kind'(1-k)
-    hn = _h0_spinor(n, dualF.kind, dualF.twist - n)
+    hn = _h0_spinor(n, dualF.twist - n)
     return GradedDim.point(n, hn)
 
 

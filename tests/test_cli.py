@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -166,6 +169,93 @@ class TestCommands:
         assert [t["rule"] for t in data["trace"]] == ["R1", "R1", "R2", "R3", "R4"]
 
 
+class TestCachedParser:
+    def test_built_once(self):
+        assert cli.build_arg_parser() is cli.build_arg_parser()
+
+    def test_append_option_starts_empty_each_call(self):
+        parser = cli.build_arg_parser()
+        first = parser.parse_args(["mutate", "--context", "nodal:5", "--through", "j*O",
+                                   "--through", "j*O(-1)", "j*S'"])
+        second = parser.parse_args(["mutate", "--context", "nodal:5", "--through", "j*S''", "j*S'"])
+        assert first.through == ["j*O", "j*O(-1)"]
+        assert second.through == ["j*S''"]
+
+    def test_flags_do_not_carry_over(self, capsys, tmp_path):
+        assert main(["serre", "--context", "nodal:4", "--relative", "j*S"]) == 0
+        assert main(["serre", "--context", "nodal:4", "j*S"]) == 0
+        assert capsys.readouterr().out == "j*S[-2]\nj*S[2]\n"
+        path = tmp_path / "reports.json"
+        assert main(["verify", "--dims", "3", "--json", str(path)]) == 0
+        path.unlink()
+        assert main(["verify", "--dims", "3"]) == 0
+        assert not path.exists()
+        capsys.readouterr()
+
+
+def _fixed_script() -> list[list[str]]:
+    """A CLI script over nodal d = 3..7: answers, typed errors, parse errors."""
+    argv = []
+    for d in range(3, 8):
+        context = ["--context", f"nodal:{d}"]
+        roster = nodal.build_context(d).generators
+        lines = [g for g in roster if g.startswith("j*O")]
+        for i, a in enumerate(roster):
+            b = roster[(i + 1) % len(roster)]
+            argv += [["hom", *context, a, c] for c in roster]
+            argv.append(["hom", *context, f"cone({a} -> {b}[1])", a])
+            argv.append(["hom", *context, a, f"cone({b}[-1] -> {a})"])
+            argv.append(["hom", *context, f"{a} + {b}[2]", f"cone({a} -> {a})"])
+            for j, direction in enumerate(("right", "left")):
+                through = lines[(i + j) % len(lines)]
+                argv.append(["mutate", *context, "--dir", direction, "--through", through, a])
+            argv.append(["mutate", *context, "--through", lines[0], "--through", lines[-1], a])
+            argv.append(["serre", *context, a])
+            argv.append(["serre", *context, "--relative", a])
+        argv.append(["kernel", "--dim", str(d)])
+    for n in range(1, 9):
+        for kind in ("O", "S") if n % 2 else ("O", "S'", "S''"):
+            argv += [["cohom", "--quadric", str(n), f"{kind}({k})"] for k in range(-12, 13, 5)]
+    return argv + [
+        ["mukai", "S(1)"], ["cubic4"], ["verify", "--dims", "3..4"],
+        ["hom", "--context", "nodal:x", "j*O", "j*O"],
+        ["mutate", "--context", "bogus", "--through", "j*O", "j*O"],
+        ["hom", "--context", "nodal:5", "cone(j*O ->", "j*O"],
+        ["hom", "--context", "nodal:4", "j*S'", "j*O"],
+        ["hom", "--context", "nodal:4", "j*S", "j*S(1)"],
+        ["hom", "--context", "nodal:5", "j*O"],
+        ["cohom", "--quadric", "4", "S(1)"],
+    ]
+
+
+# Runs the script in a fresh interpreter (answers must not depend on what
+# earlier tests left in the shared contexts) and hashes every query's
+# [argv, exit code, stdout, stderr] as JSON.
+_DIGEST_RUNNER = """
+import contextlib, hashlib, io, json, sys
+from nodalcat import cli
+digest = hashlib.sha256()
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    digest.update(json.dumps([argv, rc, out.getvalue(), err.getvalue()]).encode())
+print(digest.hexdigest())
+"""
+
+# taken with the recursive renderer and the eagerly formatted errors
+_FIXED_SCRIPT_SHA256 = "3123862b1a1af9e80e0e7846f41503221a85bac2aec175e16728e0ea8c166d6e"
+
+
+def test_fixed_script_output_is_byte_stable():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-c", _DIGEST_RUNNER], input=json.dumps(_fixed_script()),
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == _FIXED_SCRIPT_SHA256
+
+
 class TestExitCodes:
     def test_parse_error_is_3(self, capsys):
         assert main(["hom", "--context", "nodal:5", "cone(j*S' ->", "j*S''"]) == 3
@@ -195,6 +285,17 @@ class TestExitCodes:
         rc = main(["hom", "--context", "nodal:4", "cone(j*O(-1) -> j*O(-1))", "j*O(-1)"])
         assert rc == 2
         assert "Indeterminate" in capsys.readouterr().err
+
+    def test_bad_context_is_3(self, capsys):
+        for command in (["hom", "j*O", "j*O"], ["mutate", "--through", "j*O", "j*O"],
+                        ["serre", "j*O"], ["serre", "--relative", "j*O"]):
+            assert main([command[0], "--context", "nodal:x", *command[1:]]) == 3
+            err = capsys.readouterr().err
+            assert err == "nodalcat: parse error at column 1: unknown context 'nodal:x' (expected nodal:<dim>)\n"
+
+    def test_huge_spinor_twist_is_a_value(self, capsys):
+        assert main(["cohom", "--quadric", "3", "S(5000)"]) == 0
+        assert capsys.readouterr().out == "C^83383340000\n"
 
     def test_parity_is_2(self, capsys):
         assert main(["cohom", "--quadric", "4", "S(1)"]) == 2

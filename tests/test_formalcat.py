@@ -372,3 +372,133 @@ def test_add_triangle_dedupes_and_keeps_order():
         ctx.add_triangle(tri)
     assert ctx._derived_triangles == [t1, t2]
     assert list(ctx.all_triangles()) == [static, t1, t2]
+
+
+# ---------------------------------------------------------------------------
+# rendering: chunks against the recursive reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_render(e):
+    """Reference: the recursive renderer, one list entry per summand copy."""
+    if isinstance(e, Gen):
+        return e.name
+    if isinstance(e, Shift):
+        return f"{_reference_render(e.expr)}[{e.m}]"
+    if isinstance(e, Cone):
+        return f"cone({_reference_render(e.src)} -> {_reference_render(e.tgt)})"
+    if not e.parts:
+        return "0"
+    bits = []
+    for part, mult in e.parts:
+        bits.extend([_reference_render(part)] * mult)
+    return " + ".join(bits)
+
+
+# raw terms, normalized or not: shifts of anything, sums with multiplicities
+# (0 and repeats included), empty sums and cones nested in all of them
+_raw_terms = st.recursive(
+    st.builds(Gen, st.sampled_from(["j*S'", "j*S''(-1)", "j*O", "j*O(2)", "A"])),
+    lambda inner: st.one_of(
+        st.builds(Shift, inner, st.integers(-3, 3)),
+        st.builds(Cone, inner, inner),
+        st.builds(Sum, st.lists(st.tuples(inner, st.integers(0, 50)), max_size=4).map(tuple)),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_raw_terms)
+def test_render_chunks_match_reference(e):
+    want = _reference_render(e)
+    assert render(e) == want
+    assert "".join(formalcat.render_chunks(e)) == want
+
+
+def test_render_chunks_keep_a_run_in_one_piece():
+    part = Shift(Cone(Gen("A"), Gen("B")), 1)
+    chunks = list(formalcat.render_chunks(Sum(((part, 40), (Gen("C"), 1)))))
+    assert chunks == ["cone(A -> B)[1] + " * 39, "cone(A -> B)[1]", " + ", "C"]
+
+
+# ---------------------------------------------------------------------------
+# memoized failures
+# ---------------------------------------------------------------------------
+
+
+def _failing_pair():
+    """A fresh context and an undecidable pair: Hom(cone(O -> O), O)."""
+    from nodalcat import quadric
+
+    ctx = quadric.sheaf_context(3)
+    return ctx, Cone(Gen("O"), Gen("O")), Gen("O")
+
+
+def _traceback_depth(exc):
+    depth, tb = 0, exc.__traceback__
+    while tb is not None:
+        depth, tb = depth + 1, tb.tb_next
+    return depth
+
+
+def test_memoized_failure_keeps_its_traceback_depth():
+    ctx, F, G = _failing_pair()
+    depths = []
+    for _ in range(6):
+        with pytest.raises(IndeterminateHom) as exc:
+            hom(ctx, F, G)
+        depths.append(_traceback_depth(exc.value))
+    # the first call computes, the next five re-raise the memoized failure
+    assert len(set(depths[1:])) == 1
+    stored = [v for v in ctx._memo.values() if isinstance(v, Exception)]
+    assert stored
+    for exc in stored:
+        assert exc.__traceback__ is None
+        assert exc.__context__ is None and exc.__cause__ is None
+
+
+def test_memoized_failure_pins_no_caller_frame():
+    import weakref
+
+    ctx, F, G = _failing_pair()
+
+    class Local:
+        pass
+
+    def caller():
+        local = Local()
+        try:
+            hom(ctx, F, G)
+        except IndeterminateHom:
+            pass
+        return weakref.ref(local)
+
+    for _ in range(2):  # computed, then memoized
+        assert caller()() is None
+
+
+def test_memoized_failure_reraises_the_same_message():
+    ctx, F, G = _failing_pair()
+    texts = []
+    for _ in range(3):
+        with pytest.raises(IndeterminateHom) as exc:
+            hom(ctx, F, G)
+        texts.append((str(exc.value), exc.value.degrees))
+    assert texts[0] == texts[1] == texts[2]
+    assert texts[0][0] == "indeterminate degrees [0, 1] (Hom(cone(O -> O), O))"
+
+
+def test_indeterminate_message_is_built_only_when_printed():
+    calls = []
+
+    def message():
+        calls.append(1)
+        return iter(("Hom(", "X", ")"))
+
+    exc = IndeterminateHom([2, 1], message)
+    assert not calls
+    assert str(exc) == "indeterminate degrees [1, 2] (Hom(X))"
+    assert "".join(exc.chunks()) == str(exc)
+    assert str(IndeterminateHom([0])) == "indeterminate degrees [0]"
+    assert str(IndeterminateHom([0], "why")) == "indeterminate degrees [0] (why)"

@@ -186,6 +186,14 @@ class TestChi:
                 g = cohomology(n, QS("O", k))
                 assert chi_quadric(n, QS("O"), QS("O", k)) == g.euler()
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("k", [-10_000, 10_000])
+    def test_spinor_cohomology_at_large_twists(self, n, k):
+        # the h^0 sum runs in a loop: twists far past the recursion limit
+        for kind in ("S",) if n % 2 else ("S'", "S''"):
+            F = QS(kind, k)
+            assert cohomology(n, F).euler() == chi_quadric(n, QS("O"), F), (n, str(F))
+
     def test_defined_outside_hom_range(self):
         # the additive path reaches twist differences the Hom path cannot
         assert isinstance(chi_quadric(3, QS("S"), QS("S", 1)), int)
