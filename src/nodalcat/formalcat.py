@@ -86,9 +86,15 @@ def is_zero(e: ObjExpr) -> bool:
 
 
 def render(e: ObjExpr) -> str:
-    """The text of an expression, in the grammar the CLI parses."""
+    """The text of an expression, in the grammar the CLI parses.
+
+    Generators and their shifts, nearly all the sort keys ``_sorted_parts``
+    asks for, are formatted directly; other terms join ``render_chunks``.
+    """
     if isinstance(e, Gen):
         return e.name
+    if isinstance(e, Shift) and isinstance(e.expr, Gen):
+        return f"{e.expr.name}[{e.m}]"
     return "".join(render_chunks(e))
 
 

@@ -136,23 +136,34 @@ def cone_ring_dim(n: int, k: int) -> int:
     return math.comb(n + 1 + k, n + 1) - (math.comb(n + k - 1, n + 1) if k >= 2 else 0)
 
 
-@cache
+# n -> [h^0(Sp(0)), h^0(Sp(1)), ...], extended on demand by _h0_spinor
+_H0_SPINOR: dict[int, list[int]] = {}
+
+
 def _h0_spinor(n: int, k: int) -> int:
     """h^0 of a twisted spinor bundle, by the tautological-sequence recursion.
 
     The sequence 0 -> Sp(k-1) -> O(k-1)^r -> Sp'(k) -> 0 has no higher
     cohomology on the left for k >= 1 (interior vanishing plus the vanishing
     range down to 1-n), so h^0 telescopes:
-    h^0(Sp'(k)) = r h^0(O(k-1)) - h^0(Sp(k-1)), from 0 at k = 0.  The sum
-    is taken in a loop, so any twist works without deep recursion.  The
-    spinor kind does not enter: on even quadrics the recursion alternates
-    S' and S'' from the same zero start, so both get the same values.
+    h^0(Sp'(k)) = r h^0(O(k-1)) - h^0(Sp(k-1)), from 0 at k = 0.  The spinor
+    kind does not enter: on even quadrics the recursion alternates S' and
+    S'' from the same zero start, so both get the same values.
+
+    The values for each n are kept as a prefix table that a larger twist
+    extends in a loop from its last entry, so any twist works without deep
+    recursion and a sweep over twists 1..K costs O(K) steps in all.
     """
-    r = taut_rank(n)
-    h0 = 0
-    for j in range(k):
-        h0 = r * cone_ring_dim(n, j) - h0
-    return h0
+    if k <= 0:
+        return 0
+    table = _H0_SPINOR.setdefault(n, [0])
+    if k >= len(table):
+        r = taut_rank(n)
+        h0 = table[-1]
+        for j in range(len(table) - 1, k):
+            h0 = r * cone_ring_dim(n, j) - h0
+            table.append(h0)
+    return table[k]
 
 
 def cohomology(n: int, F: QuadricSheaf) -> GradedDim:

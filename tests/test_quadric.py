@@ -194,6 +194,23 @@ class TestChi:
             F = QS(kind, k)
             assert cohomology(n, F).euler() == chi_quadric(n, QS("O"), F), (n, str(F))
 
+    def test_spinor_sweep_extends_one_table(self, monkeypatch):
+        # a sweep over twists 1..K takes K recursion steps in all, not K^2 / 2
+        from nodalcat import quadric
+
+        calls = []
+        ring_dim = quadric.cone_ring_dim
+        monkeypatch.setattr(quadric, "_H0_SPINOR", {})
+        monkeypatch.setattr(quadric, "cone_ring_dim", lambda n, k: calls.append(k) or ring_dim(n, k))
+        values = [quadric._h0_spinor(5, k) for k in range(1, 201)]
+        assert calls == list(range(200))
+        assert quadric._h0_spinor(5, 37) == values[36]
+        assert len(calls) == 200
+        h0 = 0
+        for j in range(200):
+            h0 = quadric.taut_rank(5) * ring_dim(5, j) - h0
+        assert values[-1] == h0
+
     def test_defined_outside_hom_range(self):
         # the additive path reaches twist differences the Hom path cannot
         assert isinstance(chi_quadric(3, QS("S"), QS("S", 1)), int)
