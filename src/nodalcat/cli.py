@@ -7,6 +7,10 @@ Grammar for object expressions (shared with the formal calculus renderer):
     atom  := "j*" sheaf | sheaf | name
     sheaf := ("O" | "S" | "S'" | "S''") [ "(" int ")" ]
 
+Cones nest at most ``MAX_CONE_DEPTH`` deep; deeper input is a parse
+error, so it never reaches the recursive solvers.  Postfix chains
+(shifts and twists) have no cap.
+
 Exit codes: 0 success, 1 verification failure, 2 indeterminate or
 unsupported computation, 3 parse or usage error.
 """
@@ -36,6 +40,13 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_UNDECIDED = 2
 EXIT_PARSE = 3
+
+
+# Deepest cone nesting the parser accepts.  The Hom solvers recurse about
+# three frames per cone level of each argument, so a command whose two
+# arguments both sit at the cap stays well inside Python's default
+# recursion limit of 1000 frames.
+MAX_CONE_DEPTH = 100
 
 
 class ExprParseError(Exception):
@@ -90,6 +101,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # cones open at the current token
 
     def peek(self):
         return self.tokens[self.i]
@@ -137,12 +149,16 @@ class _Parser:
     def parse_atom(self):
         tok = self.peek()
         if tok[0] == "cone":
+            if self.depth == MAX_CONE_DEPTH:
+                raise ExprParseError(f"cones nested more than {MAX_CONE_DEPTH} deep", tok[2])
+            self.depth += 1
             self.take("cone")
             self.take("lpar")
             a = self.parse_sum()
             self.take("arrow")
             b = self.parse_sum()
             self.take("rpar")
+            self.depth -= 1
             return ("cone", a, b)
         if tok[0] in ("gen", "name", "int"):
             if tok[0] == "int" and tok[1] != "0":
@@ -174,10 +190,16 @@ def resolve(ctx: formalcat.Context, node) -> ObjExpr:
         if node[1] == "0":
             return formalcat.ZERO
         return Gen(_canon_gen(ctx, node[1]))
-    if kind == "shift":
-        return formalcat.shift_expr(resolve(ctx, node[1]), node[2])
-    if kind == "twist":
-        return formalcat.twist_expr(ctx, resolve(ctx, node[1]), node[2])
+    if kind in ("shift", "twist"):
+        # a postfix chain nests one node per operator: walk it in a loop
+        ops = []
+        while node[0] in ("shift", "twist"):
+            ops.append(node)
+            node = node[1]
+        out = resolve(ctx, node)
+        for op, _, m in reversed(ops):
+            out = formalcat.shift_expr(out, m) if op == "shift" else formalcat.twist_expr(ctx, out, m)
+        return out
     if kind == "cone":
         return formalcat.normalize(Cone(resolve(ctx, node[1]), resolve(ctx, node[2])))
     return formalcat.sum_exprs((resolve(ctx, p), 1) for p in node[1])

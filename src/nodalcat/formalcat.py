@@ -27,16 +27,16 @@ module implements:
 Contexts are immutable after construction apart from append-only state:
 registries of freshly created mutation cones and their orthogonality
 facts, a rotation index over every registered triangle (so cone
-identification is one dict lookup), and a memo table.  Entries are only
-ever added, never invalidated, so a memoized answer can predate a fact
-registered later.  This state is updated without locks: a context is not
-thread-safe.
+identification is one dict lookup), a cache of resolved generator names,
+and a memo table.  Entries are only ever added, never invalidated, so a
+memoized answer can predate a fact registered later.  This state is
+updated without locks: a context is not thread-safe.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Callable, Iterator
 
 from .errors import (
@@ -52,9 +52,42 @@ from .graded import GradedDim
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
 class Gen:
-    name: str
+    """A generator leaf, interned by name.
+
+    ``Gen(name)`` returns the one shared object for that name, so two
+    generators are equal exactly when they are the same object: equality
+    and hashing are identity (they run in C, with no Python-level call).
+    Generators are immutable, and copy, deepcopy and pickle return the
+    interned object again.  Hashes therefore depend on memory addresses, so
+    no code path may iterate a set of expressions.
+    """
+
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str) -> "Gen":
+        gen = _GENS.get(name)
+        if gen is None:
+            gen = object.__new__(cls)
+            object.__setattr__(gen, "name", name)
+            gen = _GENS.setdefault(name, gen)
+        return gen
+
+    def __setattr__(self, attr, value):
+        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise FrozenInstanceError(f"cannot delete field {attr!r}")
+
+    def __reduce__(self):
+        return (Gen, (self.name,))
+
+    def __repr__(self) -> str:
+        return f"Gen(name={self.name!r})"
+
+
+# the interned generators, by name
+_GENS: dict[str, Gen] = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,6 +112,12 @@ class Cone:
 ObjExpr = Gen | Shift | Sum | Cone
 
 ZERO = Sum(())
+
+# Hom(E, E) of an exceptional object: C in degree 0
+_ENDO_EXCEPTIONAL = GradedDim.point(0, 1)
+
+# the default of a dict lookup that found no entry
+_MISS = object()
 
 
 def is_zero(e: ObjExpr) -> bool:
@@ -263,15 +302,20 @@ class SOD:
 class Context:
     """Immutable computation context for the formal calculus.
 
-    ``base_hom(a, b)`` returns the graded Hom between two generators (it
-    may raise UnknownGenerator or UnsupportedPair); ``gen_resolve`` decides
-    which names are generators at all.  ``serre_action`` sends a generator
+    ``gen_resolve(name)`` decides which names are generators at all: it
+    returns the object a name stands for (a sheaf, say) or raises
+    UnknownGenerator.  Without it a generator is a name in ``generators``
+    and resolves to itself.  ``resolve`` memoizes each successful
+    resolution per name; a failing name raises on every call.
+    ``base_hom(a, b)`` returns the graded Hom between two generators and
+    receives them resolved, as ``resolve`` returned them, never as names
+    (it may raise UnsupportedPair).  ``serre_action`` sends a generator
     name to its image under the ambient pair-Serre functor.
     """
 
     name: str
     generators: tuple[str, ...]
-    base_hom: Callable[[str, str], GradedDim]
+    base_hom: Callable[[object, object], GradedDim]
     gen_resolve: Callable[[str], object] | None = None
     twist_gen: Callable[[str, int], str] | None = None
     serre_action: Callable[[str], ObjExpr] | None = None
@@ -286,6 +330,8 @@ class Context:
     _known_triangles: set = field(default_factory=set, repr=False)
     # rotation index: shift-normalized (src, tgt) -> cone, see _identify_cone
     _cone_index: dict = field(default_factory=dict, repr=False)
+    # name -> resolved generator, filled by resolve
+    _resolved: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self._known_triangles.update(self.triangles)
@@ -297,6 +343,8 @@ class Context:
         yield from self._derived_triangles
 
     def has_zero_fact(self, F: ObjExpr, G: ObjExpr) -> bool:
+        if not (self.zero_facts or self._derived_zero_facts):
+            return False
         key = (_strip_shift(F), _strip_shift(G))
         return key in self.zero_facts or key in self._derived_zero_facts
 
@@ -318,11 +366,16 @@ class Context:
             self._cone_index.setdefault(key, shift_expr(res, -m))
 
     def resolve(self, name: str):
-        if self.gen_resolve is not None:
-            return self.gen_resolve(name)
-        if name not in self.generators:
-            raise UnknownGenerator(name)
-        return name
+        obj = self._resolved.get(name, _MISS)
+        if obj is _MISS:
+            if self.gen_resolve is not None:
+                obj = self.gen_resolve(name)
+            elif name in self.generators:
+                obj = name
+            else:
+                raise UnknownGenerator(name)
+            self._resolved[name] = obj
+        return obj
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +400,8 @@ def _hom(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim:
     """
     key = (F, G)
     memo = ctx._memo
-    if key in memo:
-        val = memo[key]
+    val = memo.get(key, _MISS)
+    if val is not _MISS:
         if isinstance(val, Exception):
             raise copy.copy(val)
         return val
@@ -366,6 +419,8 @@ def _hom_compute(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim:
         return GradedDim.zero()
     if ctx.has_zero_fact(F, G):
         return GradedDim.zero()
+    if isinstance(F, Gen) and isinstance(G, Gen):
+        return ctx.base_hom(ctx.resolve(F.name), ctx.resolve(G.name))
     if isinstance(F, Sum):
         out = GradedDim.zero()
         for p, r in F.parts:
@@ -380,10 +435,6 @@ def _hom_compute(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim:
         return _hom(ctx, F.expr, G).shift(-F.m)
     if isinstance(G, Shift):
         return _hom(ctx, F, G.expr).shift(G.m)
-    if isinstance(F, Gen) and isinstance(G, Gen):
-        ctx.resolve(F.name)
-        ctx.resolve(G.name)
-        return ctx.base_hom(F.name, G.name)
     if isinstance(G, Cone):
         try:
             return _solve_covariant(ctx, F, G)
@@ -512,7 +563,7 @@ def _identify_cone(ctx: Context, src: ObjExpr, tgt: ObjExpr) -> ObjExpr | None:
 
 def _require_exceptional(ctx: Context, E: Gen) -> None:
     value = _hom(ctx, E, E)
-    if value != GradedDim.point(0, 1):
+    if value != _ENDO_EXCEPTIONAL:
         raise NotExceptional(f"{E.name} has Hom-algebra {value.render()}")
 
 
@@ -650,17 +701,17 @@ def twist_expr(ctx: Context, F: ObjExpr, k: int) -> ObjExpr:
 
 
 def check_exceptional(ctx: Context, F: ObjExpr) -> bool:
-    return hom(ctx, F, F) == GradedDim.point(0, 1)
+    return hom(ctx, F, F) == _ENDO_EXCEPTIONAL
 
 
 def check_semiorthogonal(ctx: Context, sod: SOD) -> bool:
     """No Homs from a later block to an earlier one."""
-    blocks = sod.blocks
+    blocks = [[Gen(a) for a in block] for block in sod.blocks]
     for i in range(len(blocks)):
         for j in range(i):
             for a in blocks[i]:
                 for b in blocks[j]:
-                    if not hom(ctx, Gen(a), Gen(b)).is_zero:
+                    if not hom(ctx, a, b).is_zero:
                         return False
     return True
 

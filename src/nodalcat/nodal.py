@@ -128,8 +128,7 @@ def _setup(d: int) -> NodalSetup:
             raise UnknownGenerator(f"{name}: {exc}") from None
         return F
 
-    def base_hom(a: str, b: str) -> GradedDim:
-        Fa, Fb = resolve(a), resolve(b)
+    def base_hom(Fa: quadric.QuadricSheaf, Fb: quadric.QuadricSheaf) -> GradedDim:
         return _pair_value(n, Fa.kind, Fa.twist - Fb.twist, Fb.kind)
 
     def twist(name: str, k: int) -> str:

@@ -475,8 +475,8 @@ def sheaf_context(n: int, line_twists=(0, 1), spinor_twists=(0, 1)):
         check_parity(n, F)
         return F
 
-    def base_hom(a: str, b: str) -> GradedDim:
-        return hom_quadric(n, resolve(a), resolve(b))
+    def base_hom(a: QuadricSheaf, b: QuadricSheaf) -> GradedDim:
+        return hom_quadric(n, a, b)
 
     def twist(name: str, k: int) -> str:
         return resolve(name).twisted(k).render()

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -247,13 +248,81 @@ print(digest.hexdigest())
 _FIXED_SCRIPT_SHA256 = "3123862b1a1af9e80e0e7846f41503221a85bac2aec175e16728e0ea8c166d6e"
 
 
-def test_fixed_script_output_is_byte_stable():
+def _fixed_script_digest(**env_extra) -> str:
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80", **env_extra)
     proc = subprocess.run([sys.executable, "-c", _DIGEST_RUNNER], input=json.dumps(_fixed_script()),
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == _FIXED_SCRIPT_SHA256
+    return proc.stdout.strip()
+
+
+def test_fixed_script_output_is_byte_stable():
+    assert _fixed_script_digest() == _FIXED_SCRIPT_SHA256
+
+
+def test_fixed_script_output_ignores_hash_seed():
+    # generator hashes follow memory addresses and string hashes follow the
+    # seed, and both differ between two fresh interpreters: an answer that
+    # depended on the iteration order of a set of expressions would show
+    digests = {_fixed_script_digest(PYTHONHASHSEED=seed) for seed in ("0", "1")}
+    assert digests == {_FIXED_SCRIPT_SHA256}
+
+
+def _nested_cone(levels: int, right: bool) -> str:
+    """``levels`` cones nested in the source (or the target) leg."""
+    e = "j*O"
+    for _ in range(levels):
+        e = f"cone(j*O(1) -> {e})" if right else f"cone({e} -> j*O(1))"
+    return e
+
+
+class TestConeDepthCap:
+    @pytest.fixture(autouse=True)
+    def _fresh_contexts(self, monkeypatch):
+        # keep the deep cones these queries register out of the session's
+        # shared contexts, whose registries later tests walk
+        monkeypatch.setattr(nodal, "_setup", functools.cache(nodal._setup.__wrapped__))
+
+    @staticmethod
+    def _argv(command: str, expr: str) -> list[str]:
+        context = ["--context", "nodal:3"]
+        return {"hom": ["hom", *context, expr, "j*O"],
+                "mutate": ["mutate", *context, "--through", "j*O", expr],
+                "serre": ["serre", *context, expr]}[command]
+
+    @pytest.mark.parametrize("right", [False, True])
+    @pytest.mark.parametrize("command", ["hom", "mutate", "serre"])
+    def test_at_the_cap_gives_a_value_or_a_typed_error(self, capsys, command, right):
+        rc = main(self._argv(command, _nested_cone(cli.MAX_CONE_DEPTH, right)))
+        err = capsys.readouterr().err
+        assert rc in (cli.EXIT_OK, cli.EXIT_UNDECIDED)
+        assert err.count("\n") == (rc != cli.EXIT_OK)
+
+    def test_both_hom_arguments_at_the_cap(self, capsys):
+        deep = _nested_cone(cli.MAX_CONE_DEPTH, False)
+        for source, target in ((deep, deep), (_nested_cone(cli.MAX_CONE_DEPTH, True), deep)):
+            assert main(["hom", "--context", "nodal:3", source, target]) in (cli.EXIT_OK, cli.EXIT_UNDECIDED)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("right", [False, True])
+    @pytest.mark.parametrize("command", ["hom", "mutate", "serre"])
+    def test_one_past_the_cap_is_a_parse_error(self, capsys, command, right):
+        rc = main(self._argv(command, _nested_cone(cli.MAX_CONE_DEPTH + 1, right)))
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_PARSE
+        assert captured.out == ""
+        column = 1 + cli.MAX_CONE_DEPTH * len("cone(j*O(1) -> " if right else "cone(")
+        assert captured.err == (f"nodalcat: parse error at column {column}: "
+                                f"cones nested more than {cli.MAX_CONE_DEPTH} deep\n")
+
+    def test_long_postfix_chain_is_a_value(self, capsys):
+        # postfix operators are not capped: a chain of 4000 resolves in a loop
+        context = ["--context", "nodal:3"]
+        assert main(["hom", *context, "j*O(-1)", "j*O(1999)[2000]"]) == 0
+        want = capsys.readouterr().out
+        assert main(["hom", *context, "j*O(-1)", "j*O(-1)" + "[1](1)" * 2000]) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestExitCodes:

@@ -1,9 +1,11 @@
+import copy
 import functools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nodalcat import formalcat, nodal
+from nodalcat import formalcat, nodal, quadric
 from nodalcat.errors import IndeterminateHom, NotExceptional, UnknownGenerator
 from nodalcat.formalcat import (
     Cone,
@@ -502,3 +504,109 @@ def test_indeterminate_message_is_built_only_when_printed():
     assert "".join(exc.chunks()) == str(exc)
     assert str(IndeterminateHom([0])) == "indeterminate degrees [0]"
     assert str(IndeterminateHom([0], "why")) == "indeterminate degrees [0] (why)"
+
+
+# ---------------------------------------------------------------------------
+# interned generators and the resolve cache
+# ---------------------------------------------------------------------------
+
+
+class TestInternedGen:
+    def test_one_object_per_name(self):
+        assert Gen("a") is Gen("a")
+        assert Gen("a") is not Gen("b")
+        assert Gen("a") == Gen("a") and Gen("a") != Gen("b")
+        assert Gen("a") != "a"
+
+    def test_copy_deepcopy_and_pickle_keep_identity(self):
+        g = Gen("a")
+        assert copy.copy(g) is g
+        assert copy.deepcopy(g) is g
+        assert pickle.loads(pickle.dumps(g)) is g
+        e = normalize(Cone(Shift(g, 2), Sum(((Gen("b"), 3),))))
+        for clone in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert clone == e
+            assert _first_leaf(clone) is g
+
+    def test_assignment_raises(self):
+        g = Gen("a")
+        with pytest.raises(AttributeError):
+            g.name = "b"
+        with pytest.raises(AttributeError):
+            del g.name
+        with pytest.raises(AttributeError):
+            g.other = 1
+        assert g.name == "a" and Gen("a") is g
+
+    def test_repr_unchanged(self):
+        assert repr(Gen("A")) == "Gen(name='A')"
+        assert repr(Shift(Gen("j*S'"), -1)) == "Shift(expr=Gen(name=\"j*S'\"), m=-1)"
+
+
+def _first_leaf(e):
+    """The first generator leaf of a normalized term."""
+    while not isinstance(e, Gen):
+        e = e.expr if isinstance(e, Shift) else e.src if isinstance(e, Cone) else e.parts[0][0]
+    return e
+
+
+class TestResolveCache:
+    def _counting_context(self):
+        calls = []
+
+        def resolve(name):
+            calls.append(name)
+            if name not in ("A", "B"):
+                raise UnknownGenerator(name)
+            return ("resolved", name)
+
+        seen = []
+
+        def base(a, b):
+            seen.append((a, b))
+            return C if a == b else GradedDim.zero()
+
+        ctx = Context(name="counting", generators=("A", "B"), base_hom=base, gen_resolve=resolve)
+        return ctx, calls, seen
+
+    def test_successful_resolution_runs_once_per_name(self):
+        ctx, calls, _ = self._counting_context()
+        first = ctx.resolve("A")
+        assert ctx.resolve("A") is first
+        hom(ctx, Gen("A"), Gen("B"))
+        hom(ctx, Gen("B"), Gen("A"))
+        assert calls == ["A", "B"]
+
+    @pytest.mark.parametrize("with_resolver", [True, False])
+    def test_unknown_name_raises_on_every_call(self, with_resolver):
+        ctx = self._counting_context()[0] if with_resolver else Context(
+            name="plain", generators=("A",), base_hom=lambda a, b: C)
+        for _ in range(3):
+            with pytest.raises(UnknownGenerator):
+                ctx.resolve("X")
+            with pytest.raises(UnknownGenerator):
+                hom(ctx, Gen("X"), Gen("A"))
+            with pytest.raises(UnknownGenerator):
+                mutate_right(ctx, Gen("X"), Gen("A"))
+
+    def test_base_hom_receives_resolved_objects(self):
+        ctx, _, seen = self._counting_context()
+        assert hom(ctx, Gen("A"), Gen("A")) == C
+        assert seen == [(("resolved", "A"), ("resolved", "A"))]
+        assert seen[0][0] is ctx.resolve("A")
+
+    def test_plain_context_resolves_names_to_themselves(self):
+        seen = []
+        ctx = Context(name="plain", generators=("A",),
+                      base_hom=lambda a, b: seen.append((a, b)) or C)
+        assert hom(ctx, Gen("A"), Gen("A")) == C
+        assert seen == [("A", "A")]
+
+    def test_sheaf_contexts_get_sheaves(self):
+        ctx = nodal.build_context(4)
+        S = ctx.resolve("j*S")
+        assert S == quadric.QuadricSheaf(quadric.SPINOR, 0)
+        assert ctx.base_hom(S, S) == gd({0: 1, 2: 1})
+        qctx = quadric.sheaf_context(3)
+        O, O1 = qctx.resolve("O"), qctx.resolve("O(1)")
+        assert qctx.base_hom(O, O1) == quadric.hom_quadric(3, O, O1)
