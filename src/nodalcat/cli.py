@@ -292,7 +292,7 @@ def _cmd_serre(args) -> int:
 def _cmd_kernel(args) -> int:
     d = args.dim
     T = nodal.kernel_generator(d)
-    k = 2 if d % 2 == 0 else 3
+    k = nodal.spherical_degree(d)
     report = formalcat.check_spherical(
         nodal.build_context(d), nodal.perp_collection(d), T, k
     )

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import mukai, nodal, quadric
-from .errors import NodalcatError, RuleNotApplicable
+from .errors import RuleNotApplicable
 
 # ---------------------------------------------------------------------------
 # Picard classes
@@ -268,16 +268,7 @@ def apply_chain(chain: tuple[FunctorStep, ...], obj) -> tuple[object, list[dict]
 
 def verify_cubic() -> dict:
     """Membership, chain replay, and lattice certification, as a report."""
-    items: list[dict] = []
-
-    def add(id: str, citation: str, expected: str, compute) -> None:
-        try:
-            got, ok = compute()
-        except NodalcatError as exc:
-            got, ok = f"error: {exc}", False
-        items.append(
-            {"id": id, "citation": citation, "expected": expected, "got": str(got), "pass": ok}
-        )
+    items: list[nodal.ReportItem] = []
 
     def membership():
         bad = []
@@ -293,8 +284,8 @@ def verify_cubic() -> dict:
                 bad.append(f"Hom(j*S, j*O({k})) = {value.render()}")
         return ("all zero" if not bad else "; ".join(bad), not bad)
 
-    add(
-        "membership",
+    nodal.add_item(
+        items, "membership",
         "j*S lies in the residual component: O(kH) pulls back trivially to the "
         "exceptional quadric so Hom(O(kH), j*S) = H^*(S) = 0, and the pushed "
         "line bundles of the orthogonal collection receive no Homs from j*S",
@@ -309,8 +300,8 @@ def verify_cubic() -> dict:
         ok = isinstance(result, K3Obj) and result.sheaf == quadric.QuadricSheaf(quadric.SPINOR, 0)
         return f"{result.render()} (accumulated shift [{result.shift}])", ok
 
-    add(
-        "kernel-image",
+    nodal.add_item(
+        items, "kernel-image",
         "the adjoint chain carries j*S to the restriction of the spinor bundle "
         "to the K3 surface; the accumulated shift is reported alongside",
         "t*S up to shift",
@@ -326,8 +317,8 @@ def verify_cubic() -> dict:
             pairing == -2 and chi == 2,
         )
 
-    add(
-        "mukai-numerics",
+    nodal.add_item(
+        items, "mukai-numerics",
         "the Mukai self-pairing of the restricted spinor bundle is -2 "
         "(numerically 2-spherical) with Euler pairing 2",
         "<v,v> = -2, chi = 2",
@@ -335,7 +326,7 @@ def verify_cubic() -> dict:
     )
 
     return {
-        "items": items,
-        "all_pass": all(item["pass"] for item in items),
+        "items": [item.to_json() for item in items],
+        "all_pass": all(item.passed for item in items),
         "trace": trace,
     }

@@ -6,12 +6,14 @@ base graded Hom table between generators, the registered exact triangles,
 orthogonality facts, and the ambient Serre data.  On top of that this
 module implements:
 
-* ``hom``: graded Hom of arbitrary terms.  Cones are handled by a
-  determinate long-exact-sequence solver: a degree of the unknown row is
-  accepted only when the two maps bounding it are forced, either because a
-  neighboring term vanishes or because a recorded orthogonality fact kills
-  a whole row.  Anything else raises IndeterminateHom; connecting maps are
-  never guessed.
+* ``hom``: graded Hom of arbitrary terms.  Cones are handled by ``splice``,
+  the one determinate long-exact-sequence solver: a degree of the unknown
+  row is accepted only when the two maps bounding it are forced, either
+  because a neighboring term vanishes or because a recorded orthogonality
+  fact kills a whole row.  Anything else raises IndeterminateHom;
+  connecting maps are never guessed.  Its offsets (s, t) are (0, +1) for
+  Hom(W, cone) and (0, -1) for Hom(cone, W); ``nodal.hom_push`` splices
+  the restriction triangle with (-2, -1).
 * ``mutate_right`` / ``mutate_left``: mutations through exceptional
   generators, with cone identification against registered triangles up to
   shift and rotation.  Mutations distribute over sums, shifts and cone
@@ -454,74 +456,49 @@ def _hom_label(F: ObjExpr, G: ObjExpr) -> Iterator[str]:
     yield ")"
 
 
-def _solve_covariant(ctx: Context, W: ObjExpr, Z: Cone) -> GradedDim:
-    """Row Hom(W, cone(X -> Y)) from Hom(W, X) and Hom(W, Y).
+def splice(Y: GradedDim, X: GradedDim, s: int, t: int,
+           label: str | Callable[[], Iterator[str]]) -> GradedDim:
+    """The unknown row C of a long exact sequence, from its known rows Y, X.
 
-    Long exact sequence ... -> A_k -> B_k -> C_k -> A_{k+1} -> ... with
-    A = Hom(W, X), B = Hom(W, Y).  C_k = coker(A_k -> B_k) + ker(A_{k+1}
-    -> B_{k+1}); each part is forced only when one of its terms vanishes.
+    In degree k the sequence runs through Y_k, C_k, X_{k+t} in a row, with
+    X_{k+s} next to Y_k on the far side and Y_{k+t-s} next to X_{k+t}:
+
+      ... - X_{k+s} - Y_k - C_k - X_{k+t} - Y_{k+t-s} - ...
+
+    So C_k is the part of Y_k the map between Y_k and X_{k+s} leaves over,
+    plus the part of X_{k+t} the map between X_{k+t} and Y_{k+t-s} leaves
+    over.  Those maps are unknown, so a part is forced only when one of its
+    two terms vanishes: Y_k counts in full when X_{k+s} = 0, and X_{k+t}
+    when Y_{k+t-s} = 0.  Any other degree is collected, and together they
+    raise ``IndeterminateHom(degrees, label)``.
     """
-    A = _hom(ctx, W, Z.src)
-    B = _hom(ctx, W, Z.tgt)
+    y_at, x_at = dict(Y.entries), dict(X.entries)
     out: dict[int, int] = {}
     bad: list[int] = []
-    for k in sorted(set(B.support()) | {a - 1 for a in A.support()}):
-        ak, bk = A.dim(k), B.dim(k)
-        ak1, bk1 = A.dim(k + 1), B.dim(k + 1)
-        if bk == 0:
-            part1 = 0
-        elif ak == 0:
-            part1 = bk
-        else:
+    for k in sorted(y_at.keys() | {j - t for j in x_at}):
+        y, x = y_at.get(k, 0), x_at.get(k + t, 0)
+        if (y and x_at.get(k + s)) or (x and y_at.get(k + t - s)):
             bad.append(k)
-            continue
-        if ak1 == 0:
-            part2 = 0
-        elif bk1 == 0:
-            part2 = ak1
         else:
-            bad.append(k)
-            continue
-        if part1 + part2:
-            out[k] = part1 + part2
+            out[k] = y + x
     if bad:
-        raise IndeterminateHom(bad, lambda: _hom_label(W, Z))
+        raise IndeterminateHom(bad, label)
     return GradedDim.from_dict(out)
+
+
+def _solve_covariant(ctx: Context, W: ObjExpr, Z: Cone) -> GradedDim:
+    """Row Hom(W, cone(X -> Y)) from the sequence
+    ... -> Hom^k(W, X) -> Hom^k(W, Y) -> Hom^k(W, Z) -> Hom^{k+1}(W, X) -> ...
+    """
+    X = _hom(ctx, W, Z.src)  # asked first: it decides which failure propagates
+    return splice(_hom(ctx, W, Z.tgt), X, 0, 1, lambda: _hom_label(W, Z))
 
 
 def _solve_contravariant(ctx: Context, Z: Cone, W: ObjExpr) -> GradedDim:
-    """Row Hom(cone(X -> Y), W) from Hom(Y, W) and Hom(X, W).
-
-    Long exact sequence ... -> C_k -> B_k -> A_k -> C_{k+1} -> ... with
-    B = Hom(Y, W), A = Hom(X, W); C_k = ker(B_k -> A_k) + coker(B_{k-1}
-    -> A_{k-1}).
+    """Row Hom(cone(X -> Y), W) from the sequence
+    ... -> Hom^{k-1}(X, W) -> Hom^k(Z, W) -> Hom^k(Y, W) -> Hom^k(X, W) -> ...
     """
-    B = _hom(ctx, Z.tgt, W)
-    A = _hom(ctx, Z.src, W)
-    out: dict[int, int] = {}
-    bad: list[int] = []
-    for k in sorted(set(B.support()) | {a + 1 for a in A.support()}):
-        ak, bk = A.dim(k), B.dim(k)
-        ak0, bk0 = A.dim(k - 1), B.dim(k - 1)
-        if bk == 0:
-            part1 = 0
-        elif ak == 0:
-            part1 = bk
-        else:
-            bad.append(k)
-            continue
-        if ak0 == 0:
-            part2 = 0
-        elif bk0 == 0:
-            part2 = ak0
-        else:
-            bad.append(k)
-            continue
-        if part1 + part2:
-            out[k] = part1 + part2
-    if bad:
-        raise IndeterminateHom(bad, lambda: _hom_label(Z, W))
-    return GradedDim.from_dict(out)
+    return splice(_hom(ctx, Z.tgt, W), _hom(ctx, Z.src, W), 0, -1, lambda: _hom_label(Z, W))
 
 
 # ---------------------------------------------------------------------------
@@ -575,14 +552,10 @@ def _as_gen(E) -> Gen:
     raise TypeError(f"mutation requires a generator, got {E!r}")
 
 
-def _dual_tensor(V: GradedDim, E: Gen) -> ObjExpr:
-    """V^dual tensor E as an object: an entry of V in degree k gives E[k]."""
-    return sum_exprs((shift_expr(E, k), r) for k, r in V.entries)
-
-
-def _tensor(V: GradedDim, E: Gen) -> ObjExpr:
-    """V tensor E: an entry of V in degree k gives E[-k]."""
-    return sum_exprs((shift_expr(E, -k), r) for k, r in V.entries)
+def _tensor(V: GradedDim, E: Gen, sign: int) -> ObjExpr:
+    """V tensor E (sign -1) or V^dual tensor E (sign +1) as an object: an
+    entry of V in degree k gives E[sign * k]."""
+    return sum_exprs((shift_expr(E, sign * k), r) for k, r in V.entries)
 
 
 def mutate_right(ctx: Context, through, F: ObjExpr) -> ObjExpr:
@@ -591,22 +564,20 @@ def mutate_right(ctx: Context, through, F: ObjExpr) -> ObjExpr:
     A collection (A_1, ..., A_m) acts as R_{A_m} o ... o R_{A_1}, i.e. the
     mutation through the subcategory generated by the collection.
     """
-    if isinstance(through, (list, tuple)):
-        out = normalize(F)
-        for E in through:
-            out = _mutate_one(ctx, _as_gen(E), out, right=True)
-        return out
-    return _mutate_one(ctx, _as_gen(through), normalize(F), right=True)
+    return _mutate(ctx, through, F, right=True)
 
 
 def mutate_left(ctx: Context, through, F: ObjExpr) -> ObjExpr:
     """Left mutation; a collection (A_1, ..., A_m) acts as L_{A_1} o ... o L_{A_m}."""
-    if isinstance(through, (list, tuple)):
-        out = normalize(F)
-        for E in reversed(through):
-            out = _mutate_one(ctx, _as_gen(E), out, right=False)
-        return out
-    return _mutate_one(ctx, _as_gen(through), normalize(F), right=False)
+    return _mutate(ctx, through, F, right=False)
+
+
+def _mutate(ctx: Context, through, F: ObjExpr, right: bool) -> ObjExpr:
+    gens = through if isinstance(through, (list, tuple)) else (through,)
+    out = normalize(F)
+    for E in gens if right else reversed(gens):
+        out = _mutate_one(ctx, _as_gen(E), out, right)
+    return out
 
 
 def _mutate_one(ctx: Context, E: Gen, F: ObjExpr, right: bool) -> ObjExpr:
@@ -632,21 +603,15 @@ def _mutate_one(ctx: Context, E: Gen, F: ObjExpr, right: bool) -> ObjExpr:
         out = normalize(Cone(src, tgt, tag=f"image of {render(F)} under mutation through {E.name}"))
         _record_mutation_cone(ctx, out, E, right)
         return out
-    if right:
-        target = _dual_tensor(V, E)
-        identified = _identify_cone(ctx, F, target)
-        if identified is None:
-            cone = normalize(Cone(F, target, tag=f"right mutation of {render(F)} through {E.name}"))
-            _record_mutation_cone(ctx, cone, E, right=True)
-            return shift_expr(cone, -1)
-        return shift_expr(identified, -1)
-    source = _tensor(V, E)
-    identified = _identify_cone(ctx, source, F)
-    if identified is None:
-        cone = normalize(Cone(source, F, tag=f"left mutation of {render(F)} through {E.name}"))
-        _record_mutation_cone(ctx, cone, E, right=False)
-        return cone
-    return identified
+    # R_E F = cone(F -> V^dual tensor E)[-1], L_E F = cone(V tensor E -> F)
+    W = _tensor(V, E, 1 if right else -1)
+    src, tgt = (F, W) if right else (W, F)
+    cone = _identify_cone(ctx, src, tgt)
+    if cone is None:
+        side = "right" if right else "left"
+        cone = normalize(Cone(src, tgt, tag=f"{side} mutation of {render(F)} through {E.name}"))
+        _record_mutation_cone(ctx, cone, E, right)
+    return shift_expr(cone, -1) if right else cone
 
 
 def _record_mutation_cone(ctx: Context, cone: ObjExpr, E: Gen, right: bool) -> None:
@@ -665,18 +630,21 @@ def _record_mutation_cone(ctx: Context, cone: ObjExpr, E: Gen, right: bool) -> N
 # ---------------------------------------------------------------------------
 
 
+def _map_leaves(ctx: Context, F: ObjExpr, f: Callable[[str], ObjExpr] | None, what: str) -> ObjExpr:
+    """``map_gens`` with a context callback; a missing one is UnknownGenerator."""
+    if f is None:
+        raise UnknownGenerator(f"context {ctx.name} has no {what}")
+    return map_gens(normalize(F), f)
+
+
 def apply_serre_action(ctx: Context, F: ObjExpr) -> ObjExpr:
     """Ambient pair-Serre action, applied leafwise (the functor is exact)."""
-    if ctx.serre_action is None:
-        raise UnknownGenerator(f"context {ctx.name} has no Serre action")
-    return map_gens(normalize(F), ctx.serre_action)
+    return _map_leaves(ctx, F, ctx.serre_action, "Serre action")
 
 
 def apply_relative_twist(ctx: Context, F: ObjExpr) -> ObjExpr:
     """Relative dualizing twist, applied leafwise."""
-    if ctx.relative_twist is None:
-        raise UnknownGenerator(f"context {ctx.name} has no relative twist")
-    return map_gens(normalize(F), ctx.relative_twist)
+    return _map_leaves(ctx, F, ctx.relative_twist, "relative twist")
 
 
 def serre_in(ctx: Context, perp, F: ObjExpr) -> ObjExpr:
@@ -690,9 +658,8 @@ def serre_in(ctx: Context, perp, F: ObjExpr) -> ObjExpr:
 
 def twist_expr(ctx: Context, F: ObjExpr, k: int) -> ObjExpr:
     """Twist every generator leaf by k steps of the context line bundle."""
-    if ctx.twist_gen is None:
-        raise UnknownGenerator(f"context {ctx.name} has no twist rule")
-    return map_gens(normalize(F), lambda name: Gen(ctx.twist_gen(name, k)))
+    twist = ctx.twist_gen
+    return _map_leaves(ctx, F, twist and (lambda name: Gen(twist(name, k))), "twist rule")
 
 
 # ---------------------------------------------------------------------------

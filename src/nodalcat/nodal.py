@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from . import formalcat, quadric
-from .errors import IndeterminateHom, NodalcatError, UnknownGenerator
+from .errors import NodalcatError, UnknownGenerator
 from .formalcat import Cone, Context, Gen, ObjExpr, SOD, Shift, Triangle
 from .graded import GradedDim
 
@@ -56,35 +56,13 @@ def hom_push(n: int, F: quadric.QuadricSheaf, G: quadric.QuadricSheaf) -> Graded
 
       ... -> R_{k-2} -> P_k -> C_k -> R_{k-1} -> P_{k+1} -> ...
 
-    with P = Hom_Q(F, G) and R = Hom_Q(F(1), G).  A degree is accepted
-    only when the two bounding maps are forced by a vanishing neighbor.
+    with P = Hom_Q(F, G) and R = Hom_Q(F(1), G), that is
+    ``formalcat.splice(P, R, -2, -1, ...)``.  A degree is accepted only when
+    the two bounding maps are forced by a vanishing neighbor.
     """
     P = quadric.hom_quadric(n, F, G)
     R = quadric.hom_quadric(n, F.twisted(1), G)
-    out: dict[int, int] = {}
-    bad: list[int] = []
-    for k in sorted(set(P.support()) | {r + 1 for r in R.support()}):
-        pk, rk2 = P.dim(k), R.dim(k - 2)
-        rk1, pk1 = R.dim(k - 1), P.dim(k + 1)
-        if pk == 0:
-            part1 = 0
-        elif rk2 == 0:
-            part1 = pk
-        else:
-            bad.append(k)
-            continue
-        if rk1 == 0:
-            part2 = 0
-        elif pk1 == 0:
-            part2 = rk1
-        else:
-            bad.append(k)
-            continue
-        if part1 + part2:
-            out[k] = part1 + part2
-    if bad:
-        raise IndeterminateHom(bad, f"Hom(j_*{F}, j_*{G})")
-    return GradedDim.from_dict(out)
+    return formalcat.splice(P, R, -2, -1, f"Hom(j_*{F}, j_*{G})")
 
 
 @cache
@@ -241,6 +219,11 @@ def kernel_generator(d: int) -> ObjExpr:
     return formalcat.shift_expr(moved, 1)
 
 
+def spherical_degree(d: int) -> int:
+    """The k for which the kernel generator in dimension d is k-spherical."""
+    return 2 if d % 2 == 0 else 3
+
+
 def relative_serre(d: int, F: ObjExpr) -> ObjExpr:
     """Relative Serre functor: dualizing twist, then mutation into the resolution."""
     setup = _setup(d)
@@ -289,8 +272,9 @@ class VerificationReport:
         }
 
 
-def _item(items: list, id: str, citation: str, expected: str, compute) -> None:
-    """Run one check, trapping engine errors as failures, never aborting."""
+def add_item(items: list, id: str, citation: str, expected: str, compute) -> None:
+    """Run one check and append its item, trapping engine errors as
+    failures, never aborting.  ``compute()`` returns ``(got, passed)``."""
     try:
         got, ok = compute()
     except NodalcatError as exc:
@@ -307,41 +291,34 @@ def verify_dim(d: int) -> VerificationReport:
     even = d % 2 == 0
     spin = "j*S" if even else "j*S'"
 
-    if d >= 3:
-        def check_line_exc():
-            bad = [g for g in ctx.generators
-                   if parse_push_name(g).is_line and not formalcat.check_exceptional(ctx, Gen(g))]
-            return ("all exceptional" if not bad else f"not exceptional: {bad}", not bad)
+    def check_all_exceptional(lines: bool):
+        bad = [g for g in ctx.generators
+               if parse_push_name(g).is_line == lines and not formalcat.check_exceptional(ctx, Gen(g))]
+        return ("all exceptional" if not bad else f"not exceptional: {bad}", not bad)
 
-        _item(items, "line-bundles-exceptional",
-              "pushforwards of line bundles from the exceptional quadric are exceptional",
-              "all exceptional", check_line_exc)
+    def check_hom(a: str, b: str, want: GradedDim):
+        v = formalcat.hom(ctx, Gen(a), Gen(b))
+        return v.render(), v == want
+
+    if d >= 3:
+        add_item(items, "line-bundles-exceptional",
+                 "pushforwards of line bundles from the exceptional quadric are exceptional",
+                 "all exceptional", lambda: check_all_exceptional(True))
 
     if even:
-        _item(items, "spinor-endomorphisms",
-              "the pushed spinor bundle has graded endomorphism algebra C + C[-2]",
-              "C + C[-2]",
-              lambda: (lambda v: (v.render(), v == GradedDim.from_dict({0: 1, 2: 1})))(
-                  formalcat.hom(ctx, Gen("j*S"), Gen("j*S"))))
+        add_item(items, "spinor-endomorphisms",
+                 "the pushed spinor bundle has graded endomorphism algebra C + C[-2]",
+                 "C + C[-2]", lambda: check_hom("j*S", "j*S", GradedDim.from_dict({0: 1, 2: 1})))
     else:
-        def check_spin_exc():
-            bad = [g for g in ctx.generators
-                   if not parse_push_name(g).is_line and not formalcat.check_exceptional(ctx, Gen(g))]
-            return ("all exceptional" if not bad else f"not exceptional: {bad}", not bad)
-
-        _item(items, "spinors-exceptional",
-              "pushforwards of both spinor bundles are exceptional when the dimension is odd",
-              "all exceptional", check_spin_exc)
-        _item(items, "spinor-cross-hom",
-              "Hom(j*S', j*S'') is one dimension in degree 2",
-              "C[-2]",
-              lambda: (lambda v: (v.render(), v == GradedDim.point(2)))(
-                  formalcat.hom(ctx, Gen("j*S'"), Gen("j*S''"))))
-        _item(items, "spinor-cross-hom-reverse",
-              "Hom(j*S'', j*S') computed independently agrees with the spinor-swapped value",
-              "C[-2]",
-              lambda: (lambda v: (v.render(), v == GradedDim.point(2)))(
-                  formalcat.hom(ctx, Gen("j*S''"), Gen("j*S'"))))
+        add_item(items, "spinors-exceptional",
+                 "pushforwards of both spinor bundles are exceptional when the dimension is odd",
+                 "all exceptional", lambda: check_all_exceptional(False))
+        add_item(items, "spinor-cross-hom",
+                 "Hom(j*S', j*S'') is one dimension in degree 2",
+                 "C[-2]", lambda: check_hom("j*S'", "j*S''", GradedDim.point(2)))
+        add_item(items, "spinor-cross-hom-reverse",
+                 "Hom(j*S'', j*S') computed independently agrees with the spinor-swapped value",
+                 "C[-2]", lambda: check_hom("j*S''", "j*S'", GradedDim.point(2)))
 
     if d >= 3:
         def check_fix():
@@ -351,9 +328,9 @@ def verify_dim(d: int) -> VerificationReport:
                     return f"k={k}: {formalcat.render(got)}", False
             return f"{spin} fixed for k in {2 - d}..-1", True
 
-        _item(items, "mutation-fixes-spinor",
-              f"right mutation through j*O(k) fixes {spin} for 2-d <= k <= -1",
-              f"{spin} fixed for k in {2 - d}..-1", check_fix)
+        add_item(items, "mutation-fixes-spinor",
+                 f"right mutation through j*O(k) fixes {spin} for 2-d <= k <= -1",
+                 f"{spin} fixed for k in {2 - d}..-1", check_fix)
 
         def check_steps():
             for k in range(1 - n, 0):
@@ -366,10 +343,10 @@ def verify_dim(d: int) -> VerificationReport:
                         return f"k={k}, {kd}: {formalcat.render(got)}", False
             return "all twisted mutation steps identified", True
 
-        _item(items, "mutation-twist-steps",
-              "right mutation through j*O(k) turns the pushed spinor at twist k into "
-              "its successor at twist k+1, shifted by [-1], via the tautological triangle",
-              "all twisted mutation steps identified", check_steps)
+        add_item(items, "mutation-twist-steps",
+                 "right mutation through j*O(k) turns the pushed spinor at twist k into "
+                 "its successor at twist k+1, shifted by [-1], via the tautological triangle",
+                 "all twisted mutation steps identified", check_steps)
 
     if not even and d >= 3:
         def check_cross_mutation():
@@ -377,18 +354,18 @@ def verify_dim(d: int) -> VerificationReport:
             want = Shift(Cone(Gen("j*S'"), Shift(Gen("j*S''"), 2)), -1)
             return formalcat.render(got), got == want
 
-        _item(items, "mutation-across-spinor",
-              "right mutation of j*S' through j*S'' is the cone on j*S' -> j*S''[2], shifted by [-1]",
-              "cone(j*S' -> j*S''[2])[-1]", check_cross_mutation)
+        add_item(items, "mutation-across-spinor",
+                 "right mutation of j*S' through j*S'' is the cone on j*S' -> j*S''[2], shifted by [-1]",
+                 "cone(j*S' -> j*S''[2])[-1]", check_cross_mutation)
 
     def check_perp():
         sod = SOD(tuple((g,) for g in setup.perp))
         ok = formalcat.check_semiorthogonal(ctx, sod)
         return ("semiorthogonal" if ok else "not semiorthogonal", ok)
 
-    _item(items, "perp-semiorthogonal",
-          "the stored orthogonal collection of the resolution is semiorthogonal",
-          "semiorthogonal", check_perp)
+    add_item(items, "perp-semiorthogonal",
+             "the stored orthogonal collection of the resolution is semiorthogonal",
+             "semiorthogonal", check_perp)
 
     # built once for the three items below; a build error fails each of them
     try:
@@ -402,14 +379,17 @@ def verify_dim(d: int) -> VerificationReport:
         return kernel
 
     expected_kernel = "j*S" if even else "cone(j*S' -> j*S''[2])"
-    _item(items, "kernel-generator",
-          "mutating the pushed spinor bundle through the orthogonal collection "
-          "yields the kernel generator",
-          expected_kernel,
-          lambda: (lambda T: (formalcat.render(T), formalcat.render(T) == expected_kernel))(
-              built_kernel()))
 
-    k_spherical = 2 if even else 3
+    def check_kernel():
+        text = formalcat.render(built_kernel())
+        return text, text == expected_kernel
+
+    add_item(items, "kernel-generator",
+             "mutating the pushed spinor bundle through the orthogonal collection "
+             "yields the kernel generator",
+             expected_kernel, check_kernel)
+
+    k_spherical = spherical_degree(d)
     def check_sph():
         T = built_kernel()
         report = formalcat.check_spherical(ctx, setup.perp, T, k_spherical)
@@ -421,21 +401,21 @@ def verify_dim(d: int) -> VerificationReport:
                 f"serre={serre_desc} ({'ok' if report.serre_ok else 'BAD'})")
         return desc, report.passed
 
-    _item(items, "kernel-spherical",
-          f"the kernel generator is {k_spherical}-spherical: endomorphisms C + C[-{k_spherical}] "
-          f"and Serre image shifted by [{k_spherical}]",
-          f"{k_spherical}-spherical", check_sph)
+    add_item(items, "kernel-spherical",
+             f"the kernel generator is {k_spherical}-spherical: endomorphisms C + C[-{k_spherical}] "
+             f"and Serre image shifted by [{k_spherical}]",
+             f"{k_spherical}-spherical", check_sph)
 
-    rel_shift = (2 - d) if even else (3 - d)
+    rel_shift = k_spherical - d
     def check_rel():
         T = built_kernel()
         got = relative_serre(d, T)
         want = formalcat.shift_expr(T, rel_shift)
         return formalcat.render(got), got == want
 
-    _item(items, "relative-serre-shift",
-          f"the relative Serre functor shifts the kernel generator by [{rel_shift}]; "
-          "it is the identity on it exactly when the dimension is at most 3",
-          f"kernel generator shifted by [{rel_shift}]", check_rel)
+    add_item(items, "relative-serre-shift",
+             f"the relative Serre functor shifts the kernel generator by [{rel_shift}]; "
+             "it is the identity on it exactly when the dimension is at most 3",
+             f"kernel generator shifted by [{rel_shift}]", check_rel)
 
     return VerificationReport(dim=d, items=tuple(items))

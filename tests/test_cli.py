@@ -168,6 +168,10 @@ class TestCommands:
         data = json.loads(path.read_text())
         assert data["all_pass"] is True
         assert [t["rule"] for t in data["trace"]] == ["R1", "R1", "R2", "R3", "R4"]
+        # byte for byte against the stored report and stdout
+        expected = Path(__file__).resolve().parent / "expected"
+        assert path.read_bytes() == (expected / "cubic4.json").read_bytes()
+        assert capsys.readouterr().out.encode() == (expected / "cubic4.stdout").read_bytes()
 
 
 class TestCachedParser:

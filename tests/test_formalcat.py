@@ -425,6 +425,118 @@ def test_render_chunks_keep_a_run_in_one_piece():
 
 
 # ---------------------------------------------------------------------------
+# the long-exact-sequence splicer against the three loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_covariant(A, B, label):
+    """Row Hom(W, cone(X -> Y)) from A = Hom(W, X), B = Hom(W, Y)."""
+    out, bad = {}, []
+    for k in sorted(set(B.support()) | {a - 1 for a in A.support()}):
+        ak, bk = A.dim(k), B.dim(k)
+        ak1, bk1 = A.dim(k + 1), B.dim(k + 1)
+        if bk == 0:
+            part1 = 0
+        elif ak == 0:
+            part1 = bk
+        else:
+            bad.append(k)
+            continue
+        if ak1 == 0:
+            part2 = 0
+        elif bk1 == 0:
+            part2 = ak1
+        else:
+            bad.append(k)
+            continue
+        if part1 + part2:
+            out[k] = part1 + part2
+    if bad:
+        raise IndeterminateHom(bad, label)
+    return GradedDim.from_dict(out)
+
+
+def _reference_contravariant(B, A, label):
+    """Row Hom(cone(X -> Y), W) from B = Hom(Y, W), A = Hom(X, W)."""
+    out, bad = {}, []
+    for k in sorted(set(B.support()) | {a + 1 for a in A.support()}):
+        ak, bk = A.dim(k), B.dim(k)
+        ak0, bk0 = A.dim(k - 1), B.dim(k - 1)
+        if bk == 0:
+            part1 = 0
+        elif ak == 0:
+            part1 = bk
+        else:
+            bad.append(k)
+            continue
+        if ak0 == 0:
+            part2 = 0
+        elif bk0 == 0:
+            part2 = ak0
+        else:
+            bad.append(k)
+            continue
+        if part1 + part2:
+            out[k] = part1 + part2
+    if bad:
+        raise IndeterminateHom(bad, label)
+    return GradedDim.from_dict(out)
+
+
+def _reference_push(P, R, label):
+    """Row Hom(j_*F, j_*G) from P = Hom_Q(F, G), R = Hom_Q(F(1), G)."""
+    out, bad = {}, []
+    for k in sorted(set(P.support()) | {r + 1 for r in R.support()}):
+        pk, rk2 = P.dim(k), R.dim(k - 2)
+        rk1, pk1 = R.dim(k - 1), P.dim(k + 1)
+        if pk == 0:
+            part1 = 0
+        elif rk2 == 0:
+            part1 = pk
+        else:
+            bad.append(k)
+            continue
+        if rk1 == 0:
+            part2 = 0
+        elif pk1 == 0:
+            part2 = rk1
+        else:
+            bad.append(k)
+            continue
+        if part1 + part2:
+            out[k] = part1 + part2
+    if bad:
+        raise IndeterminateHom(bad, label)
+    return GradedDim.from_dict(out)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except IndeterminateHom as exc:
+        return ("indeterminate", exc.degrees, str(exc))
+
+
+# (reference loop, s, t): the splice offsets of each caller
+_SPLICE_CALLERS = [(_reference_covariant, 0, 1), (_reference_contravariant, 0, -1),
+                   (_reference_push, -2, -1)]
+
+_rows = st.dictionaries(st.integers(-4, 4), st.integers(1, 3), max_size=6).map(GradedDim.from_dict)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows, _rows, st.sampled_from(_SPLICE_CALLERS))
+def test_splice_matches_the_loops_it_replaced(Y, X, caller):
+    # rows built directly: no context, so nothing is registered or memoized
+    reference, s, t = caller
+    # each reference takes its rows in its caller's order: (X, Y) for the
+    # covariant row, (Y, X) for the other two
+    ref_args = (X, Y) if reference is _reference_covariant else (Y, X)
+    want = _outcome(reference, *ref_args, "Hom(F, G)")
+    assert _outcome(formalcat.splice, Y, X, s, t, "Hom(F, G)") == want
+
+
+# ---------------------------------------------------------------------------
 # memoized failures
 # ---------------------------------------------------------------------------
 
@@ -480,15 +592,28 @@ def test_memoized_failure_pins_no_caller_frame():
         assert caller()() is None
 
 
-def test_memoized_failure_reraises_the_same_message():
-    ctx, F, G = _failing_pair()
+def _three_failures(ctx, F, G):
+    """(message, degrees) of three calls of an undecidable hom: computed, then memoized."""
     texts = []
     for _ in range(3):
         with pytest.raises(IndeterminateHom) as exc:
             hom(ctx, F, G)
         texts.append((str(exc.value), exc.value.degrees))
+    return texts
+
+
+def test_memoized_failure_reraises_the_same_message():
+    texts = _three_failures(*_failing_pair())
     assert texts[0] == texts[1] == texts[2]
     assert texts[0][0] == "indeterminate degrees [0, 1] (Hom(cone(O -> O), O))"
+
+
+def test_memoized_covariant_failure_reraises_the_same_message():
+    # the cone in the target: decided by the covariant row alone
+    ctx = quadric.sheaf_context(3)
+    texts = _three_failures(ctx, Gen("O"), Cone(Gen("O"), Gen("O")))
+    assert texts[0] == texts[1] == texts[2]
+    assert texts[0] == ("indeterminate degrees [-1, 0] (Hom(O, cone(O -> O)))", (-1, 0))
 
 
 def test_indeterminate_message_is_built_only_when_printed():
