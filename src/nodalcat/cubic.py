@@ -26,12 +26,15 @@ and applying it to j_*S is a sequence of four certified rewrite rules:
       two exceptional divisors;
   R4  the retraction p_* s_* = id of the K3 inside D.
 
-Shifts are accumulated explicitly and reported, never discarded.
+Every object the chain moves is one `Placed` sheaf F of the quadric, in one
+of three places: "j*" (j_*F on the blow-up), "s*t*" (s_*t^*F on the divisor
+D) or "t*" (t^*F on the K3).  Shifts are accumulated explicitly and
+reported, never discarded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import mukai, nodal, quadric
 from .errors import RuleNotApplicable
@@ -83,8 +86,6 @@ class PicClass:
         return self.render()
 
 
-H_HYPERPLANE = PicClass(0, 1)
-H_PROJECTION = PicClass(1, 0)
 D_K3 = PicClass(3, -1)  # exceptional divisor over the K3 surface
 Q_NODE = PicClass(-1, 1)  # exceptional divisor over the node
 
@@ -100,38 +101,15 @@ def pic_consistency() -> bool:
 
 
 @dataclass(frozen=True)
-class PushedSheaf:
-    """j_* of a sheaf on the exceptional quadric, with an explicit shift."""
+class Placed:
+    """A sheaf on the quadric placed by `where`, with an explicit shift."""
 
+    where: str  # "j*", "s*t*" or "t*"
     sheaf: quadric.QuadricSheaf
     shift: int = 0
 
     def render(self) -> str:
-        base = "j*" + self.sheaf.render()
-        return base if self.shift == 0 else f"{base}[{self.shift}]"
-
-
-@dataclass(frozen=True)
-class DSideObj:
-    """s_* t^* of a sheaf on the quadric, living on the divisor D."""
-
-    sheaf: quadric.QuadricSheaf
-    shift: int = 0
-
-    def render(self) -> str:
-        base = "s*t*" + self.sheaf.render()
-        return base if self.shift == 0 else f"{base}[{self.shift}]"
-
-
-@dataclass(frozen=True)
-class K3Obj:
-    """t^* of a sheaf on the quadric, an object of the K3 category."""
-
-    sheaf: quadric.QuadricSheaf
-    shift: int = 0
-
-    def render(self) -> str:
-        base = "t*" + self.sheaf.render()
+        base = self.where + self.sheaf.render()
         return base if self.shift == 0 else f"{base}[{self.shift}]"
 
 
@@ -155,12 +133,12 @@ class MutateLeft:
 
 @dataclass(frozen=True)
 class PushPullBaseChange:
-    label: str = "p_*-side restriction i^*"
+    pass
 
 
 @dataclass(frozen=True)
 class ContractRetraction:
-    label: str = "projection p_* back to the K3"
+    pass
 
 
 FunctorStep = TwistBy | MutateLeft | PushPullBaseChange | ContractRetraction
@@ -177,83 +155,56 @@ def build_psi() -> tuple[FunctorStep, ...]:
     )
 
 
-def _apply_step(step: FunctorStep, obj, trace: list) -> object:
+def _require(obj, where: str, message: str) -> None:
+    if not (isinstance(obj, Placed) and obj.where == where):
+        raise RuleNotApplicable(message)
+
+
+def _entry(trace: list, step: str, rule: str, citation: str, out: Placed, evidence=None) -> Placed:
+    """Record one rewrite in the trace and return its result."""
+    trace.append(
+        {"step": step, "rule": rule, "citation": citation, "hom_evidence": evidence, "result": out.render()}
+    )
+    return out
+
+
+def _apply_step(step: FunctorStep, obj: Placed, trace: list) -> Placed:
     if isinstance(step, MutateLeft):
-        if not isinstance(obj, PushedSheaf):
-            raise RuleNotApplicable(f"{step.label} expects a pushforward object")
-        a = step.cls.restrict_to_quadric()
-        evidence = quadric.cohomology(3, obj.sheaf.twisted(-a))
+        _require(obj, "j*", f"{step.label} expects a pushforward object")
+        restricted = obj.sheaf.twisted(-step.cls.restrict_to_quadric())
+        evidence = quadric.cohomology(3, restricted)
         if not evidence.is_zero:
-            raise RuleNotApplicable(
-                f"{step.label}: mutation is non-trivial, Hom = {evidence.render()}"
-            )
-        trace.append(
-            {
-                "step": step.label,
-                "rule": "R1",
-                "citation": (
-                    f"Hom(O({step.cls}), {obj.render()}) restricts along j to "
-                    f"H^*(Q, {obj.sheaf.twisted(-a).render()}) = 0, so the left "
-                    "mutation leaves the object unchanged"
-                ),
-                "hom_evidence": evidence.to_json(),
-                "result": obj.render(),
-            }
+            raise RuleNotApplicable(f"{step.label}: mutation is non-trivial, Hom = {evidence.render()}")
+        citation = (
+            f"Hom(O({step.cls}), {obj.render()}) restricts along j to "
+            f"H^*(Q, {restricted.render()}) = 0, so the left "
+            "mutation leaves the object unchanged"
         )
-        return obj
+        return _entry(trace, step.label, "R1", citation, obj, evidence.to_json())
     if isinstance(step, TwistBy):
-        if not isinstance(obj, PushedSheaf):
-            raise RuleNotApplicable(f"{step.label} expects a pushforward object")
+        _require(obj, "j*", f"{step.label} expects a pushforward object")
         a = step.cls.restrict_to_quadric()
-        out = PushedSheaf(obj.sheaf.twisted(a), obj.shift + step.shift)
-        trace.append(
-            {
-                "step": step.label,
-                "rule": "R2",
-                "citation": (
-                    f"projection formula: j_*F tensor O({step.cls}) = "
-                    f"j_*(F({a})); the shift [{step.shift}] is carried along"
-                ),
-                "hom_evidence": None,
-                "result": out.render(),
-            }
+        citation = (
+            f"projection formula: j_*F tensor O({step.cls}) = "
+            f"j_*(F({a})); the shift [{step.shift}] is carried along"
         )
-        return out
+        out = Placed("j*", obj.sheaf.twisted(a), obj.shift + step.shift)
+        return _entry(trace, step.label, "R2", citation, out)
     if isinstance(step, PushPullBaseChange):
-        if not isinstance(obj, PushedSheaf):
-            raise RuleNotApplicable("base change expects a pushforward object")
-        out = DSideObj(obj.sheaf, obj.shift)
-        trace.append(
-            {
-                "step": "i^*",
-                "rule": "R3",
-                "citation": (
-                    "base change across the cartesian square of the two "
-                    "exceptional divisors: i^* j_* = s_* t^*"
-                ),
-                "hom_evidence": None,
-                "result": out.render(),
-            }
+        _require(obj, "j*", "base change expects a pushforward object")
+        citation = (
+            "base change across the cartesian square of the two "
+            "exceptional divisors: i^* j_* = s_* t^*"
         )
-        return out
+        return _entry(trace, "i^*", "R3", citation, replace(obj, where="s*t*"))
     if isinstance(step, ContractRetraction):
-        if not isinstance(obj, DSideObj):
-            raise RuleNotApplicable("the retraction expects an object on D")
-        out = K3Obj(obj.sheaf, obj.shift)
-        trace.append(
-            {
-                "step": "p_*",
-                "rule": "R4",
-                "citation": "the K3 is a retract of D: p_* s_* = id",
-                "hom_evidence": None,
-                "result": out.render(),
-            }
-        )
-        return out
+        _require(obj, "s*t*", "the retraction expects an object on D")
+        citation = "the K3 is a retract of D: p_* s_* = id"
+        return _entry(trace, "p_*", "R4", citation, replace(obj, where="t*"))
     raise RuleNotApplicable(f"unknown step {step!r}")
 
 
-def apply_chain(chain: tuple[FunctorStep, ...], obj) -> tuple[object, list[dict]]:
+def apply_chain(chain: tuple[FunctorStep, ...], obj: Placed) -> tuple[Placed, list[dict]]:
     """Apply a functor chain right-to-left, returning object and trace."""
     trace: list[dict] = []
     for step in reversed(chain):
@@ -269,10 +220,10 @@ def apply_chain(chain: tuple[FunctorStep, ...], obj) -> tuple[object, list[dict]
 def verify_cubic() -> dict:
     """Membership, chain replay, and lattice certification, as a report."""
     items: list[nodal.ReportItem] = []
+    spinor = quadric.QuadricSheaf(quadric.SPINOR, 0)
 
     def membership():
         bad = []
-        spinor = quadric.QuadricSheaf(quadric.SPINOR, 0)
         for k in range(3):
             restricted = PicClass(0, k).restrict_to_quadric()
             value = quadric.cohomology(3, spinor.twisted(-restricted))
@@ -293,11 +244,10 @@ def verify_cubic() -> dict:
         membership,
     )
 
-    chain = build_psi()
-    result, trace = apply_chain(chain, PushedSheaf(quadric.QuadricSheaf(quadric.SPINOR, 0)))
+    result, trace = apply_chain(build_psi(), Placed("j*", spinor))
 
     def replay():
-        ok = isinstance(result, K3Obj) and result.sheaf == quadric.QuadricSheaf(quadric.SPINOR, 0)
+        ok = result.where == "t*" and result.sheaf == spinor
         return f"{result.render()} (accumulated shift [{result.shift}])", ok
 
     nodal.add_item(

@@ -297,7 +297,6 @@ class SOD:
     """An ordered semiorthogonal collection of generator blocks."""
 
     blocks: tuple[tuple[str, ...], ...]
-    lefschetz: LefschetzData | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -698,7 +697,6 @@ class SphericalReport:
     hom_ok: bool
     serre_value: ObjExpr | None
     serre_ok: bool
-    finiteness: str = "structural: all graded Homs are finite by construction"
 
     @property
     def passed(self) -> bool:

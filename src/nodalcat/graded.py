@@ -55,9 +55,6 @@ class GradedDim:
     def support(self) -> tuple[int, ...]:
         return tuple(k for k, _ in self.entries)
 
-    def total(self) -> int:
-        return sum(v for _, v in self.entries)
-
     @property
     def is_zero(self) -> bool:
         return not self.entries

@@ -136,38 +136,33 @@ def cone_ring_dim(n: int, k: int) -> int:
     return math.comb(n + 1 + k, n + 1) - (math.comb(n + k - 1, n + 1) if k >= 2 else 0)
 
 
-# n -> [h^0(Sp(0)), h^0(Sp(1)), ...], extended on demand by _h0_spinor
-_H0_SPINOR: dict[int, list[int]] = {}
-
-
 def _h0_spinor(n: int, k: int) -> int:
-    """h^0 of a twisted spinor bundle, by the tautological-sequence recursion.
+    """h^0 of a twisted spinor bundle: r binom(n+k-1, n) for k >= 1, else 0.
 
     The sequence 0 -> Sp(k-1) -> O(k-1)^r -> Sp'(k) -> 0 has no higher
     cohomology on the left for k >= 1 (interior vanishing plus the vanishing
-    range down to 1-n), so h^0 telescopes:
-    h^0(Sp'(k)) = r h^0(O(k-1)) - h^0(Sp(k-1)), from 0 at k = 0.  The spinor
+    range down to 1-n), so h^0(Sp'(k)) = r h^0(O(k-1)) - h^0(Sp(k-1)) from
+    0 at k = 0, i.e. r times the alternating sum of cone_ring_dim(n, j) over
+    j = k-1, k-2, ..., 0.  Since cone_ring_dim(n, j) = binom(n+j, n) +
+    binom(n+j-1, n), that sum telescopes to binom(n+k-1, n).  The spinor
     kind does not enter: on even quadrics the recursion alternates S' and
     S'' from the same zero start, so both get the same values.
-
-    The values for each n are kept as a prefix table that a larger twist
-    extends in a loop from its last entry, so any twist works without deep
-    recursion and a sweep over twists 1..K costs O(K) steps in all.
     """
     if k <= 0:
         return 0
-    table = _H0_SPINOR.setdefault(n, [0])
-    if k >= len(table):
-        r = taut_rank(n)
-        h0 = table[-1]
-        for j in range(len(table) - 1, k):
-            h0 = r * cone_ring_dim(n, j) - h0
-            table.append(h0)
-    return table[k]
+    return taut_rank(n) * math.comb(n + k - 1, n)
 
 
 def cohomology(n: int, F: QuadricSheaf) -> GradedDim:
-    """Full graded cohomology H^*(Q^n, F), concentrated in degrees 0 and n."""
+    """Full graded cohomology H^*(Q^n, F), concentrated in degrees 0 and n.
+
+    Line bundles: h^0(O(k)) = cone_ring_dim(n, k), and H^n by Serre duality.
+    Spinor bundles (Ottaviani 1988): h^0(Sp(k)) = r binom(n+k-1, n) for
+    k >= 1, with r = taut_rank(n), the closed form of the tautological
+    recursion (the alternating sum of cone_ring_dim(n, j) = binom(n+j, n) +
+    binom(n+j-1, n) telescopes, see `_h0_spinor`); nothing for
+    1-n <= k <= 0; and H^n by Serre duality for k <= -n.
+    """
     check_parity(n, F)
     k = F.twist
     if F.is_line:
@@ -350,21 +345,20 @@ def _chi_spinor_eval(n: int, t: int) -> int:
 def _even_kclass(n: int, kind: str, t: int):
     """K-theory class of kind(t) on even Q^n as (sign, kind0, line part).
 
-    Reduction along the tautological sequences: [Sp(t)] equals a sign times
-    a twist-0 spinor class plus a line-bundle combination.
+    Reduction along the tautological sequences: [Sp(t)] = r[O(t-1)] -
+    [Sp~(t-1)] and [Sp(t)] = r[O(t)] - [Sp~(t+1)] unwind to a sign times a
+    twist-0 spinor class plus a line-bundle combination, in closed form:
+    sign (-1)^t, the kind flipped when t is odd, and line part
+    {j: r (-1)^(t-1-j)} for 0 <= j < t or {j: r (-1)^(j-t)} for t <= j < 0.
     """
     r = taut_rank(n)
-    if t == 0:
-        return 1, kind, {}
-    if t > 0:
-        sign, k0, lines = _even_kclass(n, _flip(kind), t - 1)
-        out = {j: -c for j, c in lines.items()}
-        out[t - 1] = out.get(t - 1, 0) + r
-        return -sign, k0, out
-    sign, k0, lines = _even_kclass(n, _flip(kind), t + 1)
-    out = {j: -c for j, c in lines.items()}
-    out[t] = out.get(t, 0) + r
-    return -sign, k0, out
+    if t >= 0:
+        lines = {j: r * (-1) ** (t - 1 - j) for j in range(t)}
+    else:
+        lines = {j: r * (-1) ** (j - t) for j in range(t, 0)}
+    if t % 2:
+        return -1, _flip(kind), lines
+    return 1, kind, lines
 
 
 def chi_quadric(n: int, F: QuadricSheaf, G: QuadricSheaf) -> int:

@@ -1,4 +1,5 @@
 import itertools
+import math
 from itertools import combinations_with_replacement
 
 import pytest
@@ -189,27 +190,52 @@ class TestChi:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("k", [-10_000, 10_000])
     def test_spinor_cohomology_at_large_twists(self, n, k):
-        # the h^0 sum runs in a loop: twists far past the recursion limit
+        # closed-form h^0: twists far past the recursion limit
         for kind in ("S",) if n % 2 else ("S'", "S''"):
             F = QS(kind, k)
             assert cohomology(n, F).euler() == chi_quadric(n, QS("O"), F), (n, str(F))
 
-    def test_spinor_sweep_extends_one_table(self, monkeypatch):
-        # a sweep over twists 1..K takes K recursion steps in all, not K^2 / 2
+    def test_spinor_h0_closed_form_matches_recursion(self):
+        # r binom(n+k-1, n) is the tautological-sequence recursion summed up
         from nodalcat import quadric
 
-        calls = []
-        ring_dim = quadric.cone_ring_dim
-        monkeypatch.setattr(quadric, "_H0_SPINOR", {})
-        monkeypatch.setattr(quadric, "cone_ring_dim", lambda n, k: calls.append(k) or ring_dim(n, k))
-        values = [quadric._h0_spinor(5, k) for k in range(1, 201)]
-        assert calls == list(range(200))
-        assert quadric._h0_spinor(5, 37) == values[36]
-        assert len(calls) == 200
-        h0 = 0
-        for j in range(200):
-            h0 = quadric.taut_rank(5) * ring_dim(5, j) - h0
-        assert values[-1] == h0
+        for n in range(1, 10):
+            h0 = 0
+            for k in range(1, 201):
+                h0 = quadric.taut_rank(n) * quadric.cone_ring_dim(n, k - 1) - h0
+                assert quadric._h0_spinor(n, k) == h0, (n, k)
+        # a twist of 10^8 costs what a small one does; chi is the oracle
+        for n, kind in ((3, "S"), (4, "S'"), (4, "S''")):
+            for k in (10**8, -(10**8)):
+                F = QS(kind, k)
+                assert cohomology(n, F).euler() == chi_quadric(n, QS("O"), F), (n, str(F))
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_even_kclass_closed_form_matches_recursion(self, n):
+        from nodalcat import quadric
+
+        def recursive(kind, t):
+            # the tautological-sequence reduction, one twist at a time
+            r = quadric.taut_rank(n)
+            if t == 0:
+                return 1, kind, {}
+            step = -1 if t > 0 else 1
+            sign, k0, lines = recursive(quadric._flip(kind), t + step)
+            out = {j: -c for j, c in lines.items()}
+            at = t - 1 if t > 0 else t
+            out[at] = out.get(at, 0) + r
+            return -sign, k0, out
+
+        for kind in ("S'", "S''"):
+            for t in range(-30, 31):
+                assert quadric._even_kclass(n, kind, t) == recursive(kind, t), (kind, t)
+
+    @pytest.mark.parametrize("t", [3000, -3005])
+    def test_even_chi_is_polynomial_at_large_twists(self, t):
+        # chi(S'(t), S') has degree n = 4 in t: its 5th finite difference is 0
+        diffs = [chi_quadric(4, QS("S'", t + i), QS("S'")) for i in range(6)]
+        assert sum((-1) ** i * math.comb(5, i) * v for i, v in enumerate(diffs)) == 0
+        assert len(set(diffs)) == 6
 
     def test_defined_outside_hom_range(self):
         # the additive path reaches twist differences the Hom path cannot
