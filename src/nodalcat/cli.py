@@ -355,12 +355,8 @@ def _cmd_mukai(args) -> int:
 
 
 @cache
-def build_arg_parser() -> _ArgumentParser:
-    """The command-line parser, built once per process and then shared.
-
-    Parsing leaves the parser unchanged (each call fills a fresh
-    namespace), so every ``main`` call can reuse it.
-    """
+def _parsers() -> tuple[_ArgumentParser, dict[str, _ArgumentParser]]:
+    """The command-line parser and its subcommands' parsers by name."""
     parser = _ArgumentParser(prog="nodalcat", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -405,13 +401,42 @@ def build_arg_parser() -> _ArgumentParser:
     p.add_argument("expr")
     p.set_defaults(func=_cmd_mukai)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_arg_parser() -> _ArgumentParser:
+    """The command-line parser, built once per process and then shared.
+
+    Parsing leaves the parser unchanged (each call fills a fresh
+    namespace), so every ``main`` call can reuse it.
+    """
+    return _parsers()[0]
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_arg_parser().parse_args(argv)`` in one argparse pass.
+
+    The full parser scans all of argv only to hand its tail to the
+    subcommand's parser, which scans it again; a known subcommand name goes
+    straight to that parser instead.  The full parser runs only where
+    argparse has something to report (no argv, an unknown or option-like
+    command, arguments left over), so every usage, error and help text and
+    every exit code is its own.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = build_arg_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_PARSE
     try:

@@ -51,14 +51,8 @@ class PicClass:
     a: int
     b: int
 
-    def __add__(self, other: "PicClass") -> "PicClass":
-        return PicClass(self.a + other.a, self.b + other.b)
-
     def __sub__(self, other: "PicClass") -> "PicClass":
         return PicClass(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "PicClass":
-        return PicClass(-self.a, -self.b)
 
     def restrict_to_quadric(self) -> int:
         """j^*: h pulls back to O_Q(1), H pulls back trivially."""

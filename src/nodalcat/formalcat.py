@@ -121,6 +121,10 @@ _ENDO_EXCEPTIONAL = GradedDim.point(0, 1)
 # the default of a dict lookup that found no entry
 _MISS = object()
 
+# longest slice, in characters, in which ``render_chunks`` writes a run of
+# equal summands
+RUN_SLICE = 1 << 20
+
 
 def is_zero(e: ObjExpr) -> bool:
     return isinstance(e, Sum) and not e.parts
@@ -142,9 +146,13 @@ def render(e: ObjExpr) -> str:
 def render_chunks(e: ObjExpr) -> Iterator[str]:
     """The text of ``render(e)`` as consecutive pieces, for streaming.
 
-    A summand of multiplicity m is rendered once, as s, and written as the
-    chunk ``(s + " + ") * (m - 1)`` followed by s: one copy of the run and
-    no per-copy list.
+    A summand of multiplicity m is rendered once, as s, and its run of
+    m - 1 units ``s + " + "`` is written in bounded slices: one slice of as
+    many units as fit in ``RUN_SLICE`` characters (at least one unit),
+    repeated, then the remainder, then s.  A run that fits in one slice is
+    one chunk, and no chunk of a run is longer than the larger of
+    ``RUN_SLICE`` and one unit, so the memory a run costs does not grow
+    with m.
     """
     if isinstance(e, Gen):
         yield e.name
@@ -169,7 +177,15 @@ def render_chunks(e: ObjExpr) -> Iterator[str]:
             first = False
             s = render(part)
             if mult > 1:
-                yield (s + " + ") * (mult - 1)
+                unit = s + " + "
+                per_slice = max(1, RUN_SLICE // len(unit))
+                full, rest = divmod(mult - 1, per_slice)
+                if full:
+                    piece = unit * per_slice
+                    for _ in range(full):
+                        yield piece
+                if rest:
+                    yield unit * rest
             yield s
 
 

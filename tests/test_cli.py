@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -198,6 +199,71 @@ class TestCachedParser:
         capsys.readouterr()
 
 
+def _full_parse(argv):
+    """The reference: argparse's own two-pass parse of the whole argv."""
+    return cli.build_arg_parser().parse_args(argv)
+
+
+_WELL_FORMED = [
+    ["cohom", "--quadric", "3", "S(1)"],
+    ["hom", "--context", "nodal:5", "j*S'", "j*S''"],
+    ["mutate", "--context", "nodal:5", "--dir", "left", "--through", "j*O", "j*S'"],
+    ["serre", "--context", "nodal:4", "--relative", "j*S"],
+    ["kernel", "--dim", "5"],
+    ["verify", "--dims", "3..4"],
+    ["cubic4"],
+    ["mukai", "S(1)"],
+    # an abbreviated option, "--" and a repeated append option
+    ["hom", "--cont", "nodal:3", "j*O", "j*O(-1)"],
+    ["hom", "--context", "nodal:3", "--", "j*O", "j*O(-1)"],
+    ["mutate", "--context", "nodal:5", "--through", "j*O", "--through", "j*O(-1)", "j*S'"],
+]
+
+_MALFORMED = [
+    [], ["-h"], ["--help"], ["bogus"], ["--", "hom"], ["hom"], ["hom", "-h"], ["mutate", "--help"],
+    ["hom", "--context", "nodal:3", "j*O", "j*O", "extra"],
+    ["hom", "--context", "nodal:3", "--bogus", "j*O", "j*O"],
+    ["hom", "--context", "nodal:3", "j*O", "--", "j*O", "j*O"],
+    ["mutate", "--context", "nodal:5", "--dir", "up", "--through", "j*O", "j*S'"],
+    ["kernel", "--dim", "x"],
+]
+
+
+class TestDispatch:
+    """``main`` hands a well-formed argv straight to its subcommand's parser;
+    exit code, stdout and stderr must be those of the full parser."""
+
+    @staticmethod
+    def _run(capsys, *argv):
+        rc = main(*argv)
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", _WELL_FORMED + _MALFORMED, ids=lambda a: " ".join(a) or "<empty>")
+    def test_matches_the_full_parser(self, capsys, monkeypatch, argv):
+        got = self._run(capsys, argv)
+        monkeypatch.setattr(cli, "_parse_args", _full_parse)
+        assert self._run(capsys, argv) == got
+
+    @pytest.mark.parametrize("argv", [["hom", "--context", "nodal:5", "j*S'", "j*S''"], ["hom"], []])
+    def test_reads_sys_argv(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "argv", ["nodalcat", *argv])
+        got = self._run(capsys)
+        monkeypatch.setattr(cli, "_parse_args", _full_parse)
+        assert self._run(capsys) == got
+
+    def test_well_formed_argv_skips_the_full_parser(self, capsys, monkeypatch):
+        def refuse(argv):
+            raise AssertionError(f"full parse of {argv}")
+
+        want = [_full_parse(argv) for argv in _WELL_FORMED]
+        monkeypatch.setattr(cli.build_arg_parser(), "parse_args", refuse)
+        assert [cli._parse_args(argv) for argv in _WELL_FORMED] == want
+        for argv in _WELL_FORMED:
+            assert main(argv) == cli.EXIT_OK
+        capsys.readouterr()
+
+
 def _fixed_script() -> list[list[str]]:
     """A CLI script over nodal d = 3..7: answers, typed errors, parse errors."""
     argv = []
@@ -271,6 +337,21 @@ def test_fixed_script_output_ignores_hash_seed():
     # depended on the iteration order of a set of expressions would show
     digests = {_fixed_script_digest(PYTHONHASHSEED=seed) for seed in ("0", "1")}
     assert digests == {_FIXED_SCRIPT_SHA256}
+
+
+def test_mutate_at_d13_streams_in_bounded_memory():
+    # Hom(j*S'(-11), j*O) is C^86532992 + C^41385344[-1] at d = 13: the
+    # answer is ~1.7 GB of text, written in slices under a 512 MiB cap
+    limit = 512 << 20
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "nodalcat", "mutate", "--context", "nodal:13", "--dir", "right",
+         "--through", "j*O(0)", "j*S'(-11)"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def _nested_cone(levels: int, right: bool) -> str:

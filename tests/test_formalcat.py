@@ -410,18 +410,56 @@ _raw_terms = st.recursive(
 )
 
 
+@st.composite
+def _long_runs(draw):
+    """A sum of raw terms whose runs reach past ``RUN_SLICE`` (up to ~3 MiB
+    of text), bare, shifted or in a cone leg."""
+    parts = draw(st.lists(_raw_terms, min_size=1, max_size=3))
+    budget = 3 * formalcat.RUN_SLICE // len(parts)
+    mults = []
+    for p in parts:
+        hi = budget // (len(_reference_render(p)) + 3)
+        mults.append(draw(st.integers(0, hi) | st.integers(hi // 3, hi)))
+    runs = Sum(tuple(zip(parts, mults)))
+    return draw(st.one_of(st.just(runs), st.builds(Shift, st.just(runs), st.integers(-3, 3)),
+                          st.builds(Cone, _raw_terms, st.just(runs))))
+
+
+def _longest_unit(e):
+    """The longest ``s + " + "`` of a summand anywhere in e (0 if none)."""
+    if isinstance(e, Gen):
+        return 0
+    if isinstance(e, Shift):
+        return _longest_unit(e.expr)
+    if isinstance(e, Cone):
+        return max(_longest_unit(e.src), _longest_unit(e.tgt))
+    return max((max(len(_reference_render(p)) + 3, _longest_unit(p)) for p, _ in e.parts), default=0)
+
+
 @settings(max_examples=300, deadline=None)
-@given(_raw_terms)
+@given(st.one_of(_raw_terms, _long_runs()))
 def test_render_chunks_match_reference(e):
     want = _reference_render(e)
     assert render(e) == want
-    assert "".join(formalcat.render_chunks(e)) == want
+    chunks = list(formalcat.render_chunks(e))
+    assert "".join(chunks) == want
+    assert max(map(len, chunks), default=0) <= formalcat.RUN_SLICE + _longest_unit(e)
 
 
 def test_render_chunks_keep_a_run_in_one_piece():
     part = Shift(Cone(Gen("A"), Gen("B")), 1)
     chunks = list(formalcat.render_chunks(Sum(((part, 40), (Gen("C"), 1)))))
     assert chunks == ["cone(A -> B)[1] + " * 39, "cone(A -> B)[1]", " + ", "C"]
+
+
+def test_render_chunks_slice_a_long_run():
+    unit = "j*O(-1) + "
+    per_slice = formalcat.RUN_SLICE // len(unit)
+    for mult, full, rest in ((per_slice + 1, 1, 0), (per_slice + 2, 1, 1), (3 * per_slice + 8, 3, 7)):
+        chunks = list(formalcat.render_chunks(Sum(((Gen("j*O(-1)"), mult),))))
+        assert chunks == [unit * per_slice] * full + [unit * rest] * (rest > 0) + ["j*O(-1)"]
+        # one slice object, written again and again
+        assert len({id(c) for c in chunks[:full]}) == 1
 
 
 # ---------------------------------------------------------------------------
