@@ -12,13 +12,15 @@ error, so it never reaches the recursive solvers.  Postfix chains
 (shifts and twists) have no cap.
 
 Exit codes: 0 success, 1 verification failure, 2 indeterminate or
-unsupported computation, 3 parse or usage error.
+unsupported computation, 3 parse or usage error, 141 stdout closed by its
+reader before the answer was written (the shell's code for SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from functools import cache
@@ -40,6 +42,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_UNDECIDED = 2
 EXIT_PARSE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 # Deepest cone nesting the parser accepts.  The Hom solvers recurse about
@@ -435,6 +438,22 @@ def _parse_args(argv) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        # flushed here, so that a reader gone early (``| head``) raises
+        # inside this try and not at interpreter exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; let that write go
+        # nowhere instead of raising a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _main(argv) -> int:
     try:
         args = _parse_args(argv)
     except SystemExit as exc:

@@ -30,6 +30,7 @@ Contexts are immutable after construction apart from append-only state:
 registries of freshly created mutation cones and their orthogonality
 facts, a rotation index over every registered triangle (so cone
 identification is one dict lookup), a cache of resolved generator names,
+the set of generators already checked exceptional as mutation targets,
 and a memo table.  Entries are only ever added, never invalidated, so a
 memoized answer can predate a fact registered later.  This state is
 updated without locks: a context is not thread-safe.
@@ -349,6 +350,8 @@ class Context:
     _cone_index: dict = field(default_factory=dict, repr=False)
     # name -> resolved generator, filled by resolve
     _resolved: dict = field(default_factory=dict, repr=False)
+    # generators that passed _require_exceptional; a failure is not stored
+    _checked_exceptional: set = field(default_factory=set, repr=False)
 
     def __post_init__(self):
         self._known_triangles.update(self.triangles)
@@ -402,7 +405,8 @@ class Context:
 
 def hom(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim:
     """Graded Hom of two terms over a context."""
-    return _hom(ctx, normalize(F), normalize(G))
+    return _hom(ctx, F if isinstance(F, Gen) else normalize(F),
+                G if isinstance(G, Gen) else normalize(G))
 
 
 def _hom(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim:
@@ -432,12 +436,12 @@ def _hom(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim:
 
 
 def _hom_compute(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim:
-    if is_zero(F) or is_zero(G):
-        return GradedDim.zero()
     if ctx.has_zero_fact(F, G):
         return GradedDim.zero()
     if isinstance(F, Gen) and isinstance(G, Gen):
         return ctx.base_hom(ctx.resolve(F.name), ctx.resolve(G.name))
+    if is_zero(F) or is_zero(G):
+        return GradedDim.zero()
     if isinstance(F, Sum):
         out = GradedDim.zero()
         for p, r in F.parts:
@@ -554,9 +558,18 @@ def _identify_cone(ctx: Context, src: ObjExpr, tgt: ObjExpr) -> ObjExpr | None:
 
 
 def _require_exceptional(ctx: Context, E: Gen) -> None:
+    """Raise unless E is a known generator with Hom(E, E) = C.
+
+    A pass is remembered per context (Hom(E, E) is memoized, so it cannot
+    change); a failure is checked again, and raises again, on every call.
+    """
+    if E in ctx._checked_exceptional:
+        return
+    ctx.resolve(E.name)
     value = _hom(ctx, E, E)
     if value != _ENDO_EXCEPTIONAL:
         raise NotExceptional(f"{E.name} has Hom-algebra {value.render()}")
+    ctx._checked_exceptional.add(E)
 
 
 def _as_gen(E) -> Gen:
@@ -569,8 +582,15 @@ def _as_gen(E) -> Gen:
 
 def _tensor(V: GradedDim, E: Gen, sign: int) -> ObjExpr:
     """V tensor E (sign -1) or V^dual tensor E (sign +1) as an object: an
-    entry of V in degree k gives E[sign * k]."""
-    return sum_exprs((shift_expr(E, sign * k), r) for k, r in V.entries)
+    entry of V in degree k gives E[sign * k].
+
+    The summands are distinct shifts of one generator, already in normal
+    form, so they are sorted directly rather than normalized.
+    """
+    parts = _sorted_parts((shift_expr(E, sign * k), r) for k, r in V.entries)
+    if len(parts) == 1 and parts[0][1] == 1:
+        return parts[0][0]
+    return Sum(parts)
 
 
 def mutate_right(ctx: Context, through, F: ObjExpr) -> ObjExpr:
@@ -591,13 +611,17 @@ def _mutate(ctx: Context, through, F: ObjExpr, right: bool) -> ObjExpr:
     gens = through if isinstance(through, (list, tuple)) else (through,)
     out = normalize(F)
     for E in gens if right else reversed(gens):
-        out = _mutate_one(ctx, _as_gen(E), out, right)
+        E = _as_gen(E)
+        _require_exceptional(ctx, E)
+        out = _mutate_one(ctx, E, out, right)
     return out
 
 
 def _mutate_one(ctx: Context, E: Gen, F: ObjExpr, right: bool) -> ObjExpr:
-    ctx.resolve(E.name)
-    _require_exceptional(ctx, E)
+    """One mutation of a normalized F through E, already checked exceptional."""
+    if isinstance(F, Shift):
+        # mutation commutes with shifts, and Hom(F[m], E) is Hom(F, E) moved
+        return shift_expr(_mutate_one(ctx, E, F.expr, right), F.m)
     if is_zero(F):
         return ZERO
     if F == E:
@@ -605,8 +629,6 @@ def _mutate_one(ctx: Context, E: Gen, F: ObjExpr, right: bool) -> ObjExpr:
     V = _hom(ctx, F, E) if right else _hom(ctx, E, F)
     if V.is_zero:
         return F
-    if isinstance(F, Shift):
-        return shift_expr(_mutate_one(ctx, E, F.expr, right), F.m)
     if isinstance(F, Sum):
         return sum_exprs((_mutate_one(ctx, E, p, right), r) for p, r in F.parts)
     if isinstance(F, Cone):

@@ -29,7 +29,7 @@ from functools import cache
 
 from . import formalcat, quadric
 from .errors import NodalcatError, UnknownGenerator
-from .formalcat import Cone, Context, Gen, ObjExpr, SOD, Shift, Triangle
+from .formalcat import Cone, Context, Gen, ObjExpr, Shift, Triangle
 from .graded import GradedDim
 
 _PUSH_RE = re.compile(r"^j\*(O|S''|S'|S)(?:\((-?\d+)\))?$")
@@ -62,11 +62,19 @@ def hom_push(n: int, F: quadric.QuadricSheaf, G: quadric.QuadricSheaf) -> Graded
     """
     P = quadric.hom_quadric(n, F, G)
     R = quadric.hom_quadric(n, F.twisted(1), G)
-    return formalcat.splice(P, R, -2, -1, f"Hom(j_*{F}, j_*{G})")
+    return formalcat.splice(P, R, -2, -1, lambda: (f"Hom(j_*{F}, j_*{G})",))
+
+
+def _hom_class(F: quadric.QuadricSheaf, G: quadric.QuadricSheaf) -> tuple[str, int, str]:
+    """(kind of F, twist of F minus twist of G, kind of G): Hom(j_*F, j_*G)
+    depends on nothing else, because twisting both by O(Q) is an
+    equivalence."""
+    return F.kind, F.twist - G.twist, G.kind
 
 
 @cache
 def _pair_value(n: int, kind1: str, c: int, kind2: str) -> GradedDim:
+    """``hom_push`` of the class ``(kind1, c, kind2)``, see ``_hom_class``."""
     return hom_push(n, quadric.QuadricSheaf(kind1, c), quadric.QuadricSheaf(kind2, 0))
 
 
@@ -107,7 +115,7 @@ def _setup(d: int) -> NodalSetup:
         return F
 
     def base_hom(Fa: quadric.QuadricSheaf, Fb: quadric.QuadricSheaf) -> GradedDim:
-        return _pair_value(n, Fa.kind, Fa.twist - Fb.twist, Fb.kind)
+        return _pair_value(n, *_hom_class(Fa, Fb))
 
     def twist(name: str, k: int) -> str:
         return push_name(resolve(name).twisted(k))
@@ -184,6 +192,33 @@ def _setup(d: int) -> NodalSetup:
         perp = [g for g in perp if g != "j*S'(-1)"]
         perp.append("j*S''")
     return NodalSetup(d=d, n=n, context=ctx, perp=tuple(perp), spinor_kinds=kinds)
+
+
+def _perp_semiorthogonal(ctx: Context, perp: tuple[str, ...]) -> bool:
+    """``formalcat.check_semiorthogonal`` of the one-generator blocks of
+    ``perp``, asking ``formalcat.hom`` once per ``_hom_class`` of the later
+    -> earlier pairs: O(d) Homs instead of O(d^2).
+
+    Every name must be a generator of the nodal context ``ctx``.
+    """
+    # One pair per class is exact.  The nodal context records orthogonality
+    # facts only with a cone on one side (the kernel cone's, and those of
+    # mutation cones), so the Hom of two generators, a value or an error, is
+    # base_hom of their sheaves, a function of the class alone.  Pairs are
+    # visited in the pairwise check's order and a class is asked at its
+    # first pair, so the first nonzero Hom or error the pairwise check meets
+    # sits on a pair asked here too, and nothing is asked after it.
+    sheaves = [ctx.resolve(name) for name in perp]
+    asked: set[tuple[str, int, str]] = set()
+    for i in range(1, len(perp)):
+        for j in range(i):
+            key = _hom_class(sheaves[i], sheaves[j])
+            if key in asked:
+                continue
+            asked.add(key)
+            if not formalcat.hom(ctx, Gen(perp[i]), Gen(perp[j])).is_zero:
+                return False
+    return True
 
 
 def build_context(d: int) -> Context:
@@ -359,8 +394,7 @@ def verify_dim(d: int) -> VerificationReport:
                  "cone(j*S' -> j*S''[2])[-1]", check_cross_mutation)
 
     def check_perp():
-        sod = SOD(tuple((g,) for g in setup.perp))
-        ok = formalcat.check_semiorthogonal(ctx, sod)
+        ok = _perp_semiorthogonal(ctx, setup.perp)
         return ("semiorthogonal" if ok else "not semiorthogonal", ok)
 
     add_item(items, "perp-semiorthogonal",

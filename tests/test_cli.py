@@ -354,6 +354,27 @@ def test_mutate_at_d13_streams_in_bounded_memory():
     assert proc.stderr == ""
 
 
+def test_reader_gone_early_exits_quietly():
+    # the ~57 MB answer outgrows the pipe long before it is written, so the
+    # writes after the reader closed fail with EPIPE, as under `| head -c 10`
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nodalcat", "mutate", "--context", "nodal:11", "--dir", "left",
+         "--through", "j*O(-9)", "j*S''(1)"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+    try:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        rc = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert head == b"cone(j*O(-"
+    assert err == ""
+    assert rc == cli.EXIT_BROKEN_PIPE == 141
+
+
 def _nested_cone(levels: int, right: bool) -> str:
     """``levels`` cones nested in the source (or the target) leg."""
     e = "j*O"

@@ -185,6 +185,26 @@ class TestMutations:
         with pytest.raises(NotExceptional):
             mutate_right(ctx, Gen("j*S"), Gen("j*O(-1)"))
 
+    def test_not_exceptional_raises_the_same_text_every_call(self):
+        # a failed check is not remembered: it runs, and raises, each time
+        ctx = nodal.build_context(4)
+        texts = []
+        for mutate in (mutate_right, mutate_left, mutate_right):
+            with pytest.raises(NotExceptional) as info:
+                mutate(ctx, Gen("j*S"), Gen("j*O(-1)"))
+            texts.append(str(info.value))
+        assert texts == ["j*S has Hom-algebra C + C[-2]"] * 3
+        assert Gen("j*S") not in ctx._checked_exceptional
+
+    def test_unknown_through_generator(self):
+        # j*S' has the wrong parity on nodal:4; the others are no generators
+        ctx = nodal.build_context(4)
+        for name in ("j*S'", "j*T", "X"):
+            for mutate in (mutate_right, mutate_left, mutate_right):
+                with pytest.raises(UnknownGenerator):
+                    mutate(ctx, Gen(name), Gen("j*O(-1)"))
+            assert Gen(name) not in ctx._checked_exceptional
+
     def test_round_trip_on_chain_steps(self):
         # opposite mutation undoes each twisted chain step
         for d in (4, 5, 6, 7):
@@ -773,3 +793,46 @@ class TestResolveCache:
         qctx = quadric.sheaf_context(3)
         O, O1 = qctx.resolve("O"), qctx.resolve("O(1)")
         assert qctx.base_hom(O, O1) == quadric.hom_quadric(3, O, O1)
+
+
+# ---------------------------------------------------------------------------
+# the lean mutation loop against the forms it replaced
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(-6, 6), st.integers(0, 10**6), max_size=6),
+       st.sampled_from(["A", "j*O(-1)", "j*S'", "j*S''(2)"]), st.sampled_from([-1, 1]))
+def test_tensor_matches_the_normalized_sum(entries, name, sign):
+    V, E = gd(entries), Gen(name)
+    want = formalcat.sum_exprs((shift_expr(E, sign * k), r) for k, r in V.entries)
+    got = formalcat._tensor(V, E, sign)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def _mutation_outcome(mutate, ctx, E, F):
+    try:
+        return mutate(ctx, E, F)
+    except (IndeterminateHom, NotExceptional, UnknownGenerator) as exc:
+        return type(exc), str(exc)
+
+
+def test_mutation_commutes_with_shifts(monkeypatch):
+    # fresh contexts: the cones these mutations register stay out of the
+    # process-wide ones
+    monkeypatch.setattr(nodal, "_setup", functools.cache(nodal._setup.__wrapped__))
+    for d in (4, 5):
+        ctx = nodal.build_context(d)
+        lines = [Gen(g) for g in ctx.generators if g.startswith("j*O")]
+        objects = [Gen(g) for g in ctx.generators] + [normalize(Cone(lines[0], Shift(lines[-1], 1)))]
+        for E in lines:
+            for F in objects:
+                for mutate in (mutate_right, mutate_left):
+                    for m in (-2, 1, 3):
+                        shifted = _mutation_outcome(mutate, ctx, E, shift_expr(F, m))
+                        plain = _mutation_outcome(mutate, ctx, E, F)
+                        if isinstance(plain, tuple):
+                            assert shifted == plain, (d, E, F, m)
+                        else:
+                            assert shifted == shift_expr(plain, m), (d, E, F, m)

@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nodalcat import formalcat, nodal, quadric
 from nodalcat.errors import NodalcatError, UnsupportedPair
-from nodalcat.formalcat import Cone, Gen, Shift, render
+from nodalcat.formalcat import SOD, Cone, Gen, Shift, render
 from nodalcat.graded import GradedDim
 from nodalcat.quadric import QuadricSheaf as QS
 
@@ -247,3 +248,49 @@ class TestVerifyDim:
         assert [item.got for item in kernel_items] == ["error: kernel mutation did not close"] * 3
         assert not any(item.passed for item in kernel_items)
         assert calls == [5]
+
+
+# ---------------------------------------------------------------------------
+# the class-wise perp check against the pairwise reference
+# ---------------------------------------------------------------------------
+
+
+def _pairwise(ctx, collection) -> bool:
+    return formalcat.check_semiorthogonal(ctx, SOD(tuple((g,) for g in collection)))
+
+
+def _outcome(check, ctx, collection):
+    try:
+        return check(ctx, collection)
+    except NodalcatError as exc:
+        return type(exc), str(exc)
+
+
+class TestPerpClasswise:
+    def test_matches_the_pairwise_check(self):
+        for d in range(2, 49):
+            setup = nodal._setup(d)
+            ctx, perp = setup.context, setup.perp
+            assert nodal._perp_semiorthogonal(ctx, perp) is _pairwise(ctx, perp) is True, d
+            # a later -> earlier Hom is nonzero as soon as two entries swap
+            back = tuple(reversed(perp))
+            assert nodal._perp_semiorthogonal(ctx, back) is _pairwise(ctx, back) is (len(perp) < 2), d
+
+    def test_one_hom_per_class(self, monkeypatch):
+        ctx, perp = nodal.build_context(48), nodal.perp_collection(48)
+        asked = []
+        hom = formalcat.hom
+        monkeypatch.setattr(formalcat, "hom", lambda c, F, G: asked.append((F, G)) or hom(c, F, G))
+        assert nodal._perp_semiorthogonal(ctx, perp)
+        assert len(perp) * (len(perp) - 1) // 2 == 1035
+        assert len(asked) == 45 == len(set(asked))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 9), st.data())
+    def test_random_collections_agree(self, d, data):
+        # any roster names, repeats and unsupported spinor pairs included:
+        # the same verdict, or the same error with the same text
+        ctx = nodal.build_context(d)
+        collection = tuple(data.draw(st.lists(st.sampled_from(ctx.generators), max_size=8)))
+        assert (_outcome(nodal._perp_semiorthogonal, ctx, collection)
+                == _outcome(_pairwise, ctx, collection))
