@@ -34,8 +34,6 @@ reported, never discarded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from . import mukai, nodal, quadric
 from .errors import RuleNotApplicable
 
@@ -44,12 +42,20 @@ from .errors import RuleNotApplicable
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PicClass:
     """The divisor class a h + b H on the blown-up cubic fourfold."""
 
-    a: int
-    b: int
+    def __init__(self, a: int, b: int):
+        self.a = a
+        self.b = b
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b) == (other.a, other.b)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"PicClass(a={self.a!r}, b={self.b!r})"
 
     def __sub__(self, other: "PicClass") -> "PicClass":
         return PicClass(self.a - other.a, self.b - other.b)
@@ -94,13 +100,22 @@ def pic_consistency() -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Placed:
-    """A sheaf on the quadric placed by `where`, with an explicit shift."""
+    """A sheaf on the quadric placed by `where` ("j*", "s*t*" or "t*"),
+    with an explicit shift."""
 
-    where: str  # "j*", "s*t*" or "t*"
-    sheaf: quadric.QuadricSheaf
-    shift: int = 0
+    def __init__(self, where: str, sheaf: quadric.QuadricSheaf, shift: int = 0):
+        self.where = where
+        self.sheaf = sheaf
+        self.shift = shift
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.where, self.sheaf, self.shift) == (other.where, other.sheaf, other.shift)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Placed(where={self.where!r}, sheaf={self.sheaf!r}, shift={self.shift!r})"
 
     def render(self) -> str:
         base = self.where + self.sheaf.render()
@@ -112,27 +127,29 @@ class Placed:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TwistBy:
-    cls: PicClass
-    shift: int
-    label: str
+    """Tensor with O(cls), then shift by [shift]."""
+
+    def __init__(self, cls: PicClass, shift: int, label: str):
+        self.cls = cls
+        self.shift = shift
+        self.label = label
 
 
-@dataclass(frozen=True)
 class MutateLeft:
-    cls: PicClass
-    label: str
+    """Left mutation through O(cls)."""
+
+    def __init__(self, cls: PicClass, label: str):
+        self.cls = cls
+        self.label = label
 
 
-@dataclass(frozen=True)
 class PushPullBaseChange:
-    pass
+    """Restriction to the divisor D by base change: i^* j_* = s_* t^*."""
 
 
-@dataclass(frozen=True)
 class ContractRetraction:
-    pass
+    """Pushforward to the K3 surface along the retraction of D."""
 
 
 FunctorStep = TwistBy | MutateLeft | PushPullBaseChange | ContractRetraction
@@ -190,11 +207,11 @@ def _apply_step(step: FunctorStep, obj: Placed, trace: list) -> Placed:
             "base change across the cartesian square of the two "
             "exceptional divisors: i^* j_* = s_* t^*"
         )
-        return _entry(trace, "i^*", "R3", citation, replace(obj, where="s*t*"))
+        return _entry(trace, "i^*", "R3", citation, Placed("s*t*", obj.sheaf, obj.shift))
     if isinstance(step, ContractRetraction):
         _require(obj, "s*t*", "the retraction expects an object on D")
         citation = "the K3 is a retract of D: p_* s_* = id"
-        return _entry(trace, "p_*", "R4", citation, replace(obj, where="t*"))
+        return _entry(trace, "p_*", "R4", citation, Placed("t*", obj.sheaf, obj.shift))
     raise RuleNotApplicable(f"unknown step {step!r}")
 
 

@@ -7,7 +7,7 @@ input from an honest "outside the established range".
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 
 class NodalcatError(Exception):

@@ -39,8 +39,7 @@ updated without locks: a context is not thread-safe.
 from __future__ import annotations
 
 import copy
-from dataclasses import FrozenInstanceError, dataclass, field
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterator
 
 from .errors import (
     IndeterminateHom,
@@ -48,14 +47,14 @@ from .errors import (
     UnknownGenerator,
     UnsupportedPair,
 )
-from .graded import GradedDim
+from .graded import Frozen, GradedDim
 
 # ---------------------------------------------------------------------------
 # object expressions
 # ---------------------------------------------------------------------------
 
 
-class Gen:
+class Gen(Frozen):
     """A generator leaf, interned by name.
 
     ``Gen(name)`` returns the one shared object for that name, so two
@@ -76,12 +75,6 @@ class Gen:
             gen = _GENS.setdefault(name, gen)
         return gen
 
-    def __setattr__(self, attr, value):
-        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
-
-    def __delattr__(self, attr):
-        raise FrozenInstanceError(f"cannot delete field {attr!r}")
-
     def __reduce__(self):
         return (Gen, (self.name,))
 
@@ -93,24 +86,84 @@ class Gen:
 _GENS: dict[str, Gen] = {}
 
 
-@dataclass(frozen=True, slots=True)
-class Shift:
-    expr: "ObjExpr"
-    m: int
+class Shift(Frozen):
+    """``expr[m]``."""
+
+    __slots__ = ("expr", "m")
+
+    def __init__(self, expr: ObjExpr, m: int):
+        _set_shift_expr(self, expr)
+        _set_shift_m(self, m)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.expr, self.m) == (other.expr, other.m)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.expr, self.m))
+
+    def __repr__(self) -> str:
+        return f"Shift(expr={self.expr!r}, m={self.m!r})"
+
+    def __reduce__(self):
+        return (Shift, (self.expr, self.m))
 
 
-@dataclass(frozen=True, slots=True)
-class Sum:
-    # parts are (atom-or-shifted-atom, multiplicity), canonically sorted
-    parts: tuple[tuple["ObjExpr", int], ...]
+class Sum(Frozen):
+    """A finite direct sum; ``parts`` are (atom-or-shifted-atom,
+    multiplicity) pairs, canonically sorted."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[tuple[ObjExpr, int], ...]):
+        _set_sum_parts(self, parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.parts,))
+
+    def __repr__(self) -> str:
+        return f"Sum(parts={self.parts!r})"
+
+    def __reduce__(self):
+        return (Sum, (self.parts,))
 
 
-@dataclass(frozen=True, slots=True)
-class Cone:
-    src: "ObjExpr"
-    tgt: "ObjExpr"
-    tag: str = field(default="", compare=False)
+class Cone(Frozen):
+    """The cone on a map ``src -> tgt``.  ``tag`` names the map for
+    messages; equality and hashing ignore it."""
 
+    __slots__ = ("src", "tgt", "tag")
+
+    def __init__(self, src: ObjExpr, tgt: ObjExpr, tag: str = ""):
+        _set_cone_src(self, src)
+        _set_cone_tgt(self, tgt)
+        _set_cone_tag(self, tag)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.src, self.tgt) == (other.src, other.tgt)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.src, self.tgt))
+
+    def __repr__(self) -> str:
+        return f"Cone(src={self.src!r}, tgt={self.tgt!r}, tag={self.tag!r})"
+
+    def __reduce__(self):
+        return (Cone, (self.src, self.tgt, self.tag))
+
+
+# slot setters for the constructors, which bypass the raising __setattr__
+_set_shift_expr, _set_shift_m = Shift.expr.__set__, Shift.m.__set__
+_set_sum_parts = Sum.parts.__set__
+_set_cone_src, _set_cone_tgt, _set_cone_tag = Cone.src.__set__, Cone.tgt.__set__, Cone.tag.__set__
 
 ObjExpr = Gen | Shift | Sum | Cone
 
@@ -289,34 +342,54 @@ def map_gens(e: ObjExpr, f: Callable[[str], ObjExpr]) -> ObjExpr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Triangle:
-    """A registered exact triangle x -> y -> z; z is the cone on x -> y."""
+class Triangle(Frozen):
+    """A registered exact triangle x -> y -> z; z is the cone on x -> y.
+    Equality and hashing ignore ``tag``."""
 
-    x: ObjExpr
-    y: ObjExpr
-    z: ObjExpr
-    tag: str = field(default="", compare=False)
+    __slots__ = ("x", "y", "z", "tag")
+
+    def __init__(self, x: ObjExpr, y: ObjExpr, z: ObjExpr, tag: str = ""):
+        _set_tri_x(self, x)
+        _set_tri_y(self, y)
+        _set_tri_z(self, z)
+        _set_tri_tag(self, tag)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.x, self.y, self.z) == (other.x, other.y, other.z)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.x, self.y, self.z))
+
+    def __repr__(self) -> str:
+        return f"Triangle(x={self.x!r}, y={self.y!r}, z={self.z!r}, tag={self.tag!r})"
+
+    def __reduce__(self):
+        return (Triangle, (self.x, self.y, self.z, self.tag))
 
     def normalized(self) -> "Triangle":
         return Triangle(normalize(self.x), normalize(self.y), normalize(self.z), self.tag)
 
 
-@dataclass(frozen=True)
+_set_tri_x, _set_tri_y = Triangle.x.__set__, Triangle.y.__set__
+_set_tri_z, _set_tri_tag = Triangle.z.__set__, Triangle.tag.__set__
+
+
 class LefschetzData:
     """Nested blocks B_0 >= B_1 >= ...; block i sits twisted by -i."""
 
-    blocks: tuple[tuple[str, ...], ...]
+    def __init__(self, blocks: tuple[tuple[str, ...], ...]):
+        self.blocks = blocks
 
 
-@dataclass(frozen=True)
 class SOD:
     """An ordered semiorthogonal collection of generator blocks."""
 
-    blocks: tuple[tuple[str, ...], ...]
+    def __init__(self, blocks: tuple[tuple[str, ...], ...]):
+        self.blocks = blocks
 
 
-@dataclass(frozen=True, eq=False)
 class Context:
     """Immutable computation context for the formal calculus.
 
@@ -328,35 +401,46 @@ class Context:
     ``base_hom(a, b)`` returns the graded Hom between two generators and
     receives them resolved, as ``resolve`` returned them, never as names
     (it may raise UnsupportedPair).  ``serre_action`` sends a generator
-    name to its image under the ambient pair-Serre functor.
+    name to its image under the ambient pair-Serre functor.  The static
+    ``triangles`` are normalized once, on construction, and stored so.
     """
 
-    name: str
-    generators: tuple[str, ...]
-    base_hom: Callable[[object, object], GradedDim]
-    gen_resolve: Callable[[str], object] | None = None
-    twist_gen: Callable[[str, int], str] | None = None
-    serre_action: Callable[[str], ObjExpr] | None = None
-    relative_twist: Callable[[str], ObjExpr] | None = None
-    exceptional: frozenset[str] = frozenset()
-    triangles: tuple[Triangle, ...] = ()
-    zero_facts: frozenset[tuple[ObjExpr, ObjExpr]] = frozenset()
-    _memo: dict = field(default_factory=dict, repr=False)
-    _derived_triangles: list = field(default_factory=list, repr=False)
-    _derived_zero_facts: set = field(default_factory=set, repr=False)
-    # static and derived triangles, for the dedupe in add_triangle
-    _known_triangles: set = field(default_factory=set, repr=False)
-    # rotation index: shift-normalized (src, tgt) -> cone, see _identify_cone
-    _cone_index: dict = field(default_factory=dict, repr=False)
-    # name -> resolved generator, filled by resolve
-    _resolved: dict = field(default_factory=dict, repr=False)
-    # generators that passed _require_exceptional; a failure is not stored
-    _checked_exceptional: set = field(default_factory=set, repr=False)
-
-    def __post_init__(self):
-        self._known_triangles.update(self.triangles)
+    def __init__(
+        self,
+        name: str,
+        generators: tuple[str, ...],
+        base_hom: Callable[[object, object], GradedDim],
+        gen_resolve: Callable[[str], object] | None = None,
+        twist_gen: Callable[[str, int], str] | None = None,
+        serre_action: Callable[[str], ObjExpr] | None = None,
+        relative_twist: Callable[[str], ObjExpr] | None = None,
+        exceptional: frozenset[str] = frozenset(),
+        triangles: tuple[Triangle, ...] = (),
+        zero_facts: frozenset[tuple[ObjExpr, ObjExpr]] = frozenset(),
+    ):
+        self.name = name
+        self.generators = generators
+        self.base_hom = base_hom
+        self.gen_resolve = gen_resolve
+        self.twist_gen = twist_gen
+        self.serre_action = serre_action
+        self.relative_twist = relative_twist
+        self.exceptional = exceptional
+        self.triangles = tuple(tri.normalized() for tri in triangles)
+        self.zero_facts = zero_facts
+        self._memo: dict = {}
+        self._derived_triangles: list[Triangle] = []
+        self._derived_zero_facts: set = set()
+        # static and derived triangles, for the dedupe in add_triangle
+        self._known_triangles = set(self.triangles)
+        # rotation index: shift-normalized (src, tgt) -> cone, see _identify_cone
+        self._cone_index: dict = {}
+        # name -> resolved generator, filled by resolve
+        self._resolved: dict = {}
+        # generators that passed _require_exceptional; a failure is not stored
+        self._checked_exceptional: set[Gen] = set()
         for tri in self.triangles:
-            self._index_triangle(tri.normalized())
+            self._index_triangle(tri)
 
     def all_triangles(self):
         yield from self.triangles
@@ -720,7 +804,6 @@ def check_semiorthogonal(ctx: Context, sod: SOD) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class SphericalReport:
     """Outcome of a sphericalness check.
 
@@ -730,11 +813,13 @@ class SphericalReport:
     and the Serre chain was not attempted.
     """
 
-    degree: int
-    hom_value: GradedDim
-    hom_ok: bool
-    serre_value: ObjExpr | None
-    serre_ok: bool
+    def __init__(self, degree: int, hom_value: GradedDim, hom_ok: bool,
+                 serre_value: ObjExpr | None, serre_ok: bool):
+        self.degree = degree
+        self.hom_value = hom_value
+        self.hom_ok = hom_ok
+        self.serre_value = serre_value
+        self.serre_ok = serre_ok
 
     @property
     def passed(self) -> bool:

@@ -10,22 +10,57 @@ multiplicity.  The convention, fixed once for the whole engine, is that
 so that ``Hom^j(A[m], B) = Hom^{j-m}(A, B)`` and
 ``Hom^j(A, B[m]) = Hom^{j+m}(A, B)``.  Multiplicities are dimensions of
 vector spaces: strictly positive where stored, no formal differences.
+
+The module also holds :class:`Frozen`, the base of the engine's immutable
+value types.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+
+class Frozen:
+    """Base of the immutable value types: setting or deleting an attribute
+    raises AttributeError.
+
+    A subclass lists its fields in ``__slots__`` and writes them in
+    ``__init__`` through the slot descriptors' ``__set__`` (bound once at
+    module level), which bypasses the raising ``__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r}")
 
 
-@dataclass(frozen=True)
-class GradedDim:
+class GradedDim(Frozen):
     """A finite formal sum of shifted copies of the ground field C.
 
     ``entries`` is a sorted tuple of (degree, multiplicity) pairs with all
     multiplicities > 0; absent degrees mean zero.
     """
 
-    entries: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, int], ...] = ()):
+        _set_entries(self, entries)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"GradedDim(entries={self.entries!r})"
+
+    def __reduce__(self):
+        return (GradedDim, (self.entries,))
 
     @staticmethod
     def from_dict(d: dict[int, int]) -> "GradedDim":
@@ -116,6 +151,8 @@ class GradedDim:
     def __str__(self) -> str:
         return self.render()
 
+
+_set_entries = GradedDim.entries.__set__
 
 _ZERO = GradedDim(())
 

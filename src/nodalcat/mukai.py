@@ -16,14 +16,12 @@ module instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import quadric
 from .errors import ParityMismatch, UnsupportedPair
 
 
-@dataclass(frozen=True)
 class ChowClass:
     """A rational polynomial a_0 + a_1 h + ... + a_n h^n on Q^n.
 
@@ -31,8 +29,17 @@ class ChowClass:
     evaluation rule is integral(h^n) = 2.
     """
 
-    n: int
-    coeffs: tuple[Fraction, ...]
+    def __init__(self, n: int, coeffs: tuple[Fraction, ...]):
+        self.n = n
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.coeffs) == (other.n, other.coeffs)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ChowClass(n={self.n!r}, coeffs={self.coeffs!r})"
 
     @staticmethod
     def make(n: int, coeffs) -> "ChowClass":
@@ -171,13 +178,21 @@ def chi_hrr(n: int, F: quadric.QuadricSheaf, G: quadric.QuadricSheaf) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MukaiVector:
     """(rank, c1 as a multiple of the degree-6 polarization, ch2 + rank)."""
 
-    r: int
-    c: int
-    s: int
+    def __init__(self, r: int, c: int, s: int):
+        self.r = r
+        self.c = c
+        self.s = s
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.r, self.c, self.s) == (other.r, other.c, other.s)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"MukaiVector(r={self.r!r}, c={self.c!r}, s={self.s!r})"
 
     def render(self) -> str:
         if self.c == 0:

@@ -24,7 +24,6 @@ advertised generators coexists with Serre images at arbitrary twists.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
 
 from . import formalcat, quadric
@@ -78,15 +77,16 @@ def _pair_value(n: int, kind1: str, c: int, kind2: str) -> GradedDim:
     return hom_push(n, quadric.QuadricSheaf(kind1, c), quadric.QuadricSheaf(kind2, 0))
 
 
-@dataclass(frozen=True)
 class NodalSetup:
     """Roster and derived data of the nodal blow-up context in dimension d."""
 
-    d: int
-    n: int
-    context: Context
-    perp: tuple[str, ...]
-    spinor_kinds: tuple[str, ...]
+    def __init__(self, d: int, n: int, context: Context, perp: tuple[str, ...],
+                 spinor_kinds: tuple[str, ...]):
+        self.d = d
+        self.n = n
+        self.context = context
+        self.perp = perp
+        self.spinor_kinds = spinor_kinds
 
 
 def _spinor_kinds(d: int) -> tuple[str, ...]:
@@ -169,7 +169,7 @@ def _setup(d: int) -> NodalSetup:
         serre_action=serre,
         relative_twist=relative,
         exceptional=frozenset(exceptional),
-        triangles=tuple(t.normalized() for t in triangles),
+        triangles=tuple(triangles),
         zero_facts=frozenset(zero_facts),
     )
 
@@ -197,27 +197,49 @@ def _setup(d: int) -> NodalSetup:
 def _perp_semiorthogonal(ctx: Context, perp: tuple[str, ...]) -> bool:
     """``formalcat.check_semiorthogonal`` of the one-generator blocks of
     ``perp``, asking ``formalcat.hom`` once per ``_hom_class`` of the later
-    -> earlier pairs: O(d) Homs instead of O(d^2).
+    -> earlier pairs: O(d) Homs instead of O(d^2), found without visiting
+    the pairs.
 
     Every name must be a generator of the nodal context ``ctx``.
     """
     # One pair per class is exact.  The nodal context records orthogonality
     # facts only with a cone on one side (the kernel cone's, and those of
     # mutation cones), so the Hom of two generators, a value or an error, is
-    # base_hom of their sheaves, a function of the class alone.  Pairs are
-    # visited in the pairwise check's order and a class is asked at its
-    # first pair, so the first nonzero Hom or error the pairwise check meets
-    # sits on a pair asked here too, and nothing is asked after it.
+    # base_hom of their sheaves, a function of the class alone.  A class is
+    # asked at its first pair in the pairwise check's order (i ascending,
+    # then j ascending), so the first nonzero Hom or error the pairwise
+    # check meets sits on a pair asked here too, and nothing is asked after.
+    #
+    # The classes are enumerated without visiting the pairs: seen[kind] has
+    # bit top - t for each twist t of that kind before entry i, so
+    # seen[kind] << (t_i - low) has bit (t_i - t) + span for each twist
+    # difference of a pair (i, j) with entry j of that kind.  Clearing the
+    # bits already in asked[(kind_i, kind)] leaves the classes first met at
+    # i; each one's j is the first entry with that kind and twist.
     sheaves = [ctx.resolve(name) for name in perp]
-    asked: set[tuple[str, int, str]] = set()
-    for i in range(1, len(perp)):
-        for j in range(i):
-            key = _hom_class(sheaves[i], sheaves[j])
-            if key in asked:
-                continue
-            asked.add(key)
+    low = min((F.twist for F in sheaves), default=0)
+    top = max((F.twist for F in sheaves), default=0)
+    span = top - low
+    seen: dict[str, int] = {}
+    asked: dict[tuple[str, str], int] = {}
+    first: dict[tuple[str, int], int] = {}
+    for i, F in enumerate(sheaves):
+        partners = []
+        for kind, mask in seen.items():
+            key = (F.kind, kind)
+            done = asked.get(key, 0)
+            new = (mask << (F.twist - low)) & ~done
+            if new:
+                asked[key] = done | new
+                while new:
+                    bit = new & -new
+                    new ^= bit
+                    partners.append(first[kind, F.twist + span - bit.bit_length() + 1])
+        for j in sorted(partners):
             if not formalcat.hom(ctx, Gen(perp[i]), Gen(perp[j])).is_zero:
                 return False
+        seen[F.kind] = seen.get(F.kind, 0) | 1 << (top - F.twist)
+        first.setdefault((F.kind, F.twist), i)
     return True
 
 
@@ -272,13 +294,15 @@ def relative_serre(d: int, F: ObjExpr) -> ObjExpr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ReportItem:
-    id: str
-    citation: str
-    expected: str
-    got: str
-    passed: bool
+    """One check of a verification report."""
+
+    def __init__(self, id: str, citation: str, expected: str, got: str, passed: bool):
+        self.id = id
+        self.citation = citation
+        self.expected = expected
+        self.got = got
+        self.passed = passed
 
     def to_json(self) -> dict:
         return {
@@ -290,10 +314,12 @@ class ReportItem:
         }
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    dim: int
-    items: tuple[ReportItem, ...]
+    """The checks of ``verify_dim`` for one dimension."""
+
+    def __init__(self, dim: int, items: tuple[ReportItem, ...]):
+        self.dim = dim
+        self.items = items
 
     @property
     def all_pass(self) -> bool:

@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from .errors import ParityMismatch, UnsupportedPair
-from .graded import GradedDim
+from .graded import Frozen, GradedDim
 
 LINE = "O"
 SPINOR = "S"
@@ -45,16 +44,30 @@ SPINOR_PP = "S''"
 _KINDS = (LINE, SPINOR, SPINOR_P, SPINOR_PP)
 
 
-@dataclass(frozen=True)
-class QuadricSheaf:
+class QuadricSheaf(Frozen):
     """A symbolic sheaf O(k), S(k), S'(k) or S''(k) on Q^n."""
 
-    kind: str
-    twist: int = 0
+    __slots__ = ("kind", "twist")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown sheaf kind {self.kind!r}")
+    def __init__(self, kind: str, twist: int = 0):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown sheaf kind {kind!r}")
+        _set_kind(self, kind)
+        _set_twist(self, twist)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.twist) == (other.kind, other.twist)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.twist))
+
+    def __repr__(self) -> str:
+        return f"QuadricSheaf(kind={self.kind!r}, twist={self.twist!r})"
+
+    def __reduce__(self):
+        return (QuadricSheaf, (self.kind, self.twist))
 
     @property
     def is_line(self) -> bool:
@@ -71,6 +84,9 @@ class QuadricSheaf:
     def __str__(self) -> str:
         return self.render()
 
+
+_set_kind = QuadricSheaf.kind.__set__
+_set_twist = QuadricSheaf.twist.__set__
 
 _SHEAF_RE = re.compile(r"^(O|S''|S'|S)(?:\((-?\d+)\))?$")
 

@@ -339,6 +339,19 @@ def test_fixed_script_output_ignores_hash_seed():
     assert digests == {_FIXED_SCRIPT_SHA256}
 
 
+def test_import_loads_no_code_generating_modules():
+    # every CLI call pays the import; dataclasses and typing (and the
+    # inspect machinery dataclasses pulls in) are start-up cost that no
+    # query needs.  -S keeps site-installed .pth hooks out of the count.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, nodalcat, nodalcat.cli; "
+            "print(sorted({'dataclasses', 'typing', 'inspect'} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_mutate_at_d13_streams_in_bounded_memory():
     # Hom(j*S'(-11), j*O) is C^86532992 + C^41385344[-1] at d = 13: the
     # answer is ~1.7 GB of text, written in slices under a 512 MiB cap

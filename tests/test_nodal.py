@@ -266,6 +266,42 @@ def _outcome(check, ctx, collection):
         return type(exc), str(exc)
 
 
+def _first_pairs(d, collection):
+    """Reference: the pair loop the class enumeration replaced.  The first
+    pair (i, j) of each class, in pairwise order, cut after the first pair
+    whose Hom is nonzero or raises."""
+    ctx = nodal.build_context(d)
+    sheaves = [ctx.resolve(name) for name in collection]
+    seen, pairs = set(), []
+    for i in range(1, len(collection)):
+        for j in range(i):
+            key = nodal._hom_class(sheaves[i], sheaves[j])
+            if key in seen:
+                continue
+            seen.add(key)
+            pairs.append((collection[i], collection[j]))
+            try:
+                if not formalcat.hom(ctx, Gen(collection[i]), Gen(collection[j])).is_zero:
+                    return pairs
+            except NodalcatError:
+                return pairs
+    return pairs
+
+
+def _asked(monkeypatch, d, collection):
+    """The (later, earlier) name pairs ``_perp_semiorthogonal`` asks, in order."""
+    asked = []
+    hom = formalcat.hom
+    monkeypatch.setattr(formalcat, "hom", lambda c, F, G: asked.append((F.name, G.name)) or hom(c, F, G))
+    try:
+        nodal._perp_semiorthogonal(nodal.build_context(d), collection)
+    except NodalcatError:
+        pass
+    finally:
+        monkeypatch.undo()
+    return asked
+
+
 class TestPerpClasswise:
     def test_matches_the_pairwise_check(self):
         for d in range(2, 49):
@@ -284,6 +320,27 @@ class TestPerpClasswise:
         assert nodal._perp_semiorthogonal(ctx, perp)
         assert len(perp) * (len(perp) - 1) // 2 == 1035
         assert len(asked) == 45 == len(set(asked))
+
+    def test_classes_are_asked_at_their_first_pairs(self, monkeypatch):
+        # the stored collections and their reverses, and for d = 2..7 every
+        # roster name, each once in roster order and then in reverse
+        cases = []
+        for d in range(2, 49):
+            perp = nodal.perp_collection(d)
+            cases += [(d, perp), (d, tuple(reversed(perp)))]
+        for d in range(2, 8):
+            roster = nodal.build_context(d).generators
+            cases.append((d, roster + tuple(reversed(roster))))
+        for d, collection in cases:
+            assert _asked(monkeypatch, d, collection) == _first_pairs(d, collection), d
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 9), st.data())
+    def test_random_collections_ask_the_same_pairs(self, d, data):
+        collection = tuple(data.draw(st.lists(st.sampled_from(nodal.build_context(d).generators),
+                                              max_size=10)))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert _asked(monkeypatch, d, collection) == _first_pairs(d, collection)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 9), st.data())
