@@ -12,8 +12,10 @@ error, so it never reaches the recursive solvers.  Postfix chains
 (shifts and twists) have no cap.
 
 Exit codes: 0 success, 1 verification failure, 2 indeterminate or
-unsupported computation, 3 parse or usage error, 141 stdout closed by its
-reader before the answer was written (the shell's code for SIGPIPE).
+unsupported computation, 3 parse or usage error, 4 internal error (an
+exception of no documented kind, reported in one stderr line), 141 stdout
+closed by its reader before the answer was written (the shell's code for
+SIGPIPE).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_UNDECIDED = 2
 EXIT_PARSE = 3
+EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141
 
 
@@ -450,6 +453,11 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
+    except Exception as exc:
+        # a bug, not an answer: one line instead of a traceback, and a code
+        # no verdict uses
+        print(f"nodalcat: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return code
 
 

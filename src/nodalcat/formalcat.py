@@ -31,9 +31,11 @@ registries of freshly created mutation cones and their orthogonality
 facts, a rotation index over every registered triangle (so cone
 identification is one dict lookup), a cache of resolved generator names,
 the set of generators already checked exceptional as mutation targets,
-and a memo table.  Entries are only ever added, never invalidated, so a
-memoized answer can predate a fact registered later.  This state is
-updated without locks: a context is not thread-safe.
+and one memo table, holding Hom values and failures under (F, G) keys and
+single mutation steps under (E, F, right) keys.  Entries are only ever
+added, never invalidated, so a memoized Hom can predate a fact registered
+later.  This state is updated without locks: a context is not
+thread-safe.
 """
 
 from __future__ import annotations
@@ -308,9 +310,14 @@ def normalize(e: ObjExpr) -> ObjExpr:
         if len(parts) == 1 and parts[0][1] == 1:
             return parts[0][0]
         return Sum(parts)
-    src = normalize(e.src)
-    tgt = normalize(e.tgt)
-    if e.tag == "identity":
+    return cone_of(normalize(e.src), normalize(e.tgt), e.tag)
+
+
+def cone_of(src: ObjExpr, tgt: ObjExpr, tag: str) -> ObjExpr:
+    """``normalize(Cone(src, tgt, tag))`` of normalized legs, which it does
+    not walk again: only the cone's own rules apply (identity tag, zero
+    legs, the source's outer shift)."""
+    if tag == "identity":
         return ZERO
     if is_zero(src):
         return tgt
@@ -318,8 +325,8 @@ def normalize(e: ObjExpr) -> ObjExpr:
         return shift_expr(src, 1)
     s = _outer_shift(src)
     if s:
-        return Shift(Cone(shift_expr(src, -s), shift_expr(tgt, -s), e.tag), s)
-    return Cone(src, tgt, e.tag)
+        return Shift(Cone(shift_expr(src, -s), shift_expr(tgt, -s), tag), s)
+    return Cone(src, tgt, tag)
 
 
 def _strip_shift(e: ObjExpr) -> ObjExpr:
@@ -334,7 +341,7 @@ def map_gens(e: ObjExpr, f: Callable[[str], ObjExpr]) -> ObjExpr:
         return shift_expr(map_gens(e.expr, f), e.m)
     if isinstance(e, Sum):
         return sum_exprs((map_gens(p, f), r) for p, r in e.parts)
-    return normalize(Cone(map_gens(e.src, f), map_gens(e.tgt, f), e.tag))
+    return cone_of(map_gens(e.src, f), map_gens(e.tgt, f), e.tag)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +463,10 @@ class Context:
         self._derived_zero_facts.add((_strip_shift(F), _strip_shift(G)))
 
     def add_triangle(self, tri: Triangle) -> None:
-        tri = tri.normalized()
+        self._register_triangle(tri.normalized())
+
+    def _register_triangle(self, tri: Triangle) -> None:
+        """``add_triangle`` of a triangle whose parts are already normal."""
         if tri not in self._known_triangles:
             self._known_triangles.add(tri)
             self._derived_triangles.append(tri)
@@ -702,7 +712,18 @@ def _mutate(ctx: Context, through, F: ObjExpr, right: bool) -> ObjExpr:
 
 
 def _mutate_one(ctx: Context, E: Gen, F: ObjExpr, right: bool) -> ObjExpr:
-    """One mutation of a normalized F through E, already checked exceptional."""
+    """One mutation of a normalized F through E, already checked exceptional.
+
+    A step with a nonzero Hom is memoized under ``(E, F, right)``; a hit is
+    exactly what a recomputation would return.  The result depends only on
+    memoized Homs, which never change once written, and on the cones the
+    rotation index holds, where the first registration of a key wins: a
+    step that found no cone registers the very key it probed, so asking
+    again finds that cone, tag included.  A recomputation registers no new
+    triangle or fact either, so a hit skips nothing.  Steps that return F
+    unchanged (zero Hom) and failing steps are not stored: the first are
+    free, and the second raise again through the Hom memo's stored copy.
+    """
     if isinstance(F, Shift):
         # mutation commutes with shifts, and Hom(F[m], E) is Hom(F, E) moved
         return shift_expr(_mutate_one(ctx, E, F.expr, right), F.m)
@@ -713,6 +734,16 @@ def _mutate_one(ctx: Context, E: Gen, F: ObjExpr, right: bool) -> ObjExpr:
     V = _hom(ctx, F, E) if right else _hom(ctx, E, F)
     if V.is_zero:
         return F
+    key = (E, F, right)
+    out = ctx._memo.get(key)
+    if out is None:
+        out = ctx._memo[key] = _mutate_step(ctx, E, F, V, right)
+    return out
+
+
+def _mutate_step(ctx: Context, E: Gen, F: ObjExpr, V: GradedDim, right: bool) -> ObjExpr:
+    """``_mutate_one`` of an unshifted F with V = Hom(F, E) (right) or
+    Hom(E, F) (left) nonzero."""
     if isinstance(F, Sum):
         return sum_exprs((_mutate_one(ctx, E, p, right), r) for p, r in F.parts)
     if isinstance(F, Cone):
@@ -721,7 +752,7 @@ def _mutate_one(ctx: Context, E: Gen, F: ObjExpr, right: bool) -> ObjExpr:
         # stays one indecomposable term
         src = _mutate_one(ctx, E, F.src, right)
         tgt = _mutate_one(ctx, E, F.tgt, right)
-        out = normalize(Cone(src, tgt, tag=f"image of {render(F)} under mutation through {E.name}"))
+        out = cone_of(src, tgt, f"image of {render(F)} under mutation through {E.name}")
         _record_mutation_cone(ctx, out, E, right)
         return out
     # R_E F = cone(F -> V^dual tensor E)[-1], L_E F = cone(V tensor E -> F)
@@ -730,16 +761,17 @@ def _mutate_one(ctx: Context, E: Gen, F: ObjExpr, right: bool) -> ObjExpr:
     cone = _identify_cone(ctx, src, tgt)
     if cone is None:
         side = "right" if right else "left"
-        cone = normalize(Cone(src, tgt, tag=f"{side} mutation of {render(F)} through {E.name}"))
+        cone = cone_of(src, tgt, f"{side} mutation of {render(F)} through {E.name}")
         _record_mutation_cone(ctx, cone, E, right)
     return shift_expr(cone, -1) if right else cone
 
 
 def _record_mutation_cone(ctx: Context, cone: ObjExpr, E: Gen, right: bool) -> None:
+    # a normal cone's legs are normal, so the triangle is registered as is
     core = _strip_shift(cone)
     if not isinstance(core, Cone):
         return
-    ctx.add_triangle(Triangle(core.src, core.tgt, core, tag=core.tag))
+    ctx._register_triangle(Triangle(core.src, core.tgt, core, tag=core.tag))
     if right:
         ctx.add_zero_fact(core, E)
     else:

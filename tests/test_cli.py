@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import resource
@@ -396,13 +395,9 @@ def _nested_cone(levels: int, right: bool) -> str:
     return e
 
 
+# the deep cones these queries register stay out of the shared contexts
+@pytest.mark.usefixtures("fresh_contexts")
 class TestConeDepthCap:
-    @pytest.fixture(autouse=True)
-    def _fresh_contexts(self, monkeypatch):
-        # keep the deep cones these queries register out of the session's
-        # shared contexts, whose registries later tests walk
-        monkeypatch.setattr(nodal, "_setup", functools.cache(nodal._setup.__wrapped__))
-
     @staticmethod
     def _argv(command: str, expr: str) -> list[str]:
         context = ["--context", "nodal:3"]
@@ -488,3 +483,48 @@ class TestExitCodes:
     def test_parity_is_2(self, capsys):
         assert main(["cohom", "--quadric", "4", "S(1)"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("error", [RuntimeError("boom"), RecursionError("too deep")])
+    def test_untyped_exception_is_4(self, monkeypatch, capsys, error):
+        def broken(*args):
+            raise error
+
+        monkeypatch.setattr(cli.quadric, "cohomology", broken)
+        assert main(["cohom", "--quadric", "3", "O"]) == cli.EXIT_INTERNAL == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"nodalcat: internal error: {type(error).__name__}: {error}\n"
+
+    @pytest.mark.parametrize("error", ["RuntimeError('boom')", "RecursionError('too deep')"])
+    def test_untyped_exception_is_4_in_a_fresh_process(self, error):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys\n"
+                "from nodalcat import cli, quadric\n"
+                "def broken(*args):\n"
+                f"    raise {error}\n"
+                "quadric.cohomology = broken\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        proc = subprocess.run([sys.executable, "-c", code, "cohom", "--quadric", "3", "O"],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("nodalcat: internal error: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_value_error_stays_3(self, monkeypatch, capsys):
+        def broken(*args):
+            raise ValueError("bad value")
+
+        monkeypatch.setattr(cli.quadric, "cohomology", broken)
+        assert main(["cohom", "--quadric", "3", "O"]) == cli.EXIT_PARSE
+        assert capsys.readouterr().err == "nodalcat: bad value\n"
+
+    def test_keyboard_interrupt_is_not_caught(self, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli.quadric, "cohomology", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["cohom", "--quadric", "3", "O"])

@@ -1,12 +1,11 @@
 import copy
-import functools
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nodalcat import formalcat, nodal, quadric
-from nodalcat.errors import IndeterminateHom, NotExceptional, UnknownGenerator
+from nodalcat.errors import IndeterminateHom, NodalcatError, NotExceptional, UnknownGenerator
 from nodalcat.formalcat import (
     Cone,
     Context,
@@ -332,10 +331,9 @@ def _scan_identify_cone(ctx, src, tgt):
     return None
 
 
-def test_index_matches_scan_on_verify_probes(monkeypatch):
+def test_index_matches_scan_on_verify_probes(monkeypatch, fresh_contexts):
     # fresh contexts, so the probes do not depend on what earlier tests
-    # registered; the process-wide cache is left untouched
-    monkeypatch.setattr(nodal, "_setup", functools.cache(nodal._setup.__wrapped__))
+    # registered
     indexed = formalcat._identify_cone
     probes = []
 
@@ -346,7 +344,9 @@ def test_index_matches_scan_on_verify_probes(monkeypatch):
         return got
 
     monkeypatch.setattr(formalcat, "_identify_cone", recording)
-    for d in range(2, 15):
+    # mutation steps are memoized, so only a step's first run probes: d up
+    # to 22 keeps the probes above the floor (320 of them)
+    for d in range(2, 23):
         assert nodal.verify_dim(d).all_pass
     assert len(probes) > 300
     assert [got for got, _ in probes] == [want for _, want in probes]
@@ -818,10 +818,9 @@ def _mutation_outcome(mutate, ctx, E, F):
         return type(exc), str(exc)
 
 
-def test_mutation_commutes_with_shifts(monkeypatch):
+def test_mutation_commutes_with_shifts(fresh_contexts):
     # fresh contexts: the cones these mutations register stay out of the
     # process-wide ones
-    monkeypatch.setattr(nodal, "_setup", functools.cache(nodal._setup.__wrapped__))
     for d in (4, 5):
         ctx = nodal.build_context(d)
         lines = [Gen(g) for g in ctx.generators if g.startswith("j*O")]
@@ -836,3 +835,140 @@ def test_mutation_commutes_with_shifts(monkeypatch):
                             assert shifted == plain, (d, E, F, m)
                         else:
                             assert shifted == shift_expr(plain, m), (d, E, F, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_raw_terms, _raw_terms, st.sampled_from(["", "f", "identity"]))
+def test_cone_of_is_normalize_of_the_cone(a, b, tag):
+    a, b = normalize(a), normalize(b)
+    assert repr(formalcat.cone_of(a, b, tag)) == repr(normalize(Cone(a, b, tag)))
+
+
+# ---------------------------------------------------------------------------
+# memoized mutation steps
+# ---------------------------------------------------------------------------
+
+
+def _mutation_keys(ctx):
+    return [key for key in ctx._memo if len(key) == 3]
+
+
+@st.composite
+def _memo_scripts(draw):
+    """A nodal dimension and a script of mutation and Serre queries over a
+    few of its roster generators: generators, shifted generators and
+    one-level cones of those.  Drawing from a few generators makes queries
+    share steps, in both directions."""
+    d = draw(st.integers(3, 9))
+    roster = nodal._setup.__wrapped__(d).context.generators
+    pool = draw(st.lists(st.sampled_from(roster), min_size=1, max_size=4, unique=True))
+    gens = st.builds(Gen, st.sampled_from(pool))
+    leaves = gens | st.builds(Shift, gens, st.integers(-2, 2).filter(bool))
+    objects = leaves | st.builds(lambda a, b: normalize(Cone(a, b)), leaves, leaves)
+    through = st.lists(st.sampled_from(pool), min_size=1, max_size=2).map(tuple)
+    query = st.one_of(
+        st.tuples(st.sampled_from(["mutate_right", "mutate_left"]), through, objects),
+        st.tuples(st.sampled_from(["serre_in", "relative_serre"]), st.none(), objects),
+    )
+    return d, draw(st.lists(query, min_size=1, max_size=8))
+
+
+def _run_memo_script(d, script, drop_steps):
+    """Answers (reprs, tags included, or typed errors), derived triangles and
+    derived zero facts of a script on a fresh context; with ``drop_steps``
+    every mutation entry leaves the memo before each query."""
+    nodal._setup.cache_clear()
+    setup = nodal._setup(d)
+    ctx = setup.context
+    answers = []
+    for kind, through, F in script:
+        if drop_steps:
+            for key in _mutation_keys(ctx):
+                del ctx._memo[key]
+        try:
+            if kind == "mutate_right":
+                got = mutate_right(ctx, through, F)
+            elif kind == "mutate_left":
+                got = mutate_left(ctx, through, F)
+            elif kind == "serre_in":
+                got = serre_in(ctx, setup.perp, F)
+            else:
+                got = nodal.relative_serre(d, F)
+            answers.append(repr(got))
+        except NodalcatError as exc:
+            answers.append((type(exc).__name__, str(exc)))
+    facts = sorted(map(repr, ctx._derived_zero_facts))
+    return answers, repr(ctx._derived_triangles), facts
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_memo_scripts())
+# one step asked in both directions: Hom(j*O, j*O(-1)) and Hom(j*O(-1), j*O)
+# are both nonzero at d = 3
+@example((3, [("mutate_right", ("j*O(-1)",), Gen("j*O")),
+              ("mutate_left", ("j*O(-1)",), Gen("j*O"))]))
+# the two Serre chains of verify's kernel checks
+@example((5, [("serre_in", None, Cone(Gen("j*S'"), Shift(Gen("j*S''"), 2))),
+              ("relative_serre", None, Cone(Gen("j*S'"), Shift(Gen("j*S''"), 2)))]))
+def test_memoized_steps_answer_as_recomputed_ones(fresh_contexts, script):
+    d, queries = script
+    assert _run_memo_script(d, queries, False) == _run_memo_script(d, queries, True)
+
+
+@pytest.mark.parametrize("d", range(3, 10))
+def test_second_kernel_generator_is_all_hits(monkeypatch, fresh_contexts, d):
+    first = nodal.kernel_generator(d)
+    ctx = nodal.build_context(d)
+    memo, triangles = dict(ctx._memo), list(ctx._derived_triangles)
+    probes = []
+    indexed = formalcat._identify_cone
+    monkeypatch.setattr(formalcat, "_identify_cone",
+                        lambda *args: probes.append(args) or indexed(*args))
+    assert repr(nodal.kernel_generator(d)) == repr(first)
+    assert ctx._memo == memo
+    assert ctx._derived_triangles == triangles
+    assert probes == []
+
+
+def _raised_twice(exc_type, f, *args):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(exc_type) as exc:
+            f(*args)
+        texts.append(str(exc.value))
+    assert texts[0] == texts[1]
+    return texts[0]
+
+
+def test_mutation_through_a_non_exceptional_generator_stores_nothing(fresh_contexts):
+    ctx = nodal.build_context(4)
+    memo = dict(ctx._memo)
+    text = _raised_twice(NotExceptional, mutate_right, ctx, Gen("j*S"), Gen("j*O"))
+    assert text == "j*S has Hom-algebra C + C[-2]"
+    assert _mutation_keys(ctx) == [key for key in memo if len(key) == 3]
+
+
+def test_failing_serre_chain_stores_no_failing_step(monkeypatch, fresh_contexts):
+    d = 10
+    ctx = nodal.build_context(d)
+    failed = []
+    step = formalcat._mutate_one
+
+    def recording(ctx, E, F, right):
+        try:
+            return step(ctx, E, F, right)
+        except IndeterminateHom:
+            failed.append((E, F, right))
+            raise
+
+    monkeypatch.setattr(formalcat, "_mutate_one", recording)
+    args = (ctx, nodal.perp_collection(d), Gen("j*O(-8)"))
+    with pytest.raises(IndeterminateHom) as exc:
+        serre_in(*args)
+    keys = _mutation_keys(ctx)
+    assert failed and not any(key in ctx._memo for key in failed)
+    # the second run re-raises through the Hom memo: the same text, and the
+    # steps before the failure are hits
+    assert _raised_twice(IndeterminateHom, serre_in, *args) == str(exc.value)
+    assert _mutation_keys(ctx) == keys
