@@ -2,14 +2,20 @@
 
 Grammar for object expressions (shared with the formal calculus renderer):
 
-    obj   := atom | obj "[" int "]" | obj "(" int ")"
+    obj   := atom | obj "[" int "]" | obj "(" int ")" | obj "^" int
            | "cone(" obj "->" obj ")" | obj "+" obj
     atom  := "j*" sheaf | sheaf | name
     sheaf := ("O" | "S" | "S'" | "S''") [ "(" int ")" ]
 
+``obj "^" m`` is the direct sum of m >= 0 copies of obj, so
+``j*O^2 + j*O[1]`` and ``j*O + j*O + j*O[1]`` are the same object.
+Postfix operators bind tighter than "+".  Answers on stdout write every
+copy out; the Hom arguments of an ``IndeterminateHom`` message use
+``^``, and paste back into ``hom`` as they are.
+
 Cones nest at most ``MAX_CONE_DEPTH`` deep; deeper input is a parse
 error, so it never reaches the recursive solvers.  Postfix chains
-(shifts and twists) have no cap.
+(shifts, twists and multiplicities) have no cap.
 
 Exit codes: 0 success, 1 verification failure, 2 indeterminate or
 unsupported computation, 3 parse or usage error, 4 internal error (an
@@ -26,7 +32,6 @@ import os
 import re
 import sys
 from functools import cache
-from itertools import chain
 
 from . import cubic, formalcat, mukai, nodal, quadric
 from .errors import (
@@ -75,6 +80,7 @@ _TOKEN_RE = re.compile(
   | (?P<rpar>\))
   | (?P<lbr>\[)
   | (?P<rbr>\])
+  | (?P<caret>\^)
   | (?P<cone>cone(?=\())
   | (?P<gen>j\*(?:S''|S'|S|O)|(?:S''|S'|S|O)(?!['\w]))
   | (?P<name>[A-Za-z_]\w*)
@@ -101,7 +107,7 @@ class _Parser:
     """Recursive descent over the object grammar; produces a raw tree.
 
     Raw nodes: ("gen", name), ("shift", node, m), ("twist", node, k),
-    ("cone", a, b), ("sum", [nodes]).
+    ("mult", node, m), ("cone", a, b), ("sum", [nodes]).
     """
 
     def __init__(self, text: str):
@@ -149,6 +155,12 @@ class _Parser:
                 k = int(self.take("int")[1])
                 self.take("rpar")
                 node = ("twist", node, k)
+            elif kind == "caret":
+                self.take("caret")
+                tok = self.take("int")
+                if tok[1].startswith("-"):
+                    raise ExprParseError(f"expected a multiplicity of 0 or more, found {tok[1]!r}", tok[2])
+                node = ("mult", node, int(tok[1]))
             else:
                 return node
 
@@ -189,6 +201,9 @@ def _canon_gen(ctx: formalcat.Context, name: str) -> str:
     return name
 
 
+_POSTFIX = ("shift", "twist", "mult")
+
+
 def resolve(ctx: formalcat.Context, node) -> ObjExpr:
     """Turn a raw parse tree into a normalized object over a context."""
     kind = node[0]
@@ -196,15 +211,20 @@ def resolve(ctx: formalcat.Context, node) -> ObjExpr:
         if node[1] == "0":
             return formalcat.ZERO
         return Gen(_canon_gen(ctx, node[1]))
-    if kind in ("shift", "twist"):
+    if kind in _POSTFIX:
         # a postfix chain nests one node per operator: walk it in a loop
         ops = []
-        while node[0] in ("shift", "twist"):
+        while node[0] in _POSTFIX:
             ops.append(node)
             node = node[1]
         out = resolve(ctx, node)
         for op, _, m in reversed(ops):
-            out = formalcat.shift_expr(out, m) if op == "shift" else formalcat.twist_expr(ctx, out, m)
+            if op == "shift":
+                out = formalcat.shift_expr(out, m)
+            elif op == "twist":
+                out = formalcat.twist_expr(ctx, out, m)
+            else:
+                out = formalcat.sum_of(out, m)
         return out
     if kind == "cone":
         return formalcat.normalize(Cone(resolve(ctx, node[1]), resolve(ctx, node[2])))
@@ -253,9 +273,9 @@ def _context_for(spec: str) -> tuple[int, formalcat.Context]:
     return d, nodal.build_context(d)
 
 
-def _print_chunks(chunks, file=None) -> None:
-    """Write consecutive pieces of one line, then the newline."""
-    write = (file or sys.stdout).write
+def _print_chunks(chunks) -> None:
+    """Write consecutive pieces of one stdout line, then the newline."""
+    write = sys.stdout.write
     for chunk in chunks:
         write(chunk)
     write("\n")
@@ -473,10 +493,10 @@ def _main(argv) -> int:
         return EXIT_PARSE
     except (IndeterminateHom, UnsupportedPair, UnknownGenerator, NotExceptional,
             ParityMismatch, RuleNotApplicable) as exc:
-        _print_chunks(chain((f"nodalcat: {type(exc).__name__}: ",), exc.chunks()), sys.stderr)
+        print(f"nodalcat: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
     except NodalcatError as exc:
-        _print_chunks(chain(("nodalcat: ",), exc.chunks()), sys.stderr)
+        print(f"nodalcat: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
     except ValueError as exc:
         print(f"nodalcat: {exc}", file=sys.stderr)

@@ -7,15 +7,11 @@ input from an honest "outside the established range".
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 
 
 class NodalcatError(Exception):
     """Base class for all engine errors."""
-
-    def chunks(self) -> Iterator[str]:
-        """The text of ``str(self)`` as consecutive pieces, for streaming."""
-        yield str(self)
 
 
 class ParityMismatch(NodalcatError):
@@ -37,9 +33,11 @@ class IndeterminateHom(NodalcatError):
     outcome is always surfaced as this exception, never approximated.
 
     ``message`` is a string or a thunk: a callable returning the message as
-    an iterable of string chunks.  A thunk runs only when the error is
-    printed (``str`` or ``chunks``), so raising, catching and memoizing the
-    error never render the objects it names, which can run to megabytes.
+    an iterable of string pieces.  A thunk runs only when the error is
+    printed (``str``), so raising, catching and memoizing the error render
+    nothing.  The engine's thunks name the Hom arguments in the compact
+    notation (``X^m`` for m copies of X), so a message is bounded by the
+    size of those objects' trees, not by their multiplicities.
     """
 
     def __init__(self, degrees, message: str | Callable[[], Iterable[str]] = ""):
@@ -47,17 +45,11 @@ class IndeterminateHom(NodalcatError):
         self.message = message
         super().__init__(self.degrees, message)
 
-    def chunks(self) -> Iterator[str]:
-        yield f"indeterminate degrees {list(self.degrees)}"
-        if callable(self.message):
-            yield " ("
-            yield from self.message()
-            yield ")"
-        elif self.message:
-            yield f" ({self.message})"
-
     def __str__(self) -> str:
-        return "".join(self.chunks())
+        text = f"indeterminate degrees {list(self.degrees)}"
+        if callable(self.message):
+            return f"{text} ({''.join(self.message())})"
+        return f"{text} ({self.message})" if self.message else text
 
 
 class UnknownGenerator(NodalcatError):

@@ -199,7 +199,7 @@ def render(e: ObjExpr) -> str:
     return "".join(render_chunks(e))
 
 
-def render_chunks(e: ObjExpr) -> Iterator[str]:
+def render_chunks(e: ObjExpr, compact: bool = False) -> Iterator[str]:
     """The text of ``render(e)`` as consecutive pieces, for streaming.
 
     A summand of multiplicity m is rendered once, as s, and its run of
@@ -209,17 +209,22 @@ def render_chunks(e: ObjExpr) -> Iterator[str]:
     one chunk, and no chunk of a run is longer than the larger of
     ``RUN_SLICE`` and one unit, so the memory a run costs does not grow
     with m.
+
+    With ``compact``, a summand of multiplicity m > 1 is written once, as
+    ``s^m``, at every depth, so the text is bounded by the expression's
+    tree rather than by its multiplicities; ``cli.parse_expr`` reads both
+    forms back to the same normalized expression.
     """
     if isinstance(e, Gen):
         yield e.name
     elif isinstance(e, Shift):
-        yield from render_chunks(e.expr)
+        yield from render_chunks(e.expr, compact)
         yield f"[{e.m}]"
     elif isinstance(e, Cone):
         yield "cone("
-        yield from render_chunks(e.src)
+        yield from render_chunks(e.src, compact)
         yield " -> "
-        yield from render_chunks(e.tgt)
+        yield from render_chunks(e.tgt, compact)
         yield ")"
     elif not e.parts:
         yield "0"
@@ -231,6 +236,11 @@ def render_chunks(e: ObjExpr) -> Iterator[str]:
             if not first:
                 yield " + "
             first = False
+            if compact:
+                yield from render_chunks(part, True)
+                if mult > 1:
+                    yield f"^{mult}"
+                continue
             s = render(part)
             if mult > 1:
                 unit = s + " + "
@@ -561,11 +571,12 @@ def _hom_compute(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim:
 
 
 def _hom_label(F: ObjExpr, G: ObjExpr) -> Iterator[str]:
-    """The chunks of ``Hom(F, G)``, for an IndeterminateHom message."""
+    """The pieces of ``Hom(F, G)``, for an IndeterminateHom message; the
+    arguments are compact, so the text is bounded by their trees."""
     yield "Hom("
-    yield from render_chunks(F)
+    yield from render_chunks(F, compact=True)
     yield ", "
-    yield from render_chunks(G)
+    yield from render_chunks(G, compact=True)
     yield ")"
 
 

@@ -144,10 +144,6 @@ class GradedDim(Frozen):
     def to_json(self) -> dict[str, int]:
         return {str(k): v for k, v in self.entries}
 
-    @staticmethod
-    def from_json(d: dict[str, int]) -> "GradedDim":
-        return GradedDim.from_dict({int(k): v for k, v in d.items()})
-
     def __str__(self) -> str:
         return self.render()
 

@@ -61,7 +61,7 @@ def hom_push(n: int, F: quadric.QuadricSheaf, G: quadric.QuadricSheaf) -> Graded
     """
     P = quadric.hom_quadric(n, F, G)
     R = quadric.hom_quadric(n, F.twisted(1), G)
-    return formalcat.splice(P, R, -2, -1, lambda: (f"Hom(j_*{F}, j_*{G})",))
+    return formalcat.splice(P, R, -2, -1, lambda: (f"Hom(j*{F}, j*{G})",))
 
 
 def _hom_class(F: quadric.QuadricSheaf, G: quadric.QuadricSheaf) -> tuple[str, int, str]:

@@ -1,15 +1,17 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nodalcat import cli, formalcat, nodal
 from nodalcat.cli import ExprParseError, main, parse_expr, parse_sheaf
+from nodalcat.errors import IndeterminateHom
 from nodalcat.formalcat import Cone, Gen, Shift, render
 from nodalcat.quadric import QuadricSheaf as QS
 
@@ -92,6 +94,48 @@ def _objects(draw, depth=2):
 def test_parse_render_round_trip(expr):
     ctx = nodal.build_context(5)
     assert parse_expr(ctx, render(expr)) == expr
+
+
+# normal forms with shifts, nested cones and multiplicities up to 10^9
+_normal_terms = st.recursive(
+    st.builds(Gen, _atoms),
+    lambda inner: st.one_of(
+        st.builds(formalcat.shift_expr, inner, st.integers(-3, 3)),
+        st.builds(lambda a, b: formalcat.normalize(Cone(a, b)), inner, inner),
+        st.lists(st.tuples(inner, st.integers(1, 3) | st.integers(1, 10**9)), min_size=1, max_size=3)
+        .map(formalcat.sum_exprs),
+    ),
+    max_leaves=10,
+)
+
+
+def _copies(e) -> int:
+    """How many generator leaves the full rendering of e writes."""
+    if isinstance(e, Gen):
+        return 1
+    if isinstance(e, Shift):
+        return _copies(e.expr)
+    if isinstance(e, Cone):
+        return _copies(e.src) + _copies(e.tgt)
+    return sum(r * _copies(p) for p, r in e.parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_normal_terms)
+def test_compact_render_round_trip(expr):
+    ctx = nodal.build_context(5)
+    assert parse_expr(ctx, "".join(formalcat.render_chunks(expr, compact=True))) == expr
+    if _copies(expr) <= 10_000:
+        assert parse_expr(ctx, render(expr)) == expr
+
+
+def test_multiplicity_binds_tighter_than_sum():
+    ctx = nodal.build_context(5)
+    got = parse_expr(ctx, "j*O^2 + j*O[1]^0 + cone(j*S' -> j*O^3)(-1)^2")
+    want = parse_expr(ctx, "j*O + cone(j*S'(-1) -> j*O(-1) + j*O(-1) + j*O(-1)) + j*O"
+                           " + cone(j*S'(-1) -> j*O(-1) + j*O(-1) + j*O(-1))")
+    assert got == want
+    assert parse_expr(ctx, "j*O^0") == formalcat.ZERO
 
 
 class TestCommands:
@@ -313,8 +357,11 @@ for argv in json.load(sys.stdin):
 print(digest.hexdigest())
 """
 
-# taken with the recursive renderer and the eagerly formatted errors
-_FIXED_SCRIPT_SHA256 = "3123862b1a1af9e80e0e7846f41503221a85bac2aec175e16728e0ea8c166d6e"
+# taken once IndeterminateHom messages named their Hom arguments in the
+# X^m notation: against the digest before that (3123862b...), only the 74
+# IndeterminateHom stderr lines of `serre` queries differ, each expanding
+# (X^m to m copies) to its old text
+_FIXED_SCRIPT_SHA256 = "87ade7ce7868052551b08c3900bd8e15b007ac0c9096223c8af75aae9029f9b5"
 
 
 def _fixed_script_digest(**env_extra) -> str:
@@ -364,6 +411,41 @@ def test_mutate_at_d13_streams_in_bounded_memory():
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def _hom_arguments(message: str) -> tuple[str, str]:
+    """The two arguments of the ``Hom(F, G)`` that ends an
+    IndeterminateHom stderr line."""
+    m = re.fullmatch(r"nodalcat: IndeterminateHom: indeterminate degrees \[[-\d, ]+\] \(Hom\((.*)\)\)\n",
+                     message)
+    assert m, message
+    args, depth = m.group(1), 0
+    for i, c in enumerate(args):
+        depth += (c in "([") - (c in ")]")
+        if c == "," and depth == 0:
+            return args[:i], args[i + 2:]
+    raise AssertionError(f"no top-level comma in {args!r}")
+
+
+def test_undecided_serre_at_d13_prints_one_bounded_line():
+    # the undecided Hom's source holds j*O(-11)^86532992: written copy by
+    # copy, its message was 1.5 GB; in the X^m notation it is one short line
+    limit = 512 << 20
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "nodalcat", "serre", "--context", "nodal:13", "j*S''(-11)"],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == cli.EXIT_UNDECIDED
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert len(proc.stderr.encode()) < 1024
+    # the arguments read back, and asking their Hom fails with the same text
+    F, G = _hom_arguments(proc.stderr)
+    ctx = nodal.build_context(13)
+    with pytest.raises(IndeterminateHom) as exc:
+        formalcat.hom(ctx, parse_expr(ctx, F), parse_expr(ctx, G))
+    assert proc.stderr == f"nodalcat: IndeterminateHom: {exc.value}\n"
 
 
 def test_reader_gone_early_exits_quietly():
@@ -443,6 +525,11 @@ class TestExitCodes:
     def test_parse_error_is_3(self, capsys):
         assert main(["hom", "--context", "nodal:5", "cone(j*S' ->", "j*S''"]) == 3
         assert "column 13" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr", ["j*O^-1", "j*O^", "j*O^j*O"])
+    def test_bad_multiplicity_is_3(self, capsys, expr):
+        assert main(["hom", "--context", "nodal:5", expr, "j*O"]) == 3
+        assert capsys.readouterr().err.startswith("nodalcat: parse error at column 5: ")
 
     def test_empty_dims_range_is_3(self, capsys):
         assert main(["verify", "--dims", "5..3"]) == 3

@@ -64,7 +64,6 @@ def test_json_golden():
     g = gd({0: 1, 2: 3})
     assert g.to_json() == {"0": 1, "2": 3}
     assert json.dumps(g.to_json()) == '{"0": 1, "2": 3}'
-    assert GradedDim.from_json(g.to_json()) == g
 
 
 entries = st.dictionaries(st.integers(-6, 6), st.integers(1, 5), max_size=5)
