@@ -9,7 +9,8 @@ divisors expressed as
     D = 3h - H   (over the K3)        Q = H - h   (over the node),
 
 the second identity forced by j^*O(H) = O_Q, j^*O(h) = O_Q(1) and the
-conormal convention j^*O(-Q) = O_Q(1); it is machine-checked below.
+conormal convention j^*O(-Q) = O_Q(1); ``tests/test_cubic.py``'s
+``test_consistency_two_ways`` checks it.
 
 This module replays the identification of the resolution kernel inside
 the K3 side: the left adjoint of the comparison equivalence is the chain
@@ -36,26 +37,21 @@ from __future__ import annotations
 
 from . import mukai, nodal, quadric
 from .errors import RuleNotApplicable
+from .graded import Value
 
 # ---------------------------------------------------------------------------
 # Picard classes
 # ---------------------------------------------------------------------------
 
 
-class PicClass:
+class PicClass(Value):
     """The divisor class a h + b H on the blown-up cubic fourfold."""
+
+    __slots__ = ("a", "b")
 
     def __init__(self, a: int, b: int):
         self.a = a
         self.b = b
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b) == (other.a, other.b)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"PicClass(a={self.a!r}, b={self.b!r})"
 
     def __sub__(self, other: "PicClass") -> "PicClass":
         return PicClass(self.a - other.a, self.b - other.b)
@@ -90,32 +86,21 @@ D_K3 = PicClass(3, -1)  # exceptional divisor over the K3 surface
 Q_NODE = PicClass(-1, 1)  # exceptional divisor over the node
 
 
-def pic_consistency() -> bool:
-    """j^*O(Q) computed two ways: conormal convention vs Q = H - h."""
-    return Q_NODE.restrict_to_quadric() == -1
-
-
 # ---------------------------------------------------------------------------
 # objects moved by the chain
 # ---------------------------------------------------------------------------
 
 
-class Placed:
+class Placed(Value):
     """A sheaf on the quadric placed by `where` ("j*", "s*t*" or "t*"),
     with an explicit shift."""
+
+    __slots__ = ("where", "sheaf", "shift")
 
     def __init__(self, where: str, sheaf: quadric.QuadricSheaf, shift: int = 0):
         self.where = where
         self.sheaf = sheaf
         self.shift = shift
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.where, self.sheaf, self.shift) == (other.where, other.sheaf, other.shift)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Placed(where={self.where!r}, sheaf={self.sheaf!r}, shift={self.shift!r})"
 
     def render(self) -> str:
         base = self.where + self.sheaf.render()

@@ -77,11 +77,7 @@ class Gen(Frozen):
             gen = _GENS.setdefault(name, gen)
         return gen
 
-    def __reduce__(self):
-        return (Gen, (self.name,))
-
-    def __repr__(self) -> str:
-        return f"Gen(name={self.name!r})"
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
 
 # the interned generators, by name
@@ -97,6 +93,7 @@ class Shift(Frozen):
         _set_shift_expr(self, expr)
         _set_shift_m(self, m)
 
+    # written out: a memo key, where Value's generic methods are ~6x slower
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.expr, self.m) == (other.expr, other.m)
@@ -104,12 +101,6 @@ class Shift(Frozen):
 
     def __hash__(self):
         return hash((self.expr, self.m))
-
-    def __repr__(self) -> str:
-        return f"Shift(expr={self.expr!r}, m={self.m!r})"
-
-    def __reduce__(self):
-        return (Shift, (self.expr, self.m))
 
 
 class Sum(Frozen):
@@ -121,6 +112,7 @@ class Sum(Frozen):
     def __init__(self, parts: tuple[tuple[ObjExpr, int], ...]):
         _set_sum_parts(self, parts)
 
+    # written out: a memo key, where Value's generic methods are ~6x slower
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.parts == other.parts
@@ -128,12 +120,6 @@ class Sum(Frozen):
 
     def __hash__(self):
         return hash((self.parts,))
-
-    def __repr__(self) -> str:
-        return f"Sum(parts={self.parts!r})"
-
-    def __reduce__(self):
-        return (Sum, (self.parts,))
 
 
 class Cone(Frozen):
@@ -147,6 +133,7 @@ class Cone(Frozen):
         _set_cone_tgt(self, tgt)
         _set_cone_tag(self, tag)
 
+    # written out: a memo and rotation-index key (~6x faster); skips the tag
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.src, self.tgt) == (other.src, other.tgt)
@@ -154,12 +141,6 @@ class Cone(Frozen):
 
     def __hash__(self):
         return hash((self.src, self.tgt))
-
-    def __repr__(self) -> str:
-        return f"Cone(src={self.src!r}, tgt={self.tgt!r}, tag={self.tag!r})"
-
-    def __reduce__(self):
-        return (Cone, (self.src, self.tgt, self.tag))
 
 
 # slot setters for the constructors, which bypass the raising __setattr__
@@ -371,6 +352,7 @@ class Triangle(Frozen):
         _set_tri_z(self, z)
         _set_tri_tag(self, tag)
 
+    # written out: a triangle-registry key (~6x faster); skips the tag
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.x, self.y, self.z) == (other.x, other.y, other.z)
@@ -378,12 +360,6 @@ class Triangle(Frozen):
 
     def __hash__(self):
         return hash((self.x, self.y, self.z))
-
-    def __repr__(self) -> str:
-        return f"Triangle(x={self.x!r}, y={self.y!r}, z={self.z!r}, tag={self.tag!r})"
-
-    def __reduce__(self):
-        return (Triangle, (self.x, self.y, self.z, self.tag))
 
     def normalized(self) -> "Triangle":
         return Triangle(normalize(self.x), normalize(self.y), normalize(self.z), self.tag)
@@ -431,7 +407,6 @@ class Context:
         twist_gen: Callable[[str, int], str] | None = None,
         serre_action: Callable[[str], ObjExpr] | None = None,
         relative_twist: Callable[[str], ObjExpr] | None = None,
-        exceptional: frozenset[str] = frozenset(),
         triangles: tuple[Triangle, ...] = (),
         zero_facts: frozenset[tuple[ObjExpr, ObjExpr]] = frozenset(),
     ):
@@ -442,7 +417,6 @@ class Context:
         self.twist_gen = twist_gen
         self.serre_action = serre_action
         self.relative_twist = relative_twist
-        self.exceptional = exceptional
         self.triangles = tuple(tri.normalized() for tri in triangles)
         self.zero_facts = zero_facts
         self._memo: dict = {}

@@ -11,16 +11,45 @@ so that ``Hom^j(A[m], B) = Hom^{j-m}(A, B)`` and
 ``Hom^j(A, B[m]) = Hom^{j+m}(A, B)``.  Multiplicities are dimensions of
 vector spaces: strictly positive where stored, no formal differences.
 
-The module also holds :class:`Frozen`, the base of the engine's immutable
-value types.
+The module also holds :class:`Value` and :class:`Frozen`, the bases of the
+engine's value types.
 """
 
 from __future__ import annotations
 
 
-class Frozen:
-    """Base of the immutable value types: setting or deleting an attribute
-    raises AttributeError.
+class Value:
+    """Base of the value types: equality, repr and pickling written once,
+    from the fields a subclass names in ``__slots__``.
+
+    Two values are equal when they are of the same class and their fields
+    are equal.  The repr is the class called with its fields as keywords.
+    Pickle and copy call the class on the fields in slot order, so a
+    subclass's ``__init__`` takes them in that order.  Defining ``__eq__``
+    leaves instances unhashable; :class:`Frozen` adds the hash.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__name__}({args})"
+
+    def __reduce__(self):
+        return (self.__class__, self._fields())
+
+
+class Frozen(Value):
+    """Base of the immutable value types: hashed by the field tuple;
+    setting or deleting an attribute raises AttributeError.
 
     A subclass lists its fields in ``__slots__`` and writes them in
     ``__init__`` through the slot descriptors' ``__set__`` (bound once at
@@ -28,6 +57,9 @@ class Frozen:
     """
 
     __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def __setattr__(self, attr, value):
         raise AttributeError(f"cannot assign to field {attr!r}")
@@ -47,20 +79,6 @@ class GradedDim(Frozen):
 
     def __init__(self, entries: tuple[tuple[int, int], ...] = ()):
         _set_entries(self, entries)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.entries,))
-
-    def __repr__(self) -> str:
-        return f"GradedDim(entries={self.entries!r})"
-
-    def __reduce__(self):
-        return (GradedDim, (self.entries,))
 
     @staticmethod
     def from_dict(d: dict[int, int]) -> "GradedDim":

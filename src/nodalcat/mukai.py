@@ -20,26 +20,21 @@ from fractions import Fraction
 
 from . import quadric
 from .errors import ParityMismatch, UnsupportedPair
+from .graded import Value
 
 
-class ChowClass:
+class ChowClass(Value):
     """A rational polynomial a_0 + a_1 h + ... + a_n h^n on Q^n.
 
     The class of a point is h^n / 2: the quadric has degree 2, so the
     evaluation rule is integral(h^n) = 2.
     """
 
+    __slots__ = ("n", "coeffs")
+
     def __init__(self, n: int, coeffs: tuple[Fraction, ...]):
         self.n = n
         self.coeffs = coeffs
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.coeffs) == (other.n, other.coeffs)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"ChowClass(n={self.n!r}, coeffs={self.coeffs!r})"
 
     @staticmethod
     def make(n: int, coeffs) -> "ChowClass":
@@ -178,21 +173,15 @@ def chi_hrr(n: int, F: quadric.QuadricSheaf, G: quadric.QuadricSheaf) -> int:
 # ---------------------------------------------------------------------------
 
 
-class MukaiVector:
+class MukaiVector(Value):
     """(rank, c1 as a multiple of the degree-6 polarization, ch2 + rank)."""
+
+    __slots__ = ("r", "c", "s")
 
     def __init__(self, r: int, c: int, s: int):
         self.r = r
         self.c = c
         self.s = s
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.r, self.c, self.s) == (other.r, other.c, other.s)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"MukaiVector(r={self.r!r}, c={self.c!r}, s={self.s!r})"
 
     def render(self) -> str:
         if self.c == 0:

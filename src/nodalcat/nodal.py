@@ -126,18 +126,12 @@ def _setup(d: int) -> NodalSetup:
     def relative(name: str) -> ObjExpr:
         return Gen(push_name(resolve(name).twisted(1 - n)))
 
-    exceptional = set()
-    if d >= 3:
-        exceptional.update(push_name(quadric.QuadricSheaf(quadric.LINE, k)) for k in twists)
-        if d % 2 == 1:
-            exceptional.update(push_name(quadric.QuadricSheaf(kd, k)) for k in twists for kd in kinds)
-
     # pushed-forward tautological sequences for every roster spinor twist
     triangles = []
     r = quadric.taut_rank(n)
     for k in range(1 - n, 1):
         for kd in kinds:
-            nxt = quadric.SPINOR if d % 2 == 0 else quadric._flip(kd)
+            nxt = quadric.next_spinor(n, kd)
             triangles.append(
                 Triangle(
                     Gen(push_name(quadric.QuadricSheaf(kd, k))),
@@ -168,7 +162,6 @@ def _setup(d: int) -> NodalSetup:
         twist_gen=twist,
         serre_action=serre,
         relative_twist=relative,
-        exceptional=frozenset(exceptional),
         triangles=tuple(triangles),
         zero_facts=frozenset(zero_facts),
     )
@@ -396,7 +389,7 @@ def verify_dim(d: int) -> VerificationReport:
         def check_steps():
             for k in range(1 - n, 0):
                 for kd in setup.spinor_kinds:
-                    nxt = quadric.SPINOR if even else quadric._flip(kd)
+                    nxt = quadric.next_spinor(n, kd)
                     src = Gen(push_name(quadric.QuadricSheaf(kd, k)))
                     want = Shift(Gen(push_name(quadric.QuadricSheaf(nxt, k + 1))), -1)
                     got = formalcat.mutate_right(ctx, Gen(f"j*O({k})"), src)

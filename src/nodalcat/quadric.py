@@ -55,20 +55,6 @@ class QuadricSheaf(Frozen):
         _set_kind(self, kind)
         _set_twist(self, twist)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.twist) == (other.kind, other.twist)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.kind, self.twist))
-
-    def __repr__(self) -> str:
-        return f"QuadricSheaf(kind={self.kind!r}, twist={self.twist!r})"
-
-    def __reduce__(self):
-        return (QuadricSheaf, (self.kind, self.twist))
-
     @property
     def is_line(self) -> bool:
         return self.kind == LINE
@@ -123,6 +109,13 @@ def taut_rank(n: int) -> int:
 
 def _flip(kind: str) -> str:
     return SPINOR_PP if kind == SPINOR_P else SPINOR_P
+
+
+def next_spinor(n: int, kind: str) -> str:
+    """The spinor kind at twist k + 1 in the tautological sequence
+    kind(k) -> O(k)^r -> next(k + 1) on Q^n: S on odd quadrics, the other
+    prime on even ones."""
+    return SPINOR if n % 2 == 1 else _flip(kind)
 
 
 def dual_sheaf(n: int, F: QuadricSheaf) -> QuadricSheaf:
@@ -468,13 +461,15 @@ def lefschetz_blocks(n: int) -> "formalcat.LefschetzData":
     return formalcat.LefschetzData(blocks)
 
 
-def sheaf_context(n: int, line_twists=(0, 1), spinor_twists=(0, 1)):
-    """A formal mutation context whose generators are sheaves on Q^n."""
+def sheaf_context(n: int):
+    """A formal mutation context whose generators are sheaves on Q^n: the
+    roster O, O(1), Sp, Sp(1) over the spinor kinds Sp of Q^n, with the
+    twist-0 tautological triangle of each spinor kind."""
     from . import formalcat
 
     spin_kinds = (SPINOR,) if n % 2 == 1 else (SPINOR_P, SPINOR_PP)
-    roster = [QuadricSheaf(LINE, k) for k in line_twists]
-    roster += [QuadricSheaf(kd, k) for k in spinor_twists for kd in spin_kinds]
+    roster = [QuadricSheaf(LINE, k) for k in (0, 1)]
+    roster += [QuadricSheaf(kd, k) for k in (0, 1) for kd in spin_kinds]
     names = tuple(F.render() for F in roster)
 
     def resolve(name: str) -> QuadricSheaf:
@@ -491,27 +486,21 @@ def sheaf_context(n: int, line_twists=(0, 1), spinor_twists=(0, 1)):
     def twist(name: str, k: int) -> str:
         return resolve(name).twisted(k).render()
 
-    triangles = []
     r = taut_rank(n)
-    for k in spinor_twists:
-        if k + 1 not in spinor_twists:
-            continue
-        for kd in spin_kinds:
-            nxt = SPINOR if n % 2 == 1 else _flip(kd)
-            triangles.append(
-                formalcat.Triangle(
-                    formalcat.Gen(QuadricSheaf(kd, k).render()),
-                    formalcat.sum_of(formalcat.Gen(QuadricSheaf(LINE, k).render()), r),
-                    formalcat.Gen(QuadricSheaf(nxt, k + 1).render()),
-                    tag=f"tautological sequence of {kd} at twist {k}",
-                )
-            )
+    triangles = tuple(
+        formalcat.Triangle(
+            formalcat.Gen(kd),
+            formalcat.sum_of(formalcat.Gen(LINE), r),
+            formalcat.Gen(f"{next_spinor(n, kd)}(1)"),
+            tag=f"tautological sequence of {kd} at twist 0",
+        )
+        for kd in spin_kinds
+    )
     return formalcat.Context(
         name=f"quadric:{n}",
         generators=names,
         base_hom=base_hom,
         gen_resolve=resolve,
         twist_gen=twist,
-        exceptional=frozenset(names),
-        triangles=tuple(triangles),
+        triangles=triangles,
     )

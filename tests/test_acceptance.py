@@ -69,7 +69,7 @@ def test_criterion_3_mutation_identities():
             for k in range(2 - d, 0):
                 assert formalcat.mutate_right(ctx, Gen(f"j*O({k})"), spin) == spin, (d, k)
                 for kd in kinds:
-                    nxt = quadric.SPINOR if even else quadric._flip(kd)
+                    nxt = quadric.next_spinor(d - 1, kd)
                     src = Gen(nodal.push_name(QS(kd, k)))
                     want = Shift(Gen(nodal.push_name(QS(nxt, k + 1))), -1)
                     got = formalcat.mutate_right(ctx, Gen(f"j*O({k})"), src)

