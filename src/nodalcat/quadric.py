@@ -489,9 +489,9 @@ def sheaf_context(n: int):
     r = taut_rank(n)
     triangles = tuple(
         formalcat.Triangle(
-            formalcat.Gen(kd),
-            formalcat.sum_of(formalcat.Gen(LINE), r),
-            formalcat.Gen(f"{next_spinor(n, kd)}(1)"),
+            formalcat.Gen(QuadricSheaf(kd).render()),
+            formalcat.sum_of(formalcat.Gen(QuadricSheaf(LINE).render()), r),
+            formalcat.Gen(QuadricSheaf(next_spinor(n, kd), 1).render()),
             tag=f"tautological sequence of {kd} at twist 0",
         )
         for kd in spin_kinds
