@@ -26,12 +26,11 @@ SIGPIPE).
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import re
 import sys
-from functools import cache
+from functools import cache, lru_cache
+from types import SimpleNamespace
 
 from . import cubic, formalcat, mukai, nodal, quadric
 from .errors import (
@@ -231,6 +230,12 @@ def resolve(ctx: formalcat.Context, node) -> ObjExpr:
     return formalcat.sum_exprs((resolve(ctx, p), 1) for p in node[1])
 
 
+# Parsing reads only a context's generator names and twist rule, never its
+# facts or triangles, and the terms it returns are immutable: one parse per
+# (context, text) serves every later query.  A failing parse is not cached
+# and raises again on every call.  The bound caps the contexts and texts the
+# cache keeps alive.
+@lru_cache(maxsize=1024)
 def parse_expr(ctx: formalcat.Context, text: str) -> ObjExpr:
     """Parse and resolve an object expression over a context."""
     return resolve(ctx, parse_raw(text))
@@ -255,13 +260,6 @@ def parse_sheaf(text: str) -> quadric.QuadricSheaf:
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
 
 
 def _context_for(spec: str) -> tuple[int, formalcat.Context]:
@@ -348,6 +346,8 @@ def _cmd_verify(args) -> int:
             mark = "ok " if item.passed else "BAD"
             print(f"  [{mark}] {item.id}: {item.got}")
     if args.json:
+        import json
+
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump([rep.to_json() for rep in reports], fh, indent=2)
             fh.write("\n")
@@ -363,6 +363,8 @@ def _cmd_cubic4(args) -> int:
     for entry in report["trace"]:
         print(f"  {entry['rule']} {entry['step']}: {entry['result']}")
     if args.json:
+        import json
+
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
@@ -380,84 +382,159 @@ def _cmd_mukai(args) -> int:
     return EXIT_OK
 
 
+# Every subcommand: its help line, handler, options and positionals.  An
+# option is (flag, kind, default, choices, metavar), and its dest is the flag
+# without "--", as argparse derives it.  Kinds: "value" stores the string,
+# "int" its int(), "flag" True, "append" each value in a list.  No option has
+# a help text of its own.  The argparse parser is built from this table and
+# ``_table_parse`` reads it, so the two accept the same options.
+_REQUIRED = object()  # the default of a required option
+
+_CONTEXT = ("--context", "value", _REQUIRED, None, None)
+_JSON = ("--json", "value", None, None, "PATH")
+
+_COMMANDS = {
+    "cohom": ("graded cohomology of a sheaf on a quadric", _cmd_cohom,
+              (("--quadric", "int", _REQUIRED, None, "N"),), ("expr",)),
+    "hom": ("graded Hom between objects of a context", _cmd_hom,
+            (_CONTEXT,), ("source", "target")),
+    "mutate": ("mutate an object through generators", _cmd_mutate,
+               (_CONTEXT, ("--dir", "value", "right", ("right", "left"), None),
+                ("--through", "append", _REQUIRED, None, "GEN")), ("expr",)),
+    "serre": ("Serre functor of the resolution component", _cmd_serre,
+              (_CONTEXT, ("--relative", "flag", False, None, None)), ("expr",)),
+    "kernel": ("kernel generator and its sphericalness", _cmd_kernel,
+               (("--dim", "int", _REQUIRED, None, None),), ()),
+    "verify": ("full verification battery over dimensions", _cmd_verify,
+               (("--dims", "value", _REQUIRED, None, "A..B"), _JSON), ()),
+    "cubic4": ("nodal cubic fourfold pipeline", _cmd_cubic4, (_JSON,), ()),
+    "mukai": ("Mukai vector of a sheaf restricted to the K3", _cmd_mukai, (), ("expr",)),
+}
+
+
 @cache
-def _parsers() -> tuple[_ArgumentParser, dict[str, _ArgumentParser]]:
-    """The command-line parser and its subcommands' parsers by name."""
+def build_arg_parser():
+    """The argparse parser of ``_COMMANDS``, built once per process and then shared.
+
+    Only help and usage errors need it (see ``_parse_args``), so argparse is
+    imported here and not at start.  Parsing leaves the parser unchanged
+    (each call fills a fresh namespace), so every ``main`` call can reuse it.
+    """
+    import argparse
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(EXIT_PARSE)
+
     parser = _ArgumentParser(prog="nodalcat", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cohom", help="graded cohomology of a sheaf on a quadric")
-    p.add_argument("--quadric", type=int, required=True, metavar="N")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_cohom)
-
-    p = sub.add_parser("hom", help="graded Hom between objects of a context")
-    p.add_argument("--context", required=True)
-    p.add_argument("source")
-    p.add_argument("target")
-    p.set_defaults(func=_cmd_hom)
-
-    p = sub.add_parser("mutate", help="mutate an object through generators")
-    p.add_argument("--context", required=True)
-    p.add_argument("--dir", choices=("right", "left"), default="right")
-    p.add_argument("--through", action="append", required=True, metavar="GEN")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_mutate)
-
-    p = sub.add_parser("serre", help="Serre functor of the resolution component")
-    p.add_argument("--context", required=True)
-    p.add_argument("--relative", action="store_true")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_serre)
-
-    p = sub.add_parser("kernel", help="kernel generator and its sphericalness")
-    p.add_argument("--dim", type=int, required=True)
-    p.set_defaults(func=_cmd_kernel)
-
-    p = sub.add_parser("verify", help="full verification battery over dimensions")
-    p.add_argument("--dims", required=True, metavar="A..B")
-    p.add_argument("--json", metavar="PATH")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("cubic4", help="nodal cubic fourfold pipeline")
-    p.add_argument("--json", metavar="PATH")
-    p.set_defaults(func=_cmd_cubic4)
-
-    p = sub.add_parser("mukai", help="Mukai vector of a sheaf restricted to the K3")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_mukai)
-
-    return parser, sub.choices
+    for name, (help_line, func, options, positionals) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, kind, default, choices, metavar in options:
+            if kind == "flag":
+                p.add_argument(flag, action="store_true")
+                continue
+            required = default is _REQUIRED
+            p.add_argument(flag, action="append" if kind == "append" else "store",
+                           type=int if kind == "int" else None, choices=choices,
+                           default=None if required else default, required=required,
+                           metavar=metavar)
+        for dest in positionals:
+            p.add_argument(dest)
+        p.set_defaults(func=func)
+    return parser
 
 
-def build_arg_parser() -> _ArgumentParser:
-    """The command-line parser, built once per process and then shared.
+def _option(options, flag: str):
+    """The option a long flag names, written out or as a unique prefix; None
+    for anything else, ``--help`` and its prefixes included."""
+    if flag[:2] != "--":
+        return None
+    for option in options:
+        if option[0] == flag:
+            return option
+    if "--help".startswith(flag):
+        return None
+    matches = [option for option in options if option[0].startswith(flag)]
+    return matches[0] if len(matches) == 1 else None
 
-    Parsing leaves the parser unchanged (each call fills a fresh
-    namespace), so every ``main`` call can reuse it.
+
+def _table_parse(argv) -> SimpleNamespace | None:
+    """The namespace argparse gives a plainly well-formed argv, or None.
+
+    Accepted: a command name; then its long options, each written out,
+    abbreviated to a unique prefix or as ``--opt=value``; then an optional
+    ``--`` and exactly the command's positionals (a command without
+    positionals takes no ``--``).  Every value and positional must be
+    nonempty and must not start with "-".  Anything else (help, a short
+    option, a negative number, a positional before an option, a bad choice
+    or int, a missing or extra argument) is declined and left to argparse.
     """
-    return _parsers()[0]
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    _, func, options, positionals = entry
+    values = {option[0][2:]: option[2] for option in options}
+    i, n = 1, len(argv)
+    while i < n and argv[i][:1] == "-":
+        arg = argv[i]
+        i += 1
+        if arg == "--":
+            if not positionals:
+                return None  # argparse leaves this "--" over
+            break
+        flag, eq, value = arg.partition("=")
+        option = _option(options, flag)
+        if option is None:
+            return None
+        flag, kind, _, choices, _ = option
+        dest = flag[2:]
+        if kind == "flag":
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            value = argv[i] if i < n else ""
+            i += 1
+        if not value or value[0] == "-" or (choices and value not in choices):
+            return None
+        if kind == "int":
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if kind != "append":
+            values[dest] = value
+        elif isinstance(values[dest], list):
+            values[dest].append(value)
+        else:
+            values[dest] = [value]
+    rest = argv[i:]
+    if (len(rest) != len(positionals) or _REQUIRED in values.values()
+            or any(not arg or arg[0] == "-" for arg in rest)):
+        return None
+    values.update(zip(positionals, rest))
+    return SimpleNamespace(command=argv[0], func=func, **values)
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """``build_arg_parser().parse_args(argv)`` in one argparse pass.
+def _parse_args(argv):
+    """The namespace of argv: read from the command table where that is
+    sure, else by argparse.
 
-    The full parser scans all of argv only to hand its tail to the
-    subcommand's parser, which scans it again; a known subcommand name goes
-    straight to that parser instead.  The full parser runs only where
-    argparse has something to report (no argv, an unknown or option-like
-    command, arguments left over), so every usage, error and help text and
-    every exit code is its own.
+    ``_table_parse`` turns a plainly well-formed argv straight into the
+    namespace argparse would give (a test checks the two agree).  What it
+    declines (help, no argv, an unknown command, a usage error, a form it
+    does not read) goes to ``build_arg_parser()``'s full parse, so every
+    usage, error and help text and every exit code is argparse's own, and
+    argparse is imported only then.
     """
     if argv is None:
         argv = sys.argv[1:]
-    parser, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extra:
-            return args
-    return parser.parse_args(argv)
+    args = _table_parse(argv)
+    return args if args is not None else build_arg_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

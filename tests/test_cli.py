@@ -5,9 +5,10 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nodalcat import cli, formalcat, nodal
 from nodalcat.cli import ExprParseError, main, parse_expr, parse_sheaf
@@ -68,6 +69,18 @@ class TestParser:
     def test_garbage(self):
         with pytest.raises(ExprParseError):
             cli.parse_raw("j*S' @ j*S''")
+
+    def test_parsed_once_per_context_and_text(self):
+        from nodalcat.errors import UnknownGenerator
+
+        ctx = nodal.build_context(5)
+        assert parse_expr(ctx, "cone(j*S' -> j*S''[2])") is parse_expr(ctx, "cone(j*S' -> j*S''[2])")
+        # a failing parse is not cached: it raises on every call
+        for _ in range(2):
+            with pytest.raises(UnknownGenerator):
+                parse_expr(nodal.build_context(4), "j*S'")
+            with pytest.raises(ExprParseError):
+                parse_expr(ctx, "cone(j*S' ->")
 
 
 # round-trip: render o parse is the identity on normal forms
@@ -256,8 +269,9 @@ _WELL_FORMED = [
     ["verify", "--dims", "3..4"],
     ["cubic4"],
     ["mukai", "S(1)"],
-    # an abbreviated option, "--" and a repeated append option
+    # an abbreviated option, "--opt=value", "--" and a repeated append option
     ["hom", "--cont", "nodal:3", "j*O", "j*O(-1)"],
+    ["kernel", "--dim=5"],
     ["hom", "--context", "nodal:3", "--", "j*O", "j*O(-1)"],
     ["mutate", "--context", "nodal:5", "--through", "j*O", "--through", "j*O(-1)", "j*S'"],
 ]
@@ -269,12 +283,14 @@ _MALFORMED = [
     ["hom", "--context", "nodal:3", "j*O", "--", "j*O", "j*O"],
     ["mutate", "--context", "nodal:5", "--dir", "up", "--through", "j*O", "j*S'"],
     ["kernel", "--dim", "x"],
+    ["hom", "--context", "-x", "j*O", "j*O"], ["hom", "--=nodal:3", "j*O", "j*O"], ["cubic4", "--"],
 ]
 
 
 class TestDispatch:
-    """``main`` hands a well-formed argv straight to its subcommand's parser;
-    exit code, stdout and stderr must be those of the full parser."""
+    """``main`` reads a well-formed argv from the command table and leaves
+    the rest to argparse; exit code, stdout and stderr must be those of the
+    full parser."""
 
     @staticmethod
     def _run(capsys, *argv):
@@ -299,12 +315,73 @@ class TestDispatch:
         def refuse(argv):
             raise AssertionError(f"full parse of {argv}")
 
-        want = [_full_parse(argv) for argv in _WELL_FORMED]
+        # the table's namespace is not argparse's class: compare the fields
+        want = [vars(_full_parse(argv)) for argv in _WELL_FORMED]
         monkeypatch.setattr(cli.build_arg_parser(), "parse_args", refuse)
-        assert [cli._parse_args(argv) for argv in _WELL_FORMED] == want
+        assert [vars(cli._parse_args(argv)) for argv in _WELL_FORMED] == want
         for argv in _WELL_FORMED:
             assert main(argv) == cli.EXIT_OK
         capsys.readouterr()
+
+
+# values each option takes, positionals, words drawn for any value or
+# positional, and stray words put into drawn command lines
+_GOOD = {"--quadric": ["3", "4"], "--context": ["nodal:3", "nodal:5"], "--dir": ["right", "left"],
+         "--through": ["j*O", "j*O(-1)"], "--dim": ["3", "4"], "--dims": ["3", "3..4"],
+         "--json": ["out.json"]}
+_EXPRS = ["j*O", "j*O(-1)", "S(1)", "cone(j*O -> j*O(1))"]
+_VALUES = ["nodal:3", "up", "x", "3", "-3", "-x", "--", "", "j*O", "j*O(-1)", "j*S'",
+           "cone(j*O -> j*O(1))", "S(1)", "O"]
+_STRAY = ["-h", "--help", "--", "-3", "--bogus", "--=x", "-", "x"]
+
+
+@st.composite
+def _argvs(draw):
+    """A command line of any command: each option absent, once or repeated,
+    written out, abbreviated or as ``--opt=v``, then an optional ``--`` and
+    the positionals.  Half of them are noisy: one positional too few or too
+    many, sometimes shuffled, and stray words put in."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "bogus"]))
+    _, _, options, positionals = cli._COMMANDS.get(command, (None, None, (), ()))
+    anything = st.sampled_from(_VALUES)
+    pieces = []
+    for flag, kind, *_ in options:
+        values = st.sampled_from(_GOOD.get(flag, _VALUES)) | anything
+        for _ in range(draw(st.sampled_from((1, 1, 2, 0)))):
+            written = draw(st.sampled_from((flag, flag, flag, flag[:4], flag[:3], flag[:2])))
+            if kind == "flag":
+                pieces.append([written])
+            elif draw(st.booleans()):
+                pieces.append([f"{written}={draw(values)}"])
+            else:
+                pieces.append([written, draw(values)])
+    pieces = draw(st.permutations(pieces))
+    if draw(st.booleans()):
+        pieces.append(["--"])
+    noisy = draw(st.booleans())
+    count = max(0, len(positionals) + (draw(st.sampled_from((-1, 1))) if noisy else 0))
+    positional = st.sampled_from(_EXPRS) | anything
+    pieces += [[draw(positional)] for _ in range(count)]
+    if noisy and draw(st.booleans()):
+        pieces = draw(st.permutations(pieces))
+    argv = [command, *(word for piece in pieces for word in piece)]
+    for _ in range(draw(st.integers(0, 2)) if noisy else 0):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_STRAY)))
+    return argv
+
+
+# each example runs its command twice; --json writes into tmp_path
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argvs())
+def test_table_parser_matches_argparse(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    table = cli._table_parse(argv)
+    if table is not None:
+        assert vars(table) == vars(_full_parse(argv))
+    got = TestDispatch._run(capsys, argv)
+    with mock.patch.object(cli, "_parse_args", _full_parse):
+        assert TestDispatch._run(capsys, argv) == got
 
 
 def _fixed_script() -> list[list[str]]:
@@ -389,13 +466,52 @@ def test_import_loads_no_code_generating_modules():
     # every CLI call pays the import; dataclasses and typing (and the
     # inspect machinery dataclasses pulls in) are start-up cost that no
     # query needs.  -S keeps site-installed .pth hooks out of the count.
+    # argparse (help and usage errors) and json (--json) load only when used
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import sys, nodalcat, nodalcat.cli; "
-            "print(sorted({'dataclasses', 'typing', 'inspect'} & sys.modules.keys()))")
+            "print(sorted({'dataclasses', 'typing', 'inspect', 'argparse', 'json'} & sys.modules.keys()))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_table_reads_every_well_formed_fixed_script_query():
+    # the fast path must not go dead: of the fixed script, only the one
+    # usage error (a missing positional) is left to argparse
+    declined = [argv for argv in _fixed_script() if cli._table_parse(argv) is None]
+    assert declined == [["hom", "--context", "nodal:5", "j*O"]]
+
+
+def test_valid_queries_load_neither_argparse_nor_json():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    queries = [["hom", "--context", "nodal:5", "j*S'", "j*S''"],
+               ["mutate", "--context", "nodal:5", "--through", "j*S''", "j*S'"],
+               ["serre", "--context", "nodal:4", "--relative", "j*S"],
+               ["kernel", "--dim", "5"], ["cohom", "--quadric", "3", "S(1)"], ["mukai", "S"],
+               ["verify", "--dims", "3"], ["cubic4"]]
+    code = ("import sys\n"
+            "from nodalcat import cli\n"
+            f"codes = [cli.main(argv) for argv in {queries!r}]\n"
+            "print(codes, sorted({'argparse', 'json'} & sys.modules.keys()), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60)
+    assert proc.stderr == f"{[0] * len(queries)} []\n"
+
+
+@pytest.mark.parametrize("argv, code", [(["-h"], cli.EXIT_OK), (["hom", "-h"], cli.EXIT_OK),
+                                        (["hom", "--context", "nodal:5", "j*S'"], cli.EXIT_PARSE)])
+def test_help_and_usage_errors_in_a_fresh_process(capsys, monkeypatch, argv, code):
+    # argparse, imported on demand, writes the same text as in-process
+    monkeypatch.setenv("COLUMNS", "80")
+    want = TestDispatch._run(capsys, argv)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "nodalcat", *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+    assert want[0] == code
+    assert "usage: nodalcat" in want[1] + want[2]
 
 
 def test_mutate_at_d13_streams_in_bounded_memory():
