@@ -122,9 +122,21 @@ class Sum(Frozen):
         return hash((self.parts,))
 
 
-class Cone(Frozen):
+class _HashOnce(Frozen):
+    """Holds a subclass's hash, computed on first use.
+
+    The slot lives here, outside the subclass's ``__slots__``, so
+    ``Value``'s equality, repr and pickling never see it; a copy or an
+    unpickled value starts without it and computes its own.
+    """
+
+    __slots__ = ("_hash",)
+
+
+class Cone(_HashOnce):
     """The cone on a map ``src -> tgt``.  ``tag`` names the map for
-    messages; equality and hashing ignore it."""
+    messages; equality and hashing ignore it.  The hash of a nested cone
+    walks the whole tree, so it is computed once per object."""
 
     __slots__ = ("src", "tgt", "tag")
 
@@ -140,13 +152,19 @@ class Cone(Frozen):
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.src, self.tgt))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.src, self.tgt))
+            _set_hash(self, h)
+            return h
 
 
 # slot setters for the constructors, which bypass the raising __setattr__
 _set_shift_expr, _set_shift_m = Shift.expr.__set__, Shift.m.__set__
 _set_sum_parts = Sum.parts.__set__
 _set_cone_src, _set_cone_tgt, _set_cone_tag = Cone.src.__set__, Cone.tgt.__set__, Cone.tag.__set__
+_set_hash = _HashOnce._hash.__set__
 
 ObjExpr = Gen | Shift | Sum | Cone
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from .errors import ParityMismatch, UnsupportedPair
 from .graded import Frozen, GradedDim
@@ -344,7 +344,13 @@ def _chi_spinor_poly(n: int):
     return _solve_mean_shift(_poly_scale(_chi_line_poly(n), taut_rank(n)))
 
 
+# chi(Sp(t)) is a pure function of (n, t): one evaluation of the degree-n
+# Fraction polynomial per key serves every later pairing.  A non-integral
+# value raises, and exceptions are not cached, so it raises on every call.
+# The bound caps what pairings at large twists keep alive.
+@lru_cache(maxsize=1 << 15)
 def _chi_spinor_eval(n: int, t: int) -> int:
+    """chi(Q^n, Sp(t)) for either spinor bundle, memoized per (n, t)."""
     val = _poly_eval(_chi_spinor_poly(n), t)
     if val.denominator != 1:
         raise ArithmeticError(f"non-integral chi on Q^{n} at twist {t}: {val}")
@@ -359,6 +365,8 @@ def _even_kclass(n: int, kind: str, t: int):
     twist-0 spinor class plus a line-bundle combination, in closed form:
     sign (-1)^t, the kind flipped when t is odd, and line part
     {j: r (-1)^(t-1-j)} for 0 <= j < t or {j: r (-1)^(j-t)} for t <= j < 0.
+    The line part has |t| terms, so ``chi_quadric`` pairs two such classes
+    in |s| + |t| spinor chi values rather than |s|·|t| line pairings.
     """
     r = taut_rank(n)
     if t >= 0:
@@ -378,6 +386,13 @@ def chi_quadric(n: int, F: QuadricSheaf, G: QuadricSheaf) -> int:
     vanishing theorems.  On even quadrics the twist-0 spinor pairings
     (1 on the diagonal, 0 across) seed the recursion, since additivity
     cannot see the difference of the two spinor classes.
+
+    An even spinor pair is paired bilinearly: with [F] = s_a[Sp_a] +
+    sum_i a_i[O(i)] and [G] = s_b[Sp_b] + sum_j b_j[O(j)] from
+    ``_even_kclass``, chi(F, G) = s_a s_b [Sp_a = Sp_b] + s_a sum_j b_j
+    chi(Sp_a, O(j)) + sum_i a_i chi(O(i), G), where chi(O(i), G) =
+    chi(Sp(t_G - i)).  Spinor chi values are memoized per (n, t), so a
+    pairing costs |s| + |t| cached evaluations for twists s, t.
     """
     check_parity(n, F)
     check_parity(n, G)
@@ -402,10 +417,7 @@ def chi_quadric(n: int, F: QuadricSheaf, G: QuadricSheaf) -> int:
     for j, c in lb.items():
         total += sa * c * _chi_spinor_eval(n, 1 + j)  # chi(Sp, O(j))
     for i, c in la.items():
-        total += sb * c * _chi_spinor_eval(n, -i)  # chi(O(i), Sp)
-    for i, ci in la.items():
-        for j, cj in lb.items():
-            total += ci * cj * chi_line(n, j - i)
+        total += c * _chi_spinor_eval(n, G.twist - i)  # chi(O(i), G)
     return total
 
 

@@ -716,6 +716,19 @@ class TestInternedGen:
             assert clone == e
             assert _first_leaf(clone) is g
 
+    def test_cone_hash_is_recomputed_by_copies(self):
+        # a cone keeps its hash once computed; copies and unpickled cones
+        # start without it and compute the same value
+        e = Cone(Cone(Gen("a"), Shift(Gen("b"), 1), tag="inner"), Sum(((Gen("a"), 2),)), tag="outer")
+        want = hash((e.src, e.tgt))
+        assert hash(e) == want and hash(e) == want
+        for clone in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert not hasattr(clone, "_hash")
+            assert clone == e and clone.tag == "outer"
+            assert hash(clone) == want
+        assert repr(e) == ("Cone(src=Cone(src=Gen(name='a'), tgt=Shift(expr=Gen(name='b'), m=1), tag='inner'), "
+                           "tgt=Sum(parts=((Gen(name='a'), 2),)), tag='outer')")
+
     def test_assignment_raises(self):
         g = Gen("a")
         with pytest.raises(AttributeError):

@@ -1,14 +1,18 @@
+import functools
 import itertools
 import math
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nodalcat import quadric
 from nodalcat.errors import ParityMismatch, UnsupportedPair
 from nodalcat.graded import GradedDim
 from nodalcat.quadric import (
     QuadricSheaf,
     brute_force_q2,
+    chi_line,
     chi_quadric,
     cohomology,
     cone_ring_dim,
@@ -240,6 +244,87 @@ class TestChi:
     def test_defined_outside_hom_range(self):
         # the additive path reaches twist differences the Hom path cannot
         assert isinstance(chi_quadric(3, QS("S"), QS("S", 1)), int)
+
+
+def _even_spinor_chi_double_sum(n, F, G):
+    """The even spinor-spinor pairing as ``chi_quadric`` summed it before
+    the bilinear form: every line of [F] paired with every line of [G],
+    |s|·|t| ``chi_line`` terms (cached here, as pure values)."""
+    sa, ka, la = quadric._even_kclass(n, F.kind, F.twist)
+    sb, kb, lb = quadric._even_kclass(n, G.kind, G.twist)
+    total = sa * sb * (1 if ka == kb else 0)
+    for j, c in lb.items():
+        total += sa * c * quadric._chi_spinor_eval(n, 1 + j)  # chi(Sp, O(j))
+    for i, c in la.items():
+        total += sb * c * quadric._chi_spinor_eval(n, -i)  # chi(O(i), Sp)
+    for i, ci in la.items():
+        for j, cj in lb.items():
+            total += ci * cj * _chi_line_cached(n, j - i)
+    return total
+
+
+_chi_line_cached = functools.cache(chi_line)
+
+_EVEN_KIND_PAIRS = list(itertools.product(("S'", "S''"), repeat=2))
+
+# both ends of -30..30, every small twist, and odd and even twists between
+_REFERENCE_TWISTS = sorted({*range(-30, 31, 4), *range(-3, 4)})
+
+
+class TestEvenSpinorPairing:
+    """The bilinear even spinor-spinor branch of ``chi_quadric`` against
+    the double sum it replaced, the Kunneth oracle on Q^2, twist invariance
+    and Serre duality at twists of 10^4, and the per-(n, t) memo."""
+
+    @pytest.mark.parametrize("n", range(2, 13, 2))
+    def test_matches_the_double_sum(self, n):
+        for (ka, kb), s, t in itertools.product(_EVEN_KIND_PAIRS, _REFERENCE_TWISTS, _REFERENCE_TWISTS):
+            F, G = QS(ka, s), QS(kb, t)
+            assert chi_quadric(n, F, G) == _even_spinor_chi_double_sum(n, F, G), (n, str(F), str(G))
+
+    def test_matches_kunneth_on_q2_at_large_twists(self):
+        big = 10**4
+        # kinds innermost: the four pairs of one twist pair share their
+        # spinor chi values
+        for s, t, (ka, kb) in itertools.product((-big, big - 1), (1 - big, big), _EVEN_KIND_PAIRS):
+            F, G = QS(ka, s), QS(kb, t)
+            assert chi_quadric(2, F, G) == brute_force_q2(F, G).euler(), (str(F), str(G))
+
+    @pytest.mark.parametrize("n", range(4, 13, 2))
+    def test_twist_invariance_and_serre_duality_at_large_twists(self, n):
+        # chi(F(k), G(k)) = chi(F, G), and chi(F, G) = (-1)^n chi(G, F(-n))
+        # since the canonical bundle is O(-n); every side below reads spinor
+        # chi values at twists in -n-1..10^4+1 only.  Each kind pair once,
+        # with d even for two and odd for two, so the twist-0 classes meet
+        # on and off the diagonal at both parities of d.
+        big = 10**4
+        for (ka, kb), d in zip(_EVEN_KIND_PAIRS, (0, 0, 1, 1)):
+            F, G = QS(ka, big), QS(kb, big + d)
+            got = chi_quadric(n, F, G)
+            assert got == chi_quadric(n, QS(ka), QS(kb, d)), (n, str(F), str(G))
+            assert got == (-1) ** n * chi_quadric(n, G, F.twisted(-n)), (n, str(F), str(G))
+            assert chi_quadric(n, QS(ka, -big), QS(kb, d)) == chi_quadric(n, QS(ka), QS(kb, big + d)), (n, ka, kb, d)
+
+    def test_cost_is_linear_in_the_twists(self):
+        # the double sum would need 600 * 600 chi_line terms
+        quadric._chi_spinor_eval.cache_clear()
+        assert chi_quadric(4, QS("S'", 600), QS("S''", 600)) == chi_quadric(4, QS("S'"), QS("S''"))
+        assert quadric._chi_spinor_eval.cache_info().currsize <= 2 * 600
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 12), st.integers(0, 2), st.integers(-50, 50),
+                              st.integers(0, 2), st.integers(-50, 50)), max_size=12))
+    def test_answers_do_not_depend_on_earlier_queries(self, queries):
+        def sheaf(n, kind, twist):
+            kinds = ("O", "S") if n % 2 else ("O", "S'", "S''")
+            return QS(kinds[kind % len(kinds)], twist)
+
+        pairs = [(n, sheaf(n, ka, s), sheaf(n, kb, t)) for n, ka, s, kb, t in queries]
+        forward = [chi_quadric(*p) for p in pairs]
+        backward = [chi_quadric(*p) for p in reversed(pairs)][::-1]
+        quadric._chi_spinor_eval.cache_clear()
+        cold = [chi_quadric(*p) for p in pairs]
+        assert forward == backward == cold
 
 
 class TestBruteForceQ2:
