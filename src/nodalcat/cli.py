@@ -337,6 +337,14 @@ def _parse_dims(spec: str) -> range:
     return range(lo, hi + 1)
 
 
+def _write_json(path: str, obj) -> None:
+    import json
+
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
 def _cmd_verify(args) -> int:
     reports = [nodal.verify_dim(d) for d in _parse_dims(args.dims)]
     for rep in reports:
@@ -346,11 +354,7 @@ def _cmd_verify(args) -> int:
             mark = "ok " if item.passed else "BAD"
             print(f"  [{mark}] {item.id}: {item.got}")
     if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump([rep.to_json() for rep in reports], fh, indent=2)
-            fh.write("\n")
+        _write_json(args.json, [rep.to_json() for rep in reports])
     return EXIT_OK if all(rep.all_pass for rep in reports) else EXIT_VERIFY_FAILED
 
 
@@ -363,11 +367,7 @@ def _cmd_cubic4(args) -> int:
     for entry in report["trace"]:
         print(f"  {entry['rule']} {entry['step']}: {entry['result']}")
     if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.json, report)
     return EXIT_OK if report["all_pass"] else EXIT_VERIFY_FAILED
 
 

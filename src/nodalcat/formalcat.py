@@ -426,7 +426,6 @@ class Context:
         serre_action: Callable[[str], ObjExpr] | None = None,
         relative_twist: Callable[[str], ObjExpr] | None = None,
         triangles: tuple[Triangle, ...] = (),
-        zero_facts: frozenset[tuple[ObjExpr, ObjExpr]] = frozenset(),
     ):
         self.name = name
         self.generators = generators
@@ -436,10 +435,9 @@ class Context:
         self.serre_action = serre_action
         self.relative_twist = relative_twist
         self.triangles = tuple(tri.normalized() for tri in triangles)
-        self.zero_facts = zero_facts
         self._memo: dict = {}
         self._derived_triangles: list[Triangle] = []
-        self._derived_zero_facts: set = set()
+        self._zero_facts: set = set()
         # static and derived triangles, for the dedupe in add_triangle
         self._known_triangles = set(self.triangles)
         # rotation index: shift-normalized (src, tgt) -> cone, see _identify_cone
@@ -456,13 +454,12 @@ class Context:
         yield from self._derived_triangles
 
     def has_zero_fact(self, F: ObjExpr, G: ObjExpr) -> bool:
-        if not (self.zero_facts or self._derived_zero_facts):
+        if not self._zero_facts:
             return False
-        key = (_strip_shift(F), _strip_shift(G))
-        return key in self.zero_facts or key in self._derived_zero_facts
+        return (_strip_shift(F), _strip_shift(G)) in self._zero_facts
 
     def add_zero_fact(self, F: ObjExpr, G: ObjExpr) -> None:
-        self._derived_zero_facts.add((_strip_shift(F), _strip_shift(G)))
+        self._zero_facts.add((_strip_shift(F), _strip_shift(G)))
 
     def add_triangle(self, tri: Triangle) -> None:
         self._register_triangle(tri.normalized())

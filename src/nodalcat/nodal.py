@@ -141,7 +141,6 @@ def _setup(d: int) -> NodalSetup:
                 )
             )
 
-    zero_facts = set()
     if d % 2 == 1:
         # the context carries the kernel cone T and its companion T'
         sp, spp = Gen("j*S'"), Gen("j*S''")
@@ -151,8 +150,6 @@ def _setup(d: int) -> NodalSetup:
             Triangle(spp, Shift(sp, 2), Cone(spp, Shift(sp, 2), tag="companion cone with spinors swapped"),
                      tag="companion cone with spinors swapped")
         )
-        # defining orthogonality of the mutation producing T
-        zero_facts.add((t_cone, spp))
 
     ctx = Context(
         name=f"nodal:{d}",
@@ -163,8 +160,10 @@ def _setup(d: int) -> NodalSetup:
         serre_action=serre,
         relative_twist=relative,
         triangles=tuple(triangles),
-        zero_facts=frozenset(zero_facts),
     )
+    if d % 2 == 1:
+        # defining orthogonality of the mutation producing T
+        ctx.add_zero_fact(t_cone, spp)
 
     # stored orthogonal collection of the resolution subcategory: the
     # pushed Lefschetz blocks B_{n-1}(1-n), ..., B_1(-1); for odd d the

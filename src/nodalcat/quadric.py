@@ -357,42 +357,23 @@ def _chi_spinor_eval(n: int, t: int) -> int:
     return int(val)
 
 
-def _even_kclass(n: int, kind: str, t: int):
-    """K-theory class of kind(t) on even Q^n as (sign, kind0, line part).
-
-    Reduction along the tautological sequences: [Sp(t)] = r[O(t-1)] -
-    [Sp~(t-1)] and [Sp(t)] = r[O(t)] - [Sp~(t+1)] unwind to a sign times a
-    twist-0 spinor class plus a line-bundle combination, in closed form:
-    sign (-1)^t, the kind flipped when t is odd, and line part
-    {j: r (-1)^(t-1-j)} for 0 <= j < t or {j: r (-1)^(j-t)} for t <= j < 0.
-    The line part has |t| terms, so ``chi_quadric`` pairs two such classes
-    in |s| + |t| spinor chi values rather than |s|·|t| line pairings.
-    """
-    r = taut_rank(n)
-    if t >= 0:
-        lines = {j: r * (-1) ** (t - 1 - j) for j in range(t)}
-    else:
-        lines = {j: r * (-1) ** (j - t) for j in range(t, 0)}
-    if t % 2:
-        return -1, _flip(kind), lines
-    return 1, kind, lines
-
-
 def chi_quadric(n: int, F: QuadricSheaf, G: QuadricSheaf) -> int:
     """chi(F, G) = sum (-1)^i dim Ext^i(F, G), by additivity alone.
 
-    Uses only the additivity of chi across the tautological sequences, the
-    Hilbert polynomial of Q^n, and polynomiality of chi in the twist; no
-    vanishing theorems.  On even quadrics the twist-0 spinor pairings
-    (1 on the diagonal, 0 across) seed the recursion, since additivity
-    cannot see the difference of the two spinor classes.
+    Uses only the additivity of chi across the tautological sequences,
+    its invariance under twisting both arguments, chi(F(k), G(k)) =
+    chi(F, G), the Hilbert polynomial of Q^n, and polynomiality of chi in
+    the twist; no vanishing theorems.  On even quadrics the twist-0 spinor
+    pairings (1 on the diagonal, 0 across) seed the recursion, since
+    additivity cannot see the difference of the two spinor classes.
 
-    An even spinor pair is paired bilinearly: with [F] = s_a[Sp_a] +
-    sum_i a_i[O(i)] and [G] = s_b[Sp_b] + sum_j b_j[O(j)] from
-    ``_even_kclass``, chi(F, G) = s_a s_b [Sp_a = Sp_b] + s_a sum_j b_j
-    chi(Sp_a, O(j)) + sum_i a_i chi(O(i), G), where chi(O(i), G) =
-    chi(Sp(t_G - i)).  Spinor chi values are memoized per (n, t), so a
-    pairing costs |s| + |t| cached evaluations for twists s, t.
+    An even spinor pair is paired on its twist difference c = t - s, since
+    chi(Sp_a(s), Sp_b(t)) = chi(Sp_a, Sp_b(c)).  Unwinding the tautological
+    sequences gives [Sp_b(c)] = (-1)^c [Sp_b~] + sum_j b_j [O(j)], with the
+    prime flipped (Sp_b~) when c is odd, b_j = r (-1)^(c-1-j) for
+    0 <= j < c and b_j = r (-1)^(j-c) for c <= j < 0; chi(Sp_a, O(j)) =
+    chi(Sp(1 + j)).  Spinor chi values are memoized per (n, t), so a
+    pairing costs |t - s| cached evaluations.
     """
     check_parity(n, F)
     check_parity(n, G)
@@ -411,13 +392,13 @@ def chi_quadric(n: int, F: QuadricSheaf, G: QuadricSheaf) -> int:
         if val.denominator != 1:
             raise ArithmeticError(f"non-integral chi pairing: {val}")
         return int(val)
-    sa, ka, la = _even_kclass(n, F.kind, F.twist)
-    sb, kb, lb = _even_kclass(n, G.kind, G.twist)
-    total = sa * sb * (1 if ka == kb else 0)
-    for j, c in lb.items():
-        total += sa * c * _chi_spinor_eval(n, 1 + j)  # chi(Sp, O(j))
-    for i, c in la.items():
-        total += c * _chi_spinor_eval(n, G.twist - i)  # chi(O(i), G)
+    c = G.twist - F.twist
+    total = -(F.kind != G.kind) if c % 2 else int(F.kind == G.kind)
+    # b_j is +r at j = c - 1 (c > 0) or j = c (c < 0) and alternates from there
+    b = taut_rank(n)
+    for j in range(c - 1, -1, -1) if c >= 0 else range(c, 0):
+        total += b * _chi_spinor_eval(n, 1 + j)
+        b = -b
     return total
 
 

@@ -893,7 +893,7 @@ def _memo_scripts(draw):
 
 def _run_memo_script(d, script, drop_steps):
     """Answers (reprs, tags included, or typed errors), derived triangles and
-    derived zero facts of a script on a fresh context; with ``drop_steps``
+    zero facts of a script on a fresh context; with ``drop_steps``
     every mutation entry leaves the memo before each query."""
     nodal._setup.cache_clear()
     setup = nodal._setup(d)
@@ -915,7 +915,7 @@ def _run_memo_script(d, script, drop_steps):
             answers.append(repr(got))
         except NodalcatError as exc:
             answers.append((type(exc).__name__, str(exc)))
-    facts = sorted(map(repr, ctx._derived_zero_facts))
+    facts = sorted(map(repr, ctx._zero_facts))
     return answers, repr(ctx._derived_triangles), facts
 
 

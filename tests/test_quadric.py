@@ -214,26 +214,6 @@ class TestChi:
                 F = QS(kind, k)
                 assert cohomology(n, F).euler() == chi_quadric(n, QS("O"), F), (n, str(F))
 
-    @pytest.mark.parametrize("n", [2, 4, 6, 8])
-    def test_even_kclass_closed_form_matches_recursion(self, n):
-        from nodalcat import quadric
-
-        def recursive(kind, t):
-            # the tautological-sequence reduction, one twist at a time
-            r = quadric.taut_rank(n)
-            if t == 0:
-                return 1, kind, {}
-            step = -1 if t > 0 else 1
-            sign, k0, lines = recursive(quadric._flip(kind), t + step)
-            out = {j: -c for j, c in lines.items()}
-            at = t - 1 if t > 0 else t
-            out[at] = out.get(at, 0) + r
-            return -sign, k0, out
-
-        for kind in ("S'", "S''"):
-            for t in range(-30, 31):
-                assert quadric._even_kclass(n, kind, t) == recursive(kind, t), (kind, t)
-
     @pytest.mark.parametrize("t", [3000, -3005])
     def test_even_chi_is_polynomial_at_large_twists(self, t):
         # chi(S'(t), S') has degree n = 4 in t: its 5th finite difference is 0
@@ -246,12 +226,27 @@ class TestChi:
         assert isinstance(chi_quadric(3, QS("S"), QS("S", 1)), int)
 
 
+def _even_kclass_recursive(n, kind, t):
+    """K-theory class of kind(t) on even Q^n as (sign, twist-0 kind, line
+    part {j: coefficient}), by the tautological-sequence reduction one twist
+    at a time: [Sp(t)] = r[O(t-1)] - [Sp~(t-1)] and [Sp(t)] = r[O(t)] -
+    [Sp~(t+1)]."""
+    if t == 0:
+        return 1, kind, {}
+    step = -1 if t > 0 else 1
+    sign, k0, lines = _even_kclass_recursive(n, quadric._flip(kind), t + step)
+    out = {j: -c for j, c in lines.items()}
+    at = t - 1 if t > 0 else t
+    out[at] = out.get(at, 0) + quadric.taut_rank(n)
+    return -sign, k0, out
+
+
 def _even_spinor_chi_double_sum(n, F, G):
-    """The even spinor-spinor pairing as ``chi_quadric`` summed it before
-    the bilinear form: every line of [F] paired with every line of [G],
-    |s|·|t| ``chi_line`` terms (cached here, as pure values)."""
-    sa, ka, la = quadric._even_kclass(n, F.kind, F.twist)
-    sb, kb, lb = quadric._even_kclass(n, G.kind, G.twist)
+    """The even spinor-spinor pairing with both arguments expanded: every
+    line of [F] paired with every line of [G], |s|·|t| ``chi_line`` terms
+    (cached here, as pure values)."""
+    sa, ka, la = _even_kclass_recursive(n, F.kind, F.twist)
+    sb, kb, lb = _even_kclass_recursive(n, G.kind, G.twist)
     total = sa * sb * (1 if ka == kb else 0)
     for j, c in lb.items():
         total += sa * c * quadric._chi_spinor_eval(n, 1 + j)  # chi(Sp, O(j))
@@ -269,16 +264,20 @@ _EVEN_KIND_PAIRS = list(itertools.product(("S'", "S''"), repeat=2))
 
 # both ends of -30..30, every small twist, and odd and even twists between
 _REFERENCE_TWISTS = sorted({*range(-30, 31, 4), *range(-3, 4)})
+# opposite signs, twist differences far past either twist
+_MIXED_SIGN_TWIST_PAIRS = ((-90, 70), (70, -90), (-1, 99), (99, -1))
 
 
 class TestEvenSpinorPairing:
-    """The bilinear even spinor-spinor branch of ``chi_quadric`` against
-    the double sum it replaced, the Kunneth oracle on Q^2, twist invariance
-    and Serre duality at twists of 10^4, and the per-(n, t) memo."""
+    """The even spinor-spinor branch of ``chi_quadric`` against the double
+    sum over both expanded classes, the Kunneth oracle on Q^2, twist
+    invariance and Serre duality at twists of 10^4, and the per-(n, t)
+    memo."""
 
     @pytest.mark.parametrize("n", range(2, 13, 2))
     def test_matches_the_double_sum(self, n):
-        for (ka, kb), s, t in itertools.product(_EVEN_KIND_PAIRS, _REFERENCE_TWISTS, _REFERENCE_TWISTS):
+        twist_pairs = [*itertools.product(_REFERENCE_TWISTS, repeat=2), *_MIXED_SIGN_TWIST_PAIRS]
+        for (ka, kb), (s, t) in itertools.product(_EVEN_KIND_PAIRS, twist_pairs):
             F, G = QS(ka, s), QS(kb, t)
             assert chi_quadric(n, F, G) == _even_spinor_chi_double_sum(n, F, G), (n, str(F), str(G))
 
@@ -306,10 +305,12 @@ class TestEvenSpinorPairing:
             assert chi_quadric(n, QS(ka, -big), QS(kb, d)) == chi_quadric(n, QS(ka), QS(kb, big + d)), (n, ka, kb, d)
 
     def test_cost_is_linear_in_the_twists(self):
-        # the double sum would need 600 * 600 chi_line terms
+        # a pair reads |t - s| spinor chi values, however large s and t are
+        big = 10**5
         quadric._chi_spinor_eval.cache_clear()
-        assert chi_quadric(4, QS("S'", 600), QS("S''", 600)) == chi_quadric(4, QS("S'"), QS("S''"))
-        assert quadric._chi_spinor_eval.cache_info().currsize <= 2 * 600
+        got = chi_quadric(4, QS("S'", big), QS("S''", big + 3))
+        assert quadric._chi_spinor_eval.cache_info().currsize <= 3
+        assert got == chi_quadric(4, QS("S'"), QS("S''", 3))
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 12), st.integers(0, 2), st.integers(-50, 50),
