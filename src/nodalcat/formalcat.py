@@ -41,7 +41,7 @@ thread-safe.
 from __future__ import annotations
 
 import copy
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .errors import (
     IndeterminateHom,
@@ -177,7 +177,8 @@ _ENDO_EXCEPTIONAL = GradedDim.point(0, 1)
 _MISS = object()
 
 # longest slice, in characters, in which ``render_chunks`` writes a run of
-# equal summands
+# equal summands; a summand or a sort key longer than this is never written
+# out whole
 RUN_SLICE = 1 << 20
 
 
@@ -188,8 +189,10 @@ def is_zero(e: ObjExpr) -> bool:
 def render(e: ObjExpr) -> str:
     """The text of an expression, in the grammar the CLI parses.
 
-    Generators and their shifts, nearly all the sort keys ``_sorted_parts``
-    asks for, are formatted directly; other terms join ``render_chunks``.
+    Generators and their shifts, the parts of nearly every sum, are
+    formatted directly; other terms join ``render_chunks``.  The sort keys
+    of ``_sorted_parts`` come from ``_short_text``, which writes no key out
+    longer than ``RUN_SLICE``.
     """
     if isinstance(e, Gen):
         return e.name
@@ -205,9 +208,10 @@ def render_chunks(e: ObjExpr, compact: bool = False) -> Iterator[str]:
     m - 1 units ``s + " + "`` is written in bounded slices: one slice of as
     many units as fit in ``RUN_SLICE`` characters (at least one unit),
     repeated, then the remainder, then s.  A run that fits in one slice is
-    one chunk, and no chunk of a run is longer than the larger of
-    ``RUN_SLICE`` and one unit, so the memory a run costs does not grow
-    with m.
+    one chunk, and no chunk of a run is longer than ``RUN_SLICE`` plus one
+    unit, so the memory a run costs does not grow with m.  A summand whose
+    own text is longer than ``RUN_SLICE`` is streamed again for each copy
+    instead, so neither does the memory a summand costs grow with its text.
 
     With ``compact``, a summand of multiplicity m > 1 is written once, as
     ``s^m``, at every depth, so the text is bounded by the expression's
@@ -240,7 +244,13 @@ def render_chunks(e: ObjExpr, compact: bool = False) -> Iterator[str]:
                 if mult > 1:
                     yield f"^{mult}"
                 continue
-            s = render(part)
+            s = _short_text(part)
+            if s is None:
+                for k in range(mult):
+                    if k:
+                        yield " + "
+                    yield from render_chunks(part)
+                continue
             if mult > 1:
                 unit = s + " + "
                 per_slice = max(1, RUN_SLICE // len(unit))
@@ -252,6 +262,21 @@ def render_chunks(e: ObjExpr, compact: bool = False) -> Iterator[str]:
                 if rest:
                     yield unit * rest
             yield s
+
+
+def _short_text(e: ObjExpr) -> str | None:
+    """``render(e)`` if it is at most ``RUN_SLICE`` characters long, else
+    None, having read at most one chunk past that length."""
+    if isinstance(e, Gen) or isinstance(e, Shift) and isinstance(e.expr, Gen):
+        return render(e)
+    out: list[str] = []
+    size = 0
+    for chunk in render_chunks(e):
+        size += len(chunk)
+        if size > RUN_SLICE:
+            return None
+        out.append(chunk)
+    return "".join(out)
 
 
 def _outer_shift(e: ObjExpr) -> int:
@@ -266,19 +291,75 @@ def shift_expr(e: ObjExpr, m: int) -> ObjExpr:
         k = e.m + m
         return e.expr if k == 0 else Shift(e.expr, k)
     if isinstance(e, Sum):
+        if len(e.parts) == 1:
+            # one part: nothing to merge or sort
+            p, r = e.parts[0]
+            return Sum(((shift_expr(p, m), r),) if r else ())
         return Sum(_sorted_parts([(shift_expr(p, m), r) for p, r in e.parts]))
     return Shift(e, m)
 
 
 def _sorted_parts(pairs) -> tuple:
+    """Merge equal parts and order them by their text, as ``render`` writes
+    it; a zero multiplicity in ``pairs`` is dropped, a merged one kept."""
     acc: dict[ObjExpr, int] = {}
-    order: dict[ObjExpr, str] = {}
     for p, r in pairs:
-        if r == 0:
-            continue
-        acc[p] = acc.get(p, 0) + r
-        order[p] = render(p)
-    return tuple(sorted(((p, r) for p, r in acc.items()), key=lambda it: order[it[0]]))
+        if r:
+            acc[p] = acc.get(p, 0) + r
+    if len(acc) < 2:
+        return tuple(acc.items())
+    return tuple(sorted(acc.items(), key=_sort_key))
+
+
+def _sort_key(item: tuple[ObjExpr, int]):
+    """The text of a part, or a ``_TextKey`` when it is longer than
+    ``RUN_SLICE``: a cone over a sum of multiplicity 10^9 has gigabytes of
+    text."""
+    text = _short_text(item[0])
+    return _TextKey(item[0]) if text is None else text
+
+
+class _TextKey:
+    """Orders a term by its text against another ``_TextKey`` or a string,
+    streaming both only as far as their first difference."""
+
+    __slots__ = ("e",)
+
+    def __init__(self, e: ObjExpr):
+        self.e = e
+
+    def _order(self, other) -> int:
+        theirs = (other,) if isinstance(other, str) else render_chunks(other.e)
+        return _text_order(render_chunks(self.e), theirs)
+
+    def __lt__(self, other):
+        return self._order(other) < 0
+
+    # answers ``text < key`` too, which str leaves to the key
+    def __gt__(self, other):
+        return self._order(other) > 0
+
+
+def _text_order(a: Iterable[str], b: Iterable[str]) -> int:
+    """-1, 0 or 1 as the text streamed by a is below, equal to or above the
+    text streamed by b.  Chunks are compared in aligned windows, so memory
+    stays within two chunks however long the common prefix runs."""
+    a, b = filter(None, a), filter(None, b)
+    x = y = ""
+    i = j = 0
+    while True:
+        if i == len(x):
+            x, i = next(a, ""), 0
+        if j == len(y):
+            y, j = next(b, ""), 0
+        if not x or not y:
+            return bool(x) - bool(y)
+        n = min(len(x) - i, len(y) - j)
+        u, v = x[i:i + n], y[j:j + n]
+        if u != v:
+            return -1 if u < v else 1
+        i += n
+        j += n
 
 
 def sum_of(expr: ObjExpr, mult: int) -> ObjExpr:
@@ -298,6 +379,9 @@ def sum_exprs(parts) -> ObjExpr:
 def normalize(e: ObjExpr) -> ObjExpr:
     """Canonical normal form: shifts at leaves, sums flat, trivial cones gone.
 
+    A term already in normal form comes back as the same object, so a cone
+    keeps the hash it has computed.
+
     Cones over (or under) the zero object simplify; an identity-tagged cone
     is zero; otherwise the cone is kept intact since a dimension-level
     calculus cannot prove a map zero.  A cone absorbs the outer shift of
@@ -306,7 +390,10 @@ def normalize(e: ObjExpr) -> ObjExpr:
     if isinstance(e, Gen):
         return e
     if isinstance(e, Shift):
-        return shift_expr(normalize(e.expr), e.m)
+        inner = normalize(e.expr)
+        if e.m and inner is e.expr and isinstance(inner, (Gen, Cone)):
+            return e
+        return shift_expr(inner, e.m)
     if isinstance(e, Sum):
         flat: list[tuple[ObjExpr, int]] = []
         for p, r in e.parts:
@@ -318,8 +405,11 @@ def normalize(e: ObjExpr) -> ObjExpr:
         parts = _sorted_parts(flat)
         if len(parts) == 1 and parts[0][1] == 1:
             return parts[0][0]
-        return Sum(parts)
-    return cone_of(normalize(e.src), normalize(e.tgt), e.tag)
+        return e if parts == e.parts else Sum(parts)
+    out = cone_of(normalize(e.src), normalize(e.tgt), e.tag)
+    if out.__class__ is Cone and out.src is e.src and out.tgt is e.tgt:
+        return e
+    return out
 
 
 def cone_of(src: ObjExpr, tgt: ObjExpr, tag: str) -> ObjExpr:
@@ -380,7 +470,11 @@ class Triangle(Frozen):
         return hash((self.x, self.y, self.z))
 
     def normalized(self) -> "Triangle":
-        return Triangle(normalize(self.x), normalize(self.y), normalize(self.z), self.tag)
+        """The triangle with normal legs: itself when they already are."""
+        x, y, z = normalize(self.x), normalize(self.y), normalize(self.z)
+        if x is self.x and y is self.y and z is self.z:
+            return self
+        return Triangle(x, y, z, self.tag)
 
 
 _set_tri_x, _set_tri_y = Triangle.x.__set__, Triangle.y.__set__
@@ -413,7 +507,9 @@ class Context:
     receives them resolved, as ``resolve`` returned them, never as names
     (it may raise UnsupportedPair).  ``serre_action`` sends a generator
     name to its image under the ambient pair-Serre functor.  The static
-    ``triangles`` are normalized once, on construction, and stored so.
+    ``triangles`` are normalized once, on construction, and stored so; a
+    triangle whose legs are already normal is stored as given, so a caller
+    that builds them in normal form pays only for indexing them.
     """
 
     def __init__(
@@ -623,12 +719,14 @@ def _min_shift(e: ObjExpr) -> int:
     """Smallest outer shift of a normalized term, over the parts of a sum."""
     if isinstance(e, Sum):
         return min((_outer_shift(p) for p, _ in e.parts), default=0)
-    return _outer_shift(e)
+    return e.m if isinstance(e, Shift) else 0
 
 
 def _cone_key(src: ObjExpr, tgt: ObjExpr) -> tuple[tuple[ObjExpr, ObjExpr], int]:
     """The pair shifted by -m, with m = _min_shift(src), and m itself."""
     m = _min_shift(src)
+    if not m:
+        return (src, tgt), 0
     return (shift_expr(src, -m), shift_expr(tgt, -m)), m
 
 

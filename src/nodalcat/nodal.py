@@ -28,14 +28,19 @@ from functools import cache
 
 from . import formalcat, quadric
 from .errors import NodalcatError, UnknownGenerator
-from .formalcat import Cone, Context, Gen, ObjExpr, Shift, Triangle
+from .formalcat import Cone, Context, Gen, ObjExpr, Shift, Sum, Triangle
 from .graded import GradedDim
 
 _PUSH_RE = re.compile(r"^j\*(O|S''|S'|S)(?:\((-?\d+)\))?$")
 
 
 def push_name(F: quadric.QuadricSheaf) -> str:
-    return "j*" + F.render()
+    return _push_text(F.kind, F.twist)
+
+
+def _push_text(kind: str, twist: int) -> str:
+    """``push_name`` of the sheaf ``kind(twist)``, without building it."""
+    return "j*" + quadric.sheaf_name(kind, twist)
 
 
 @cache
@@ -103,8 +108,9 @@ def _setup(d: int) -> NodalSetup:
     kinds = _spinor_kinds(d)
     twists = range(1 - n, 2)
 
-    roster = [push_name(quadric.QuadricSheaf(quadric.LINE, k)) for k in twists]
-    roster += [push_name(quadric.QuadricSheaf(kd, k)) for k in twists for kd in kinds]
+    names = {(kd, k): _push_text(kd, k) for kd in (quadric.LINE, *kinds) for k in twists}
+    roster = [names[quadric.LINE, k] for k in twists]
+    roster += [names[kd, k] for k in twists for kd in kinds]
 
     def resolve(name: str) -> quadric.QuadricSheaf:
         F = parse_push_name(name)
@@ -126,17 +132,19 @@ def _setup(d: int) -> NodalSetup:
     def relative(name: str) -> ObjExpr:
         return Gen(push_name(resolve(name).twisted(1 - n)))
 
-    # pushed-forward tautological sequences for every roster spinor twist
+    # pushed-forward tautological sequences for every roster spinor twist,
+    # built in normal form (the rank is at least 2), so stored as built
     triangles = []
     r = quadric.taut_rank(n)
     for k in range(1 - n, 1):
+        lines = Sum(((Gen(names[quadric.LINE, k]), r),))
         for kd in kinds:
             nxt = quadric.next_spinor(n, kd)
             triangles.append(
                 Triangle(
-                    Gen(push_name(quadric.QuadricSheaf(kd, k))),
-                    formalcat.sum_of(Gen(push_name(quadric.QuadricSheaf(quadric.LINE, k))), r),
-                    Gen(push_name(quadric.QuadricSheaf(nxt, k + 1))),
+                    Gen(names[kd, k]),
+                    lines,
+                    Gen(names[nxt, k + 1]),
                     tag=f"pushforward of the tautological sequence of {kd} at twist {k}",
                 )
             )
@@ -173,7 +181,7 @@ def _setup(d: int) -> NodalSetup:
     blocks = quadric.lefschetz_blocks(n).blocks
     for i in range(n - 1, 0, -1):
         for kd in blocks[i]:
-            perp.append(push_name(quadric.QuadricSheaf(kd, -i)))
+            perp.append(_push_text(kd, -i))
     if d % 2 == 1 and n >= 2:
         mutated = formalcat.mutate_right(ctx, Gen("j*O(-1)"), Gen("j*S'(-1)"))
         expected = Shift(Gen("j*S''"), -1)

@@ -63,12 +63,16 @@ class QuadricSheaf(Frozen):
         return QuadricSheaf(self.kind, self.twist + k)
 
     def render(self) -> str:
-        if self.twist == 0:
-            return self.kind
-        return f"{self.kind}({self.twist})"
+        return sheaf_name(self.kind, self.twist)
 
     def __str__(self) -> str:
         return self.render()
+
+
+def sheaf_name(kind: str, twist: int) -> str:
+    """The text of the sheaf ``kind(twist)``, as ``QuadricSheaf.render``
+    writes it, without building the sheaf."""
+    return kind if twist == 0 else f"{kind}({twist})"
 
 
 _set_kind = QuadricSheaf.kind.__set__
@@ -479,12 +483,13 @@ def sheaf_context(n: int):
     def twist(name: str, k: int) -> str:
         return resolve(name).twisted(k).render()
 
-    r = taut_rank(n)
+    # built in normal form (the rank is at least 2), so stored as built
+    lines = formalcat.Sum(((formalcat.Gen(sheaf_name(LINE, 0)), taut_rank(n)),))
     triangles = tuple(
         formalcat.Triangle(
-            formalcat.Gen(QuadricSheaf(kd).render()),
-            formalcat.sum_of(formalcat.Gen(QuadricSheaf(LINE).render()), r),
-            formalcat.Gen(QuadricSheaf(next_spinor(n, kd), 1).render()),
+            formalcat.Gen(sheaf_name(kd, 0)),
+            lines,
+            formalcat.Gen(sheaf_name(next_spinor(n, kd), 1)),
             tag=f"tautological sequence of {kd} at twist 0",
         )
         for kd in spin_kinds

@@ -564,6 +564,22 @@ def test_undecided_serre_at_d13_prints_one_bounded_line():
     assert proc.stderr == f"nodalcat: IndeterminateHom: {exc.value}\n"
 
 
+def test_sum_with_a_huge_cone_summand_in_bounded_memory():
+    # the cone's text is ~11 GB; sorting the sum once wrote it out as a
+    # sort key, and the query died of MemoryError (exit 4)
+    limit = 512 << 20
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "nodalcat", "hom", "--context", "nodal:5",
+         "cone(j*S' -> j*S'(-1)^1000000000) + j*O", "j*O"],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == cli.EXIT_UNDECIDED
+    assert proc.stdout == ""
+    assert proc.stderr == ("nodalcat: IndeterminateHom: indeterminate degrees [0, 1] "
+                           "(Hom(cone(j*S' -> j*S'(-1)^1000000000), j*O))\n")
+
+
 def test_reader_gone_early_exits_quietly():
     # the ~57 MB answer outgrows the pipe long before it is written, so the
     # writes after the reader closed fail with EPIPE, as under `| head -c 10`

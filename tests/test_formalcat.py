@@ -2,7 +2,7 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, reject, settings, strategies as st
 
 from nodalcat import formalcat, nodal, quadric
 from nodalcat.errors import IndeterminateHom, NodalcatError, NotExceptional, UnknownGenerator
@@ -486,6 +486,166 @@ def test_compact_render_chunks_write_each_summand_once():
     e = Sum(((Shift(Cone(Gen("j*S'"), run), 1), 3), (Gen("B"), 1)))
     assert "".join(formalcat.render_chunks(e, compact=True)) == (
         "cone(j*S' -> j*O(-1)^1000000000 + j*O(-1)[1]^2 + A)[1]^3 + B")
+
+
+# ---------------------------------------------------------------------------
+# sorting parts: the one-part fast paths and the bounded sort keys against
+# the sort-by-rendered-text versions they replaced
+# ---------------------------------------------------------------------------
+
+
+def _text_len(e) -> int:
+    """``len(render(e))``, counted on the tree."""
+    if isinstance(e, Gen):
+        return len(e.name)
+    if isinstance(e, Shift):
+        return _text_len(e.expr) + len(f"[{e.m}]")
+    if isinstance(e, Cone):
+        return len("cone( -> )") + _text_len(e.src) + _text_len(e.tgt)
+    runs = [(p, r) for p, r in e.parts if r >= 1]
+    if not runs:
+        return 1
+    return sum(r * (_text_len(p) + 3) for p, r in runs) - 3
+
+
+class _Unwritten:
+    """The reference's sort key for a part too long to write out.  A sort of
+    one part never compares its key; comparing this one rejects the example."""
+
+    def __lt__(self, other):
+        reject()
+
+    __gt__ = __lt__
+
+
+def _reference_key(p):
+    return render(p) if _text_len(p) <= 10_000 else _Unwritten()
+
+
+def _reference_sorted_parts(pairs) -> tuple:
+    acc = {}
+    order = {}
+    for p, r in pairs:
+        if r == 0:
+            continue
+        acc[p] = acc.get(p, 0) + r
+        order[p] = _reference_key(p)
+    return tuple(sorted(((p, r) for p, r in acc.items()), key=lambda it: order[it[0]]))
+
+
+def _reference_shift_expr(e, m):
+    if m == 0:
+        return e
+    if isinstance(e, Shift):
+        k = e.m + m
+        return e.expr if k == 0 else Shift(e.expr, k)
+    if isinstance(e, Sum):
+        return Sum(_reference_sorted_parts([(_reference_shift_expr(p, m), r) for p, r in e.parts]))
+    return Shift(e, m)
+
+
+def _reference_normalize(e):
+    if isinstance(e, Gen):
+        return e
+    if isinstance(e, Shift):
+        return _reference_shift_expr(_reference_normalize(e.expr), e.m)
+    if isinstance(e, Sum):
+        flat = []
+        for p, r in e.parts:
+            q = _reference_normalize(p)
+            if isinstance(q, Sum):
+                flat.extend((pp, rr * r) for pp, rr in q.parts)
+            else:
+                flat.append((q, r))
+        parts = _reference_sorted_parts(flat)
+        if len(parts) == 1 and parts[0][1] == 1:
+            return parts[0][0]
+        return Sum(parts)
+    src, tgt = _reference_normalize(e.src), _reference_normalize(e.tgt)
+    if e.tag == "identity":
+        return ZERO
+    if formalcat.is_zero(src):
+        return tgt
+    if formalcat.is_zero(tgt):
+        return _reference_shift_expr(src, 1)
+    s = formalcat._outer_shift(src)
+    if s:
+        return Shift(Cone(_reference_shift_expr(src, -s), _reference_shift_expr(tgt, -s), e.tag), s)
+    return Cone(src, tgt, e.tag)
+
+
+def _same(got, want) -> bool:
+    # equality ignores cone tags, repr shows them; neither renders the text
+    return got == want and repr(got) == repr(want)
+
+
+# normal forms with shifts, tagged nested cones and multiplicities up to 10^9
+_normal_terms = st.recursive(
+    st.builds(Gen, st.sampled_from(["j*S'", "j*S''(-1)", "j*O", "j*O(2)", "A"])),
+    lambda inner: st.one_of(
+        st.builds(shift_expr, inner, st.integers(-3, 3)),
+        st.builds(lambda a, b, tag: normalize(Cone(a, b, tag)), inner, inner, st.sampled_from(["", "f"])),
+        st.lists(st.tuples(inner, st.integers(1, 3) | st.integers(1, 10**9)), min_size=1, max_size=3)
+        .map(formalcat.sum_exprs),
+    ),
+    max_leaves=10,
+)
+_mults = st.integers(-3, 3) | st.integers(1, 10**9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_normal_terms, st.lists(st.tuples(st.integers(0, 2), _mults), min_size=1, max_size=4),
+       st.integers(-3, 3), _mults)
+def test_sorting_parts_matches_the_sort_by_text(e, picks, m, r):
+    # a normal term normalizes to itself, the very object
+    assert normalize(e) is e and _same(e, _reference_normalize(e))
+    assert _same(shift_expr(e, m), _reference_shift_expr(e, m))
+    # a one-part sum, raw, and pairs of e's parts, repeated and cancelling
+    raw = Sum(((e, r),))
+    assert _same(normalize(raw), _reference_normalize(raw))
+    parts = [p for p, _ in e.parts] if isinstance(e, Sum) else [e]
+    pairs = [(parts[i % len(parts)], k) for i, k in picks]
+    assert _same(Sum(formalcat._sorted_parts(pairs)), Sum(_reference_sorted_parts(pairs)))
+
+
+def test_one_part_sums_render_nothing(monkeypatch):
+    # the part's text is ~10 GB, and a one-part sum has nothing to sort
+    huge = Cone(Gen("j*S'"), Sum(((Gen("j*S'(-1)"), 10**9),)))
+
+    def unwritten(*args):
+        raise AssertionError("rendered a sort key")
+
+    monkeypatch.setattr(formalcat, "render", unwritten)
+    monkeypatch.setattr(formalcat, "render_chunks", unwritten)
+    assert formalcat._sorted_parts([(huge, 2), (huge, 1)]) == ((huge, 3),)
+    assert shift_expr(Sum(((huge, 3),)), 2) == Sum(((Shift(huge, 2), 3),))
+    assert normalize(Sum(((huge, 1), (huge, 2)))) == Sum(((huge, 3),))
+
+
+def _chunked(data, text):
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(text)), max_size=4)))
+    return [text[i:j] for i, j in zip([0, *cuts], [*cuts, len(text)])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("ab", max_size=8), st.text("ab", max_size=4), st.data())
+def test_text_order_of_chunk_streams(x, tail, data):
+    # y is x, x with a tail, or unrelated; both cut into chunks at random
+    y = data.draw(st.sampled_from([x, x + tail, tail]))
+    got = formalcat._text_order(_chunked(data, x), _chunked(data, y))
+    assert got == (x > y) - (x < y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_raw_terms, st.integers(1, 3)), min_size=2, max_size=5))
+def test_streamed_sort_keys_keep_the_text_order(pairs):
+    # with slices of 8 characters nearly every key and summand is streamed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formalcat, "RUN_SLICE", 8)
+        got = formalcat._sorted_parts(pairs)
+        chunks = list(formalcat.render_chunks(Sum(got)))
+    assert [(repr(p), r) for p, r in got] == [(repr(p), r) for p, r in _reference_sorted_parts(pairs)]
+    assert "".join(chunks) == _reference_render(Sum(got))
 
 
 # ---------------------------------------------------------------------------

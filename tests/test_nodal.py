@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from nodalcat import formalcat, nodal, quadric
 from nodalcat.errors import NodalcatError, UnsupportedPair
-from nodalcat.formalcat import SOD, Cone, Gen, Shift, render
+from nodalcat.formalcat import SOD, Cone, Gen, Shift, Triangle, render
 from nodalcat.graded import GradedDim
 from nodalcat.quadric import QuadricSheaf as QS
 
@@ -99,6 +99,86 @@ class TestBuildContext:
             for g in ctx.generators:
                 if d % 2 == 1 or nodal.parse_push_name(g).is_line:
                     assert formalcat.hom(ctx, Gen(g), Gen(g)) == gd({0: 1}), (d, g)
+
+
+# ---------------------------------------------------------------------------
+# context construction against the normalize-then-index reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_triangles(d):
+    """The static triangles of nodal:d, built through ``sum_of``, then each
+    leg normalized into a new triangle."""
+    n = d - 1
+    r = quadric.taut_rank(n)
+    out = []
+    for k in range(1 - n, 1):
+        for kd in nodal._spinor_kinds(d):
+            nxt = quadric.next_spinor(n, kd)
+            out.append(Triangle(
+                Gen(nodal.push_name(QS(kd, k))),
+                formalcat.sum_of(Gen(nodal.push_name(QS("O", k))), r),
+                Gen(nodal.push_name(QS(nxt, k + 1))),
+                tag=f"pushforward of the tautological sequence of {kd} at twist {k}",
+            ))
+    if d % 2 == 1:
+        sp, spp = Gen("j*S'"), Gen("j*S''")
+        out.append(Triangle(sp, Shift(spp, 2), Cone(sp, Shift(spp, 2), tag="kernel mutation cone"),
+                            tag="kernel mutation cone"))
+        out.append(Triangle(spp, Shift(sp, 2), Cone(spp, Shift(sp, 2), tag="companion cone with spinors swapped"),
+                            tag="companion cone with spinors swapped"))
+    return _normalized(out)
+
+
+def _reference_quadric_triangles(n):
+    kinds = ("S",) if n % 2 == 1 else ("S'", "S''")
+    return _normalized([
+        Triangle(Gen(QS(kd).render()), formalcat.sum_of(Gen(QS("O").render()), quadric.taut_rank(n)),
+                 Gen(QS(quadric.next_spinor(n, kd), 1).render()), tag=f"tautological sequence of {kd} at twist 0")
+        for kd in kinds
+    ])
+
+
+def _normalized(triangles):
+    return [Triangle(formalcat.normalize(t.x), formalcat.normalize(t.y), formalcat.normalize(t.z), t.tag)
+            for t in triangles]
+
+
+def _reference_index(triangles) -> dict:
+    """Every rotation of every triangle shifted by its minimal shift, the
+    zero one included, first registration winning."""
+    index = {}
+    for t in triangles:
+        x1 = formalcat.shift_expr(t.x, 1)
+        for p, q, res in ((t.x, t.y, t.z), (t.y, t.z, x1), (t.z, x1, formalcat.shift_expr(t.y, 1))):
+            m = formalcat._min_shift(p)
+            key = (formalcat.shift_expr(p, -m), formalcat.shift_expr(q, -m))
+            index.setdefault(key, formalcat.shift_expr(res, -m))
+    return index
+
+
+def _assert_built_as_reference(ctx, triangles, roster):
+    # repr shows the cone and triangle tags, which equality ignores
+    assert repr(ctx.triangles) == repr(tuple(triangles))
+    assert ctx._derived_triangles == []
+    assert repr(list(ctx._cone_index.items())) == repr(list(_reference_index(triangles).items()))
+    assert ctx.generators == tuple(roster)
+
+
+@pytest.mark.parametrize("d", range(2, 31))
+def test_nodal_context_built_as_the_reference(d):
+    ctx = nodal._setup.__wrapped__(d).context
+    n, kinds = d - 1, nodal._spinor_kinds(d)
+    roster = [nodal.push_name(QS("O", k)) for k in range(1 - n, 2)]
+    roster += [nodal.push_name(QS(kd, k)) for k in range(1 - n, 2) for kd in kinds]
+    _assert_built_as_reference(ctx, _reference_triangles(d), roster)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_quadric_context_built_as_the_reference(n):
+    kinds = ("S",) if n % 2 == 1 else ("S'", "S''")
+    roster = [QS("O", k).render() for k in (0, 1)] + [QS(kd, k).render() for k in (0, 1) for kd in kinds]
+    _assert_built_as_reference(quadric.sheaf_context(n), _reference_quadric_triangles(n), roster)
 
 
 class TestMutationIdentities:
