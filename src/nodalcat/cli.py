@@ -15,7 +15,9 @@ copy out; the Hom arguments of an ``IndeterminateHom`` message use
 
 Cones nest at most ``MAX_CONE_DEPTH`` deep; deeper input is a parse
 error, so it never reaches the recursive solvers.  Postfix chains
-(shifts, twists and multiplicities) have no cap.
+(shifts, twists and multiplicities) have no cap.  An integer literal has
+at most ``MAX_LITERAL_DIGITS`` digits; an answer has no cap on its
+numbers, which are written out exactly.
 
 Exit codes: 0 success, 1 verification failure, 2 indeterminate or
 unsupported computation, 3 parse or usage error, 4 internal error (an
@@ -58,6 +60,12 @@ EXIT_BROKEN_PIPE = 141
 # recursion limit of 1000 frames.
 MAX_CONE_DEPTH = 100
 
+# Most digits an integer literal of the input may have: CPython's default
+# limit on int/str conversion.  A command runs with that limit lifted, so
+# that an answer of any size is written exactly (see ``_main``); a longer
+# literal is a parse error before it costs a conversion.
+MAX_LITERAL_DIGITS = 4300
+
 
 class ExprParseError(Exception):
     def __init__(self, message: str, column: int):
@@ -86,6 +94,12 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+
+def _int_literal(text: str, column: int) -> int:
+    if len(text.lstrip("-")) > MAX_LITERAL_DIGITS:
+        raise ExprParseError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits", column)
+    return int(text)
 
 
 def _tokenize(text: str):
@@ -124,6 +138,10 @@ class _Parser:
         self.i += 1
         return tok
 
+    def take_int(self) -> int:
+        _, text, column = self.take("int")
+        return _int_literal(text, column)
+
     def parse(self):
         node = self.parse_sum()
         tok = self.peek()
@@ -146,12 +164,12 @@ class _Parser:
             kind = self.peek()[0]
             if kind == "lbr":
                 self.take("lbr")
-                m = int(self.take("int")[1])
+                m = self.take_int()
                 self.take("rbr")
                 node = ("shift", node, m)
             elif kind == "lpar":
                 self.take("lpar")
-                k = int(self.take("int")[1])
+                k = self.take_int()
                 self.take("rpar")
                 node = ("twist", node, k)
             elif kind == "caret":
@@ -159,7 +177,7 @@ class _Parser:
                 tok = self.take("int")
                 if tok[1].startswith("-"):
                     raise ExprParseError(f"expected a multiplicity of 0 or more, found {tok[1]!r}", tok[2])
-                node = ("mult", node, int(tok[1]))
+                node = ("mult", node, _int_literal(tok[1], tok[2]))
             else:
                 return node
 
@@ -267,7 +285,7 @@ def _context_for(spec: str) -> tuple[int, formalcat.Context]:
     m = re.match(r"^nodal:(\d+)$", spec)
     if not m:
         raise ExprParseError(f"unknown context {spec!r} (expected nodal:<dim>)", 1)
-    d = int(m.group(1))
+    d = _int_literal(m.group(1), m.start(1) + 1)
     return d, nodal.build_context(d)
 
 
@@ -329,8 +347,8 @@ def _parse_dims(spec: str) -> range:
     m = re.match(r"^(\d+)(?:\.\.(\d+))?$", spec)
     if not m:
         raise ExprParseError(f"bad dimension range {spec!r} (expected a..b)", 1)
-    lo = int(m.group(1))
-    hi = int(m.group(2)) if m.group(2) else lo
+    lo = _int_literal(m.group(1), 1)
+    hi = _int_literal(m.group(2), m.start(2) + 1) if m.group(2) else lo
     if hi < lo:
         raise ExprParseError(f"empty dimension range {spec!r} (upper end below lower end)",
                              m.start(2) + 1)
@@ -563,6 +581,12 @@ def _main(argv) -> int:
         args = _parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_PARSE
+    # answers are exact at any size: the command runs with CPython's limit
+    # on int/str conversion (3.10.7 and later) lifted, and the caller's
+    # limit is back when it returns
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ExprParseError as exc:
@@ -578,6 +602,9 @@ def _main(argv) -> int:
     except ValueError as exc:
         print(f"nodalcat: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

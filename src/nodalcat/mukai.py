@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from . import quadric
 from .errors import ParityMismatch, UnsupportedPair
@@ -121,24 +122,39 @@ def ch_spinor_odd(n: int) -> ChowClass:
     class ring has no zero divisors in low degrees, so the solution is
     unique of rank 2^m.
     """
-    if n % 2 == 0:
-        raise ParityMismatch("the single spinor bundle lives on odd quadrics")
-    if n > 11:
-        raise ValueError("odd quadric dimension capped at 11")
+    _check_spinor_dim(n)
     denom = ChowClass.one(n) + ChowClass.exp_h(n, 1)
     return denom.invert().scale(2 ** ((n + 1) // 2))
 
 
-def ch_sheaf(n: int, F: quadric.QuadricSheaf) -> ChowClass:
-    """Chern character of a supported sheaf; spinors only on odd quadrics."""
+def _check_spinor_dim(n: int) -> None:
+    if n % 2 == 0:
+        raise ParityMismatch("the single spinor bundle lives on odd quadrics")
+    if n > 11:
+        raise ValueError("odd quadric dimension capped at 11")
+
+
+def _ch_factors(n: int, F: quadric.QuadricSheaf) -> tuple[bool, int]:
+    """(is_spinor, twist) with ch(F) = ch(S)^is_spinor e^{twist h}.
+
+    Raises what ``ch_sheaf`` raises for F, in the same order.
+    """
     quadric.check_parity(n, F)
     if F.is_line:
-        return ChowClass.exp_h(n, F.twist)
+        return False, F.twist
     if F.kind != quadric.SPINOR:
         raise UnsupportedPair(
             "Chern characters of even-quadric spinor bundles are outside the h-subring"
         )
-    return ch_spinor_odd(n) * ChowClass.exp_h(n, F.twist)
+    _check_spinor_dim(n)
+    return True, F.twist
+
+
+def ch_sheaf(n: int, F: quadric.QuadricSheaf) -> ChowClass:
+    """Chern character of a supported sheaf; spinors only on odd quadrics."""
+    is_spinor, twist = _ch_factors(n, F)
+    line = ChowClass.exp_h(n, twist)
+    return ch_spinor_odd(n) * line if is_spinor else line
 
 
 def todd_quadric(n: int) -> ChowClass:
@@ -160,12 +176,44 @@ def _x_over_one_minus_exp_minus(n: int) -> ChowClass:
 
 
 def chi_hrr(n: int, F: quadric.QuadricSheaf, G: quadric.QuadricSheaf) -> int:
-    """chi(F, G) by Riemann-Roch: integral of ch(F^v) ch(G) td(Q)."""
-    total = ch_sheaf(n, quadric.dual_sheaf(n, F)) * ch_sheaf(n, G) * todd_quadric(n)
-    val = total.integral()
-    if val.denominator != 1:
-        raise ArithmeticError(f"non-integral Riemann-Roch value {val}")
-    return int(val)
+    """chi(F, G) by Riemann-Roch: integral of ch(F^v) ch(G) td(Q).
+
+    ch(F^v) ch(G) = ch(S)^s e^{k h}, where s counts the spinors among F^v
+    and G and k is the sum of their twists, so the integrand is
+    e^{k h} K with K = ch(S)^s td(Q^n), which depends on (n, s) alone.
+    Integration reads only the coefficient of h^n (the integral of h^n is
+    2, of every lower power 0), so
+
+        chi = 2 [h^n](e^{k h} K) = 2 sum_i K_{n-i} k^i / i!,
+
+    a polynomial of degree n in k.  Its coefficients are built once per
+    (n, s) from ``todd_quadric`` and ``ch_spinor_odd`` and kept as
+    integers over one common denominator (``_hrr_coefficients``), so a
+    call is n + 1 integer multiply-adds.  Every check of ``ch_sheaf``
+    runs on F^v and on G at each call, before the cache is read.
+    """
+    f_spinor, f_twist = _ch_factors(n, quadric.dual_sheaf(n, F))
+    g_spinor, g_twist = _ch_factors(n, G)
+    coeffs, denom = _hrr_coefficients(n, f_spinor + g_spinor)
+    k = f_twist + g_twist
+    total = 0
+    for c in coeffs:
+        total = total * k + c
+    val, rem = divmod(total, denom)
+    if rem:
+        raise ArithmeticError(f"non-integral Riemann-Roch value {Fraction(total, denom)}")
+    return val
+
+
+@lru_cache(maxsize=64)
+def _hrr_coefficients(n: int, spinors: int) -> tuple[tuple[int, ...], int]:
+    """(c_n, ..., c_0), D with D chi = sum_i c_i k^i; see ``chi_hrr``."""
+    K = todd_quadric(n)
+    for _ in range(spinors):
+        K = K * ch_spinor_odd(n)
+    terms = [2 * K.coeffs[n - i] / math.factorial(i) for i in range(n, -1, -1)]
+    denom = math.lcm(*(t.denominator for t in terms))
+    return tuple(t.numerator * (denom // t.denominator) for t in terms), denom
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import re
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -578,6 +579,74 @@ def test_sum_with_a_huge_cone_summand_in_bounded_memory():
     assert proc.stdout == ""
     assert proc.stderr == ("nodalcat: IndeterminateHom: indeterminate degrees [0, 1] "
                            "(Hom(cone(j*S' -> j*S'(-1)^1000000000), j*O))\n")
+
+
+def _exact(text):
+    """text() under no limit on int/str conversion; the limit is put back."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return text()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+_NINES_1500 = 10 ** 1500 - 1
+_NINES_4299 = 10 ** 4299 - 1
+
+
+@pytest.mark.parametrize("argv, want", [
+    # rank S = 2^49999 on Q^99999, so H^n(S(-n)) = H^0(S(1))^v has dimension 2^50000
+    (["cohom", "--quadric", "99999", "S(-99999)"],
+     lambda: f"C^{2 ** 50000}[-99999]\n"),
+    (["mukai", f"O({'9' * 1500})"],
+     lambda: (f"ch = 1 + {_NINES_1500} h + {Fraction(_NINES_1500 ** 2, 2)} h^2"
+              f" + {Fraction(_NINES_1500 ** 3, 6)} h^3\n"
+              f"v = (1, {_NINES_1500}H, {3 * _NINES_1500 ** 2 + 1})\n<v,v> = -2\nchi = 2\n")),
+    # Hom(j*O, j*O(3)) = C^16 + C^9[-1] at d = 3, once per copy
+    (["hom", "--context", "nodal:3", "j*O", f"j*O(3)^{'9' * 4299}"],
+     lambda: f"C^{16 * _NINES_4299} + C^{9 * _NINES_4299}[-1]\n"),
+], ids=["cohom", "mukai", "hom"])
+def test_answer_longer_than_the_int_str_limit(argv, want):
+    # each answer has over 4300 digits, CPython's default limit on int/str
+    # conversion, which once ended the command with exit 3 and its message
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "nodalcat", *argv], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "")
+    assert max(map(len, re.findall(r"\d+", proc.stdout))) > 4300
+    assert proc.stdout == _exact(want)
+
+
+def test_int_str_limit_is_the_callers_after_main(capsys, fresh_contexts):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert main(["cohom", "--quadric", "99999", "S(-99999)"]) == cli.EXIT_OK
+        assert sys.get_int_max_str_digits() == 5000
+        assert main(["hom", "--context", "nodal:3", "j*O", "j*O(3)^" + "9" * 4301]) == cli.EXIT_PARSE
+        assert sys.get_int_max_str_digits() == 5000
+        assert main(["hom", "--context", "nodal:5", "cone(j*S' -> j*S'(-1)^7) + j*O",
+                     "j*O"]) == cli.EXIT_UNDECIDED
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out, err = capsys.readouterr()
+    assert len(out) > 15000
+    assert err.splitlines()[0] == ("nodalcat: parse error at column 8: integer literal longer "
+                                   "than 4300 digits")
+
+
+@pytest.mark.parametrize("argv, column", [
+    (["hom", "--context", "nodal:3", "j*O", "j*O(" + "9" * 4301 + ")"], 5),
+    (["hom", "--context", "nodal:3", "j*O", "j*O[-" + "9" * 4301 + "]"], 5),
+    (["hom", "--context", "nodal:" + "9" * 4301, "j*O", "j*O"], 7),
+    (["verify", "--dims", "2.." + "9" * 4301], 4),
+])
+def test_integer_literal_over_the_cap_is_a_parse_error(capsys, argv, column):
+    assert main(argv) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == (f"nodalcat: parse error at column {column}: integer literal "
+                                       f"longer than {cli.MAX_LITERAL_DIGITS} digits\n")
 
 
 def test_reader_gone_early_exits_quietly():

@@ -1,8 +1,9 @@
+import functools
 from fractions import Fraction
 
 import pytest
 
-from nodalcat import mukai, quadric
+from nodalcat import cli, mukai, quadric
 from nodalcat.errors import ParityMismatch, UnsupportedPair
 from nodalcat.mukai import ChowClass, MukaiVector, ch_spinor_odd, chi_hrr, chi_k3, mukai_pairing, restrict_to_k3
 from nodalcat.quadric import QuadricSheaf as QS
@@ -115,6 +116,84 @@ class TestRiemannRoch:
         # a genuinely independent route to chi(S, S) = 1
         assert chi_hrr(3, QS("S"), QS("S")) == 1
         assert chi_hrr(3, QS("S", 1), QS("S")) == -1
+
+
+# chi_hrr as it was before the per-quadric coefficients: the integral of
+# the product of three whole truncated classes.  The factor classes are
+# memoized (per n and sheaf) only to keep the grids below fast; a class
+# that raises is never memoized, so the reference raises at every call.
+_ch_sheaf = functools.cache(mukai.ch_sheaf)
+_todd_quadric = functools.cache(mukai.todd_quadric)
+
+
+def _chi_hrr_reference(n, F, G):
+    total = _ch_sheaf(n, quadric.dual_sheaf(n, F)) * _ch_sheaf(n, G) * _todd_quadric(n)
+    val = total.integral()
+    if val.denominator != 1:
+        raise ArithmeticError(f"non-integral Riemann-Roch value {val}")
+    return int(val)
+
+
+class TestRiemannRochAgainstTripleProduct:
+    @pytest.mark.parametrize("n", range(1, 12, 2))
+    def test_odd_quadrics_every_kind_pair(self, n):
+        for a in ("O", "S"):
+            for b in ("O", "S"):
+                for s in range(-15, 16):
+                    for t in range(-15, 16):
+                        F, G = QS(a, s), QS(b, t)
+                        assert chi_hrr(n, F, G) == _chi_hrr_reference(n, F, G), (n, F, G)
+                for s, t in ((1000, -1000), (-1000, 1000), (1000, 1000), (-999, -1000), (7, -1000)):
+                    F, G = QS(a, s), QS(b, t)
+                    assert chi_hrr(n, F, G) == _chi_hrr_reference(n, F, G), (n, F, G)
+
+    def test_line_pairs(self):
+        for n in range(1, 13):
+            for s in (-1000, *range(-15, 16), 1000):
+                for t in (-1000, -15, -4, -1, 0, 1, 2, 7, 15, 999):
+                    F, G = QS("O", s), QS("O", t)
+                    assert chi_hrr(n, F, G) == _chi_hrr_reference(n, F, G), (n, F, G)
+
+    @pytest.mark.parametrize("n, F, G, error", [
+        (4, QS("S'"), QS("O"), UnsupportedPair),
+        (4, QS("O", 2), QS("S''", -1), UnsupportedPair),
+        (13, QS("S"), QS("O"), ValueError),
+        (13, QS("O"), QS("S", 3), ValueError),
+        (4, QS("S"), QS("O"), ParityMismatch),
+        (3, QS("O"), QS("S'"), ParityMismatch),
+        (3, QS("S'"), QS("S", 14), ParityMismatch),
+        (0, QS("O"), QS("O"), ValueError),
+    ])
+    def test_same_errors_on_consecutive_calls(self, n, F, G, error):
+        with pytest.raises(error) as ref:
+            _chi_hrr_reference(n, F, G)
+        for _ in range(2):
+            with pytest.raises(error) as got:
+                chi_hrr(n, F, G)
+            assert type(got.value) is type(ref.value)
+            assert str(got.value) == str(ref.value)
+
+
+def test_non_integral_value_raises_every_time(monkeypatch):
+    # D chi = k on Q^1 with D = 2: odd twists give a half-integer
+    monkeypatch.setattr(mukai, "_hrr_coefficients", lambda n, spinors: ((1, 0), 2))
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match="^non-integral Riemann-Roch value 1/2$"):
+            chi_hrr(1, QS("O"), QS("O", 1))
+
+
+def test_returned_classes_are_fresh(capsys):
+    # chi_hrr keeps per-quadric data; the classes handed out must not be it
+    assert chi_hrr(3, QS("S"), QS("S")) == 1
+    assert cli.main(["mukai", "S"]) == 0
+    before = capsys.readouterr()
+    for c in (mukai.ch_spinor_odd(3), mukai.todd_quadric(3), mukai.ch_sheaf(3, QS("S", 1))):
+        c.coeffs = (Fraction(5),) * 4
+    assert mukai.ch_spinor_odd(3) is not mukai.ch_spinor_odd(3)
+    assert chi_hrr(3, QS("S"), QS("S")) == 1
+    assert cli.main(["mukai", "S"]) == 0
+    assert capsys.readouterr() == before
+    assert before.out == "ch = 2 - h + 1/12 h^3\nv = (2, -H, 2)\n<v,v> = -2\nchi = 2\n"
 
 
 def test_chow_render():
