@@ -625,10 +625,14 @@ def _hom(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim:
 
 
 def _hom_compute(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim:
+    if F.__class__ is Gen and G.__class__ is Gen:
+        # most pairs: a generator is its own unshifted key in the facts
+        facts = ctx._zero_facts
+        if facts and (F, G) in facts:
+            return GradedDim.zero()
+        return ctx.base_hom(ctx.resolve(F.name), ctx.resolve(G.name))
     if ctx.has_zero_fact(F, G):
         return GradedDim.zero()
-    if isinstance(F, Gen) and isinstance(G, Gen):
-        return ctx.base_hom(ctx.resolve(F.name), ctx.resolve(G.name))
     if is_zero(F) or is_zero(G):
         return GradedDim.zero()
     if isinstance(F, Sum):
@@ -680,7 +684,14 @@ def splice(Y: GradedDim, X: GradedDim, s: int, t: int,
     two terms vanishes: Y_k counts in full when X_{k+s} = 0, and X_{k+t}
     when Y_{k+t-s} = 0.  Any other degree is collected, and together they
     raise ``IndeterminateHom(degrees, label)``.
+
+    A zero row forces every degree, since no map between Y and X is left
+    unknown: C is Y when X = 0, and X moved by t when Y = 0.
     """
+    if not X.entries:
+        return Y
+    if not Y.entries:
+        return X.shift(t)
     y_at, x_at = dict(Y.entries), dict(X.entries)
     out: dict[int, int] = {}
     bad: list[int] = []

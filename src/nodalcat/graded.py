@@ -115,6 +115,16 @@ class GradedDim(Frozen):
     def __bool__(self) -> bool:
         return bool(self.entries)
 
+    # written out: Hom values are compared in every exceptional and
+    # spherical check, where Value's generic methods are several times slower
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.entries,))
+
     def __add__(self, other: "GradedDim") -> "GradedDim":
         d = dict(self.entries)
         for k, v in other.entries:

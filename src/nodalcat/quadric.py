@@ -177,24 +177,23 @@ def cohomology(n: int, F: QuadricSheaf) -> GradedDim:
     1-n <= k <= 0; and H^n by Serre duality for k <= -n.
     """
     check_parity(n, F)
-    k = F.twist
-    if F.is_line:
-        d: dict[int, int] = {}
-        h0 = cone_ring_dim(n, k)
-        hn = cone_ring_dim(n, -n - k)  # Serre duality against O(-n)
-        if h0:
-            d[0] = h0
-        if hn:
-            d[n] = hn
-        return GradedDim.from_dict(d)
+    return _cohomology(n, F.kind, F.twist)
+
+
+def _cohomology(n: int, kind: str, k: int) -> GradedDim:
+    """``cohomology`` of the sheaf ``kind(k)``, already checked on Q^n."""
+    if kind == LINE:
+        if k >= 0:
+            return GradedDim.point(0, cone_ring_dim(n, k))
+        # Serre duality against O(-n): zero for 1-n <= k <= -1
+        return GradedDim.point(n, cone_ring_dim(n, -n - k))
     if k >= 1:
         return GradedDim.point(0, _h0_spinor(n, k))
     if k >= 1 - n:
         return GradedDim.zero()
-    # k <= -n: only H^n survives; Serre duality through the spinor dual
-    dualF = dual_sheaf(n, F)  # kind'(1-k)
-    hn = _h0_spinor(n, dualF.twist - n)
-    return GradedDim.point(n, hn)
+    # k <= -n: only H^n survives; Serre duality through the spinor dual,
+    # a spinor bundle at twist 1 - k whose kind h^0 does not read
+    return GradedDim.point(n, _h0_spinor(n, 1 - k - n))
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +214,12 @@ def hom_quadric(n: int, F: QuadricSheaf, G: QuadricSheaf) -> GradedDim:
     """
     check_parity(n, F)
     check_parity(n, G)
-    if F.is_line:
-        return cohomology(n, G.twisted(-F.twist))
-    if G.is_line:
-        dualF = dual_sheaf(n, F)
-        return cohomology(n, dualF.twisted(G.twist))
+    if F.kind == LINE:
+        return _cohomology(n, G.kind, G.twist - F.twist)
+    if G.kind == LINE:
+        # F^v is a spinor bundle at twist 1 - F.twist, of a kind that
+        # spinor cohomology does not read
+        return _cohomology(n, F.kind, 1 - F.twist + G.twist)
     c = F.twist - G.twist
     if not 0 <= c <= n:
         raise UnsupportedPair(

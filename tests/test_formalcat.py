@@ -151,6 +151,13 @@ class TestLESSolver:
         assert hom(ctx, Z, Gen("A")).is_zero
         # shifts of both sides are covered by the same fact
         assert hom(ctx, shift_expr(Z, 5), Shift(Gen("A"), -2)).is_zero
+        # a fact between two generators wins over the base table
+        assert not ctx.base_hom("A", "B").is_zero
+        ctx.add_zero_fact(Gen("A"), Gen("B"))
+        assert hom(ctx, Gen("A"), Gen("B")).is_zero
+        assert hom(ctx, Shift(Gen("A"), 1), Gen("B")).is_zero
+        # the reverse pair still reads the base table
+        assert hom(ctx, Gen("B"), Gen("A")) == ctx.base_hom("B", "A")
 
 
 class TestMutations:
@@ -748,6 +755,17 @@ _SPLICE_CALLERS = [(_reference_covariant, 0, 1), (_reference_contravariant, 0, -
 _rows = st.dictionaries(st.integers(-4, 4), st.integers(1, 3), max_size=6).map(GradedDim.from_dict)
 
 
+def _with_empty_rows(test):
+    """Every caller meets an empty Y, an empty X and both, on every run."""
+    row = gd({-1: 2, 0: 1, 3: 1})
+    zero = GradedDim.zero()
+    for caller in _SPLICE_CALLERS:
+        for Y, X in ((zero, row), (row, zero), (zero, zero)):
+            test = example(Y, X, caller)(test)
+    return test
+
+
+@_with_empty_rows
 @settings(max_examples=200, deadline=None)
 @given(_rows, _rows, st.sampled_from(_SPLICE_CALLERS))
 def test_splice_matches_the_loops_it_replaced(Y, X, caller):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,17 @@ class TestRiemannRoch:
                     assert chi_hrr(n, QS("S", a), QS("O", b)) == quadric.chi_quadric(
                         n, QS("S", a), QS("O", b)
                     )
+
+    def test_odd_pairs_match_additive_path_at_large_twists(self):
+        # the odd spinor-spinor branch of chi_quadric solves its own
+        # polynomial; the even pairs have such tests in test_quadric
+        big = 10**4
+        twist_pairs = ((big, -big), (-big, big), (-777, 1234), (3, 2000), (big, big + 5))
+        for n in range(1, 12, 2):
+            for ka, kb in itertools.product(("O", "S"), repeat=2):
+                for a, b in twist_pairs:
+                    F, G = QS(ka, a), QS(kb, b)
+                    assert chi_hrr(n, F, G) == quadric.chi_quadric(n, F, G), (n, str(F), str(G))
 
     def test_spinor_exceptionality_shadow(self):
         # a genuinely independent route to chi(S, S) = 1

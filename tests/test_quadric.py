@@ -122,10 +122,26 @@ class TestCohomology:
         assert cohomology(1, QS("S", 1)) == gd({0: 2})
 
     def test_parity_checked(self):
-        with pytest.raises(ParityMismatch):
-            cohomology(4, QS("S", 0))
-        with pytest.raises(ParityMismatch):
-            cohomology(3, QS("S'", 0))
+        # (n, a sheaf of the wrong parity, another one, its partners of the
+        # right parity: a line and a spinor bundle)
+        cases = [
+            (4, QS("S", 1), QS("S", -2), "S(1) needs an odd-dimensional quadric, got n=4",
+             (QS("O", 2), QS("S'", -1))),
+            (3, QS("S'", 1), QS("S''", -2), "S'(1) needs an even-dimensional quadric, got n=3",
+             (QS("O", 2), QS("S", -1))),
+        ]
+        for n, bad, other_bad, text, partners in cases:
+            calls = [lambda G=G: hom_quadric(n, bad, G) for G in partners]
+            calls += [lambda F=F: hom_quadric(n, F, bad) for F in partners]
+            calls += [
+                lambda: hom_quadric(n, bad, other_bad),  # both wrong: the source is reported
+                lambda: cohomology(n, bad),
+                lambda: dual_sheaf(n, bad),
+            ]
+            for call in calls:
+                with pytest.raises(ParityMismatch) as exc:
+                    call()
+                assert str(exc.value) == text
 
 
 class TestHomQuadric:
