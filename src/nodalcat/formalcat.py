@@ -625,14 +625,10 @@ def _hom(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim:
 
 
 def _hom_compute(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim:
-    if F.__class__ is Gen and G.__class__ is Gen:
-        # most pairs: a generator is its own unshifted key in the facts
-        facts = ctx._zero_facts
-        if facts and (F, G) in facts:
-            return GradedDim.zero()
-        return ctx.base_hom(ctx.resolve(F.name), ctx.resolve(G.name))
     if ctx.has_zero_fact(F, G):
         return GradedDim.zero()
+    if F.__class__ is Gen and G.__class__ is Gen:
+        return ctx.base_hom(ctx.resolve(F.name), ctx.resolve(G.name))
     if is_zero(F) or is_zero(G):
         return GradedDim.zero()
     if isinstance(F, Sum):

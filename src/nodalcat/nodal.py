@@ -121,8 +121,7 @@ def _setup(d: int) -> NodalSetup:
         return F
 
     def base_hom(Fa: quadric.QuadricSheaf, Fb: quadric.QuadricSheaf) -> GradedDim:
-        # _hom_class(Fa, Fb), written out: asked for nearly every Hom
-        return _pair_value(n, Fa.kind, Fa.twist - Fb.twist, Fb.kind)
+        return _pair_value(n, *_hom_class(Fa, Fb))
 
     def twist(name: str, k: int) -> str:
         return push_name(resolve(name).twisted(k))

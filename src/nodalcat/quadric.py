@@ -122,15 +122,20 @@ def next_spinor(n: int, kind: str) -> str:
     return SPINOR if n % 2 == 1 else _flip(kind)
 
 
+def _dual_twist(k: int) -> int:
+    """Twist of the dual of a spinor bundle of twist k."""
+    return 1 - k
+
+
 def dual_sheaf(n: int, F: QuadricSheaf) -> QuadricSheaf:
     """The dual sheaf, via O(k)^v = O(-k) and the spinor duality rules."""
     check_parity(n, F)
     if F.is_line:
         return QuadricSheaf(LINE, -F.twist)
     if F.kind == SPINOR:
-        return QuadricSheaf(SPINOR, 1 - F.twist)
+        return QuadricSheaf(SPINOR, _dual_twist(F.twist))
     kind = F.kind if n % 4 == 0 else _flip(F.kind)
-    return QuadricSheaf(kind, 1 - F.twist)
+    return QuadricSheaf(kind, _dual_twist(F.twist))
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +197,8 @@ def _cohomology(n: int, kind: str, k: int) -> GradedDim:
     if k >= 1 - n:
         return GradedDim.zero()
     # k <= -n: only H^n survives; Serre duality through the spinor dual,
-    # a spinor bundle at twist 1 - k whose kind h^0 does not read
-    return GradedDim.point(n, _h0_spinor(n, 1 - k - n))
+    # whose kind `_h0_spinor` does not read
+    return GradedDim.point(n, _h0_spinor(n, _dual_twist(k) - n))
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +222,8 @@ def hom_quadric(n: int, F: QuadricSheaf, G: QuadricSheaf) -> GradedDim:
     if F.kind == LINE:
         return _cohomology(n, G.kind, G.twist - F.twist)
     if G.kind == LINE:
-        # F^v is a spinor bundle at twist 1 - F.twist, of a kind that
-        # spinor cohomology does not read
-        return _cohomology(n, F.kind, 1 - F.twist + G.twist)
+        # H^*(F^v(G.twist)); the dual's kind is not read (see `_h0_spinor`)
+        return _cohomology(n, F.kind, _dual_twist(F.twist) + G.twist)
     c = F.twist - G.twist
     if not 0 <= c <= n:
         raise UnsupportedPair(

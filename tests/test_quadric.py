@@ -123,8 +123,13 @@ class TestCohomology:
 
     def test_parity_checked(self):
         # (n, a sheaf of the wrong parity, another one, its partners of the
-        # right parity: a line and a spinor bundle)
+        # right parity: a line and a spinor bundle).  Twist 0 lies in the
+        # spinor vanishing range, where an unchecked cohomology reads 0.
         cases = [
+            (4, QS("S", 0), QS("S", -2), "S needs an odd-dimensional quadric, got n=4",
+             (QS("O", 2), QS("S'", -1))),
+            (3, QS("S'", 0), QS("S''", -2), "S' needs an even-dimensional quadric, got n=3",
+             (QS("O", 2), QS("S", -1))),
             (4, QS("S", 1), QS("S", -2), "S(1) needs an odd-dimensional quadric, got n=4",
              (QS("O", 2), QS("S'", -1))),
             (3, QS("S'", 1), QS("S''", -2), "S'(1) needs an even-dimensional quadric, got n=3",
