@@ -211,11 +211,9 @@ def parse_raw(text: str):
 
 
 def _canon_gen(ctx: formalcat.Context, name: str) -> str:
-    # "j*S(0)" and "j*S" denote the same generator; pin the canonical name
-    ctx.resolve(name)
-    if ctx.twist_gen is not None:
-        return ctx.twist_gen(name, 0)
-    return name
+    # "j*S(0)" and "j*S" denote the same generator, and the context resolves
+    # only "j*S": its twist rule reads either and writes the canonical name
+    return ctx.twist_gen(name, 0)
 
 
 _POSTFIX = ("shift", "twist", "mult")

@@ -505,8 +505,11 @@ class Context:
     resolution per name; a failing name raises on every call.
     ``base_hom(a, b)`` returns the graded Hom between two generators and
     receives them resolved, as ``resolve`` returned them, never as names
-    (it may raise UnsupportedPair).  ``serre_action`` sends a generator
-    name to its image under the ambient pair-Serre functor.  The static
+    (it may raise UnsupportedPair).  ``twist_gen(name, k)`` names the
+    generator twisted by k steps of the context line bundle; `twist_expr`
+    applies it leafwise, and a relative dualizing twist is one such twist.
+    ``serre_action`` sends a generator name to its image under the ambient
+    pair-Serre functor.  The static
     ``triangles`` are normalized once, on construction, and stored so; a
     triangle whose legs are already normal is stored as given, so a caller
     that builds them in normal form pays only for indexing them.
@@ -520,7 +523,6 @@ class Context:
         gen_resolve: Callable[[str], object] | None = None,
         twist_gen: Callable[[str, int], str] | None = None,
         serre_action: Callable[[str], ObjExpr] | None = None,
-        relative_twist: Callable[[str], ObjExpr] | None = None,
         triangles: tuple[Triangle, ...] = (),
     ):
         self.name = name
@@ -529,7 +531,6 @@ class Context:
         self.gen_resolve = gen_resolve
         self.twist_gen = twist_gen
         self.serre_action = serre_action
-        self.relative_twist = relative_twist
         self.triangles = tuple(tri.normalized() for tri in triangles)
         self._memo: dict = {}
         self._derived_triangles: list[Triangle] = []
@@ -898,11 +899,6 @@ def _map_leaves(ctx: Context, F: ObjExpr, f: Callable[[str], ObjExpr] | None, wh
 def apply_serre_action(ctx: Context, F: ObjExpr) -> ObjExpr:
     """Ambient pair-Serre action, applied leafwise (the functor is exact)."""
     return _map_leaves(ctx, F, ctx.serre_action, "Serre action")
-
-
-def apply_relative_twist(ctx: Context, F: ObjExpr) -> ObjExpr:
-    """Relative dualizing twist, applied leafwise."""
-    return _map_leaves(ctx, F, ctx.relative_twist, "relative twist")
 
 
 def serre_in(ctx: Context, perp, F: ObjExpr) -> ObjExpr:

@@ -28,7 +28,7 @@ from functools import cache
 
 from . import formalcat, quadric
 from .errors import NodalcatError, UnknownGenerator
-from .formalcat import Cone, Context, Gen, ObjExpr, Shift, Sum, Triangle
+from .formalcat import Cone, Context, Gen, ObjExpr, Shift, Triangle
 from .graded import GradedDim
 
 _PUSH_RE = re.compile(r"^j\*(O|S''|S'|S)(?:\((-?\d+)\))?$")
@@ -85,19 +85,11 @@ def _pair_value(n: int, kind1: str, c: int, kind2: str) -> GradedDim:
 class NodalSetup:
     """Roster and derived data of the nodal blow-up context in dimension d."""
 
-    def __init__(self, d: int, n: int, context: Context, perp: tuple[str, ...],
-                 spinor_kinds: tuple[str, ...]):
+    def __init__(self, d: int, n: int, context: Context, perp: tuple[str, ...]):
         self.d = d
         self.n = n
         self.context = context
         self.perp = perp
-        self.spinor_kinds = spinor_kinds
-
-
-def _spinor_kinds(d: int) -> tuple[str, ...]:
-    if d % 2 == 0:
-        return (quadric.SPINOR,)
-    return (quadric.SPINOR_P, quadric.SPINOR_PP)
 
 
 @cache
@@ -105,69 +97,26 @@ def _setup(d: int) -> NodalSetup:
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     n = d - 1
-    kinds = _spinor_kinds(d)
-    twists = range(1 - n, 2)
-
-    names = {(kd, k): _push_text(kd, k) for kd in (quadric.LINE, *kinds) for k in twists}
-    roster = [names[quadric.LINE, k] for k in twists]
-    roster += [names[kd, k] for k in twists for kd in kinds]
-
-    def resolve(name: str) -> quadric.QuadricSheaf:
-        F = parse_push_name(name)
-        try:
-            quadric.check_parity(n, F)
-        except NodalcatError as exc:
-            raise UnknownGenerator(f"{name}: {exc}") from None
-        return F
 
     def base_hom(Fa: quadric.QuadricSheaf, Fb: quadric.QuadricSheaf) -> GradedDim:
         return _pair_value(n, *_hom_class(Fa, Fb))
 
-    def twist(name: str, k: int) -> str:
-        return push_name(resolve(name).twisted(k))
-
-    def serre(name: str) -> ObjExpr:
-        return Shift(Gen(push_name(resolve(name).twisted(1 - n))), n + 1)
-
-    def relative(name: str) -> ObjExpr:
-        return Gen(push_name(resolve(name).twisted(1 - n)))
-
-    # pushed-forward tautological sequences for every roster spinor twist,
-    # built in normal form (the rank is at least 2), so stored as built
-    triangles = []
-    r = quadric.taut_rank(n)
-    for k in range(1 - n, 1):
-        lines = Sum(((Gen(names[quadric.LINE, k]), r),))
-        for kd in kinds:
-            nxt = quadric.next_spinor(n, kd)
-            triangles.append(
-                Triangle(
-                    Gen(names[kd, k]),
-                    lines,
-                    Gen(names[nxt, k + 1]),
-                    tag=f"pushforward of the tautological sequence of {kd} at twist {k}",
-                )
-            )
-
+    kernel_triangles: tuple[Triangle, ...] = ()
     if d % 2 == 1:
         # the context carries the kernel cone T and its companion T'
         sp, spp = Gen("j*S'"), Gen("j*S''")
         t_cone = Cone(sp, Shift(spp, 2), tag="kernel mutation cone")
-        triangles.append(Triangle(sp, Shift(spp, 2), t_cone, tag="kernel mutation cone"))
-        triangles.append(
+        kernel_triangles = (
+            Triangle(sp, Shift(spp, 2), t_cone, tag="kernel mutation cone"),
             Triangle(spp, Shift(sp, 2), Cone(spp, Shift(sp, 2), tag="companion cone with spinors swapped"),
-                     tag="companion cone with spinors swapped")
+                     tag="companion cone with spinors swapped"),
         )
 
-    ctx = Context(
-        name=f"nodal:{d}",
-        generators=tuple(roster),
-        base_hom=base_hom,
-        gen_resolve=resolve,
-        twist_gen=twist,
-        serre_action=serre,
-        relative_twist=relative,
-        triangles=tuple(triangles),
+    # pushed-forward tautological sequences at every roster spinor twist but
+    # the last, then the kernel cones; pair-Serre j_*F -> j_*F(1-n)[n+1]
+    ctx = quadric.family_context(
+        n, f"nodal:{d}", "j*", range(1 - n, 2), base_hom, parse_push_name,
+        "pushforward of the tautological sequence", triangles=kernel_triangles, serre=(1 - n, n + 1),
     )
     if d % 2 == 1:
         # defining orthogonality of the mutation producing T
@@ -191,7 +140,7 @@ def _setup(d: int) -> NodalSetup:
             )
         perp = [g for g in perp if g != "j*S'(-1)"]
         perp.append("j*S''")
-    return NodalSetup(d=d, n=n, context=ctx, perp=tuple(perp), spinor_kinds=kinds)
+    return NodalSetup(d=d, n=n, context=ctx, perp=tuple(perp))
 
 
 def _perp_semiorthogonal(ctx: Context, perp: tuple[str, ...]) -> bool:
@@ -282,10 +231,11 @@ def spherical_degree(d: int) -> int:
 
 
 def relative_serre(d: int, F: ObjExpr) -> ObjExpr:
-    """Relative Serre functor: dualizing twist, then mutation into the resolution."""
+    """Relative Serre functor: the dualizing twist by 1-n, then mutation
+    into the resolution."""
     setup = _setup(d)
     return formalcat.mutate_right(
-        setup.context, setup.perp, formalcat.apply_relative_twist(setup.context, F)
+        setup.context, setup.perp, formalcat.twist_expr(setup.context, F, 1 - setup.n)
     )
 
 
@@ -395,7 +345,7 @@ def verify_dim(d: int) -> VerificationReport:
 
         def check_steps():
             for k in range(1 - n, 0):
-                for kd in setup.spinor_kinds:
+                for kd in quadric.spinor_kinds(n):
                     nxt = quadric.next_spinor(n, kd)
                     src = Gen(push_name(quadric.QuadricSheaf(kd, k)))
                     want = Shift(Gen(push_name(quadric.QuadricSheaf(nxt, k + 1))), -1)

@@ -33,7 +33,7 @@ import re
 from fractions import Fraction
 from functools import cache, lru_cache
 
-from .errors import ParityMismatch, UnsupportedPair
+from .errors import ParityMismatch, UnknownGenerator, UnsupportedPair
 from .graded import Frozen, GradedDim
 
 LINE = "O"
@@ -109,6 +109,11 @@ def rank(n: int, F: QuadricSheaf) -> int:
 def taut_rank(n: int) -> int:
     """Rank of the trivial middle term of the tautological sequence."""
     return 2 ** ((n + 1) // 2)
+
+
+def spinor_kinds(n: int) -> tuple[str, ...]:
+    """The spinor kinds on Q^n: S on odd quadrics, S' and S'' on even ones."""
+    return (SPINOR,) if n % 2 == 1 else (SPINOR_P, SPINOR_PP)
 
 
 def _flip(kind: str) -> str:
@@ -462,47 +467,80 @@ def lefschetz_blocks(n: int) -> "formalcat.LefschetzData":
     return formalcat.LefschetzData(blocks)
 
 
+def family_context(n: int, name: str, prefix: str, twists: range, base_hom, parse, tag: str,
+                   triangles: tuple = (), serre: tuple[int, int] | None = None):
+    """A formal context whose generators are the sheaves on Q^n, each
+    written ``prefix`` + its `sheaf_name`.
+
+    The roster is O(k) at each k in ``twists``, then every kind of
+    `spinor_kinds` at each k.  The tautological triangle
+    Sp(k) -> O(k)^r -> next(k + 1) of each spinor kind is registered at
+    every twist but the last, tagged "<tag> of <kind> at twist <k>", and
+    ``triangles`` after them.  ``parse(text)`` reads any spelling of a
+    sheaf and raises ValueError or UnknownGenerator on other text.  The
+    context resolves only the text this builder writes, and any other
+    spelling raises UnknownGenerator naming the right one; its twist rule
+    reads every spelling ``parse`` does.  ``serre=(t, s)`` gives the
+    pair-Serre action F -> F(t)[s].
+    """
+    from . import formalcat
+
+    kinds = spinor_kinds(n)
+    names = {(kd, k): prefix + sheaf_name(kd, k) for kd in (LINE, *kinds) for k in twists}
+    roster = [names[LINE, k] for k in twists] + [names[kd, k] for k in twists for kd in kinds]
+
+    def sheaf(text: str) -> QuadricSheaf:
+        try:
+            F = parse(text)
+        except ValueError:
+            raise UnknownGenerator(text) from None
+        try:
+            check_parity(n, F)
+        except ParityMismatch as exc:
+            raise UnknownGenerator(f"{text}: {exc}") from None
+        return F
+
+    def resolve(text: str) -> QuadricSheaf:
+        F = sheaf(text)
+        canonical = prefix + sheaf_name(F.kind, F.twist)
+        if text != canonical:
+            raise UnknownGenerator(f"{text} is written {canonical}")
+        return F
+
+    def twist(text: str, k: int) -> str:
+        F = sheaf(text)
+        return prefix + sheaf_name(F.kind, F.twist + k)
+
+    def serre_action(text: str) -> "formalcat.ObjExpr":
+        t, s = serre
+        return formalcat.Shift(formalcat.Gen(twist(text, t)), s)
+
+    # built in normal form (the rank is at least 2), so stored as built
+    r = taut_rank(n)
+    taut = []
+    for k in twists[:-1]:
+        lines = formalcat.Sum(((formalcat.Gen(names[LINE, k]), r),))
+        for kd in kinds:
+            taut.append(formalcat.Triangle(
+                formalcat.Gen(names[kd, k]),
+                lines,
+                formalcat.Gen(names[next_spinor(n, kd), k + 1]),
+                tag=f"{tag} of {kd} at twist {k}",
+            ))
+    return formalcat.Context(
+        name=name,
+        generators=tuple(roster),
+        base_hom=base_hom,
+        gen_resolve=resolve,
+        twist_gen=twist,
+        serre_action=serre_action if serre else None,
+        triangles=(*taut, *triangles),
+    )
+
+
 def sheaf_context(n: int):
     """A formal mutation context whose generators are sheaves on Q^n: the
     roster O, O(1), Sp, Sp(1) over the spinor kinds Sp of Q^n, with the
     twist-0 tautological triangle of each spinor kind."""
-    from . import formalcat
-
-    spin_kinds = (SPINOR,) if n % 2 == 1 else (SPINOR_P, SPINOR_PP)
-    roster = [QuadricSheaf(LINE, k) for k in (0, 1)]
-    roster += [QuadricSheaf(kd, k) for k in (0, 1) for kd in spin_kinds]
-    names = tuple(F.render() for F in roster)
-
-    def resolve(name: str) -> QuadricSheaf:
-        try:
-            F = sheaf_from_string(name)
-        except ValueError:
-            raise formalcat.UnknownGenerator(name) from None
-        check_parity(n, F)
-        return F
-
-    def base_hom(a: QuadricSheaf, b: QuadricSheaf) -> GradedDim:
-        return hom_quadric(n, a, b)
-
-    def twist(name: str, k: int) -> str:
-        return resolve(name).twisted(k).render()
-
-    # built in normal form (the rank is at least 2), so stored as built
-    lines = formalcat.Sum(((formalcat.Gen(sheaf_name(LINE, 0)), taut_rank(n)),))
-    triangles = tuple(
-        formalcat.Triangle(
-            formalcat.Gen(sheaf_name(kd, 0)),
-            lines,
-            formalcat.Gen(sheaf_name(next_spinor(n, kd), 1)),
-            tag=f"tautological sequence of {kd} at twist 0",
-        )
-        for kd in spin_kinds
-    )
-    return formalcat.Context(
-        name=f"quadric:{n}",
-        generators=names,
-        base_hom=base_hom,
-        gen_resolve=resolve,
-        twist_gen=twist,
-        triangles=triangles,
-    )
+    return family_context(n, f"quadric:{n}", "", range(2), lambda a, b: hom_quadric(n, a, b),
+                          sheaf_from_string, "tautological sequence")

@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nodalcat import formalcat, nodal, quadric
-from nodalcat.errors import NodalcatError, UnsupportedPair
-from nodalcat.formalcat import SOD, Cone, Gen, Shift, Triangle, render
+from nodalcat.errors import NodalcatError, UnknownGenerator, UnsupportedPair
+from nodalcat.formalcat import SOD, Cone, Gen, Shift, Triangle, normalize, render
 from nodalcat.graded import GradedDim
 from nodalcat.quadric import QuadricSheaf as QS
 
@@ -113,7 +113,7 @@ def _reference_triangles(d):
     r = quadric.taut_rank(n)
     out = []
     for k in range(1 - n, 1):
-        for kd in nodal._spinor_kinds(d):
+        for kd in quadric.spinor_kinds(n):
             nxt = quadric.next_spinor(n, kd)
             out.append(Triangle(
                 Gen(nodal.push_name(QS(kd, k))),
@@ -168,7 +168,7 @@ def _assert_built_as_reference(ctx, triangles, roster):
 @pytest.mark.parametrize("d", range(2, 31))
 def test_nodal_context_built_as_the_reference(d):
     ctx = nodal._setup.__wrapped__(d).context
-    n, kinds = d - 1, nodal._spinor_kinds(d)
+    n, kinds = d - 1, quadric.spinor_kinds(d - 1)
     roster = [nodal.push_name(QS("O", k)) for k in range(1 - n, 2)]
     roster += [nodal.push_name(QS(kd, k)) for k in range(1 - n, 2) for kd in kinds]
     _assert_built_as_reference(ctx, _reference_triangles(d), roster)
@@ -179,6 +179,65 @@ def test_quadric_context_built_as_the_reference(n):
     kinds = ("S",) if n % 2 == 1 else ("S'", "S''")
     roster = [QS("O", k).render() for k in (0, 1)] + [QS(kd, k).render() for k in (0, 1) for kd in kinds]
     _assert_built_as_reference(quadric.sheaf_context(n), _reference_quadric_triangles(n), roster)
+
+
+# (context, another spelling of a generator, the name the context writes)
+_RESPELLED = [
+    ("nodal:4", "j*O(0)", "j*O"),
+    ("nodal:4", "j*O(-0)", "j*O"),
+    ("nodal:4", "j*O(01)", "j*O(1)"),
+    ("quadric:3", "O(0)", "O"),
+    ("quadric:3", " O", "O"),
+]
+
+
+@pytest.mark.parametrize("where, name, canonical", _RESPELLED)
+def test_one_spelling_per_generator(fresh_contexts, where, name, canonical):
+    # a context resolves only the names it writes, so j*O(0) can never give
+    # an answer of its own beside j*O's; its twist rule reads either
+    if where == "nodal:4":
+        ctx, other = nodal.build_context(4), Gen("j*S")
+    else:
+        ctx, other = quadric.sheaf_context(3), Gen("S")
+    calls = [
+        lambda: formalcat.hom(ctx, Gen(name), other),
+        lambda: formalcat.hom(ctx, other, Gen(name)),
+        lambda: formalcat.mutate_right(ctx, Gen(name), other),
+        lambda: formalcat.mutate_right(ctx, Gen(canonical), Gen(name)),
+    ]
+    for call in calls:
+        with pytest.raises(UnknownGenerator) as exc:
+            call()
+        assert str(exc.value) == f"{name} is written {canonical}"
+    assert ctx.twist_gen(name, 0) == canonical
+    assert formalcat.check_exceptional(ctx, Gen(canonical))
+
+
+def test_canonical_names_mutate_as_the_tautological_triangle(fresh_contexts):
+    ctx = nodal.build_context(4)
+    assert formalcat.mutate_right(ctx, Gen("j*O"), Gen("j*S")) == Shift(Gen("j*S(1)"), -1)
+
+
+def _serre_outcome(compute):
+    try:
+        return compute()
+    except NodalcatError as exc:
+        return type(exc), getattr(exc, "degrees", None)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(3, 8), st.data())
+def test_relative_serre_is_the_shifted_serre_functor(fresh_contexts, d, data):
+    # the dualizing twist j_*F -> j_*F(1-n) is the pair-Serre action
+    # j_*F -> j_*F(1-n)[n+1] without its shift, and n + 1 = d
+    ctx, perp = nodal.build_context(d), nodal.perp_collection(d)
+    gens = st.builds(Gen, st.sampled_from(ctx.generators))
+    leaves = gens | st.builds(Shift, gens, st.integers(-2, 2).filter(bool))
+    F = data.draw(leaves | st.builds(lambda a, b: normalize(Cone(a, b)), leaves, leaves))
+    relative = _serre_outcome(lambda: nodal.relative_serre(d, F))
+    shifted = _serre_outcome(lambda: formalcat.shift_expr(formalcat.serre_in(ctx, perp, F), -d))
+    assert relative == shifted
 
 
 class TestMutationIdentities:

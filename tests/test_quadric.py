@@ -6,8 +6,8 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nodalcat import quadric
-from nodalcat.errors import ParityMismatch, UnsupportedPair
+from nodalcat import formalcat, quadric
+from nodalcat.errors import ParityMismatch, UnknownGenerator, UnsupportedPair
 from nodalcat.graded import GradedDim
 from nodalcat.quadric import (
     QuadricSheaf,
@@ -145,6 +145,36 @@ class TestCohomology:
             ]
             for call in calls:
                 with pytest.raises(ParityMismatch) as exc:
+                    call()
+                assert str(exc.value) == text
+
+
+class TestFamilyRules:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_parity_admits_exactly_the_family(self, n):
+        for kind in (quadric.LINE, quadric.SPINOR, quadric.SPINOR_P, quadric.SPINOR_PP):
+            try:
+                quadric.check_parity(n, QS(kind, 1))
+                admitted = True
+            except ParityMismatch:
+                admitted = False
+            assert admitted == (kind == quadric.LINE or kind in quadric.spinor_kinds(n)), (n, kind)
+
+    def test_wrong_parity_name_is_an_unknown_generator(self):
+        cases = [
+            (3, "S'", "S': S' needs an even-dimensional quadric, got n=3"),
+            (3, "S''(2)", "S''(2): S''(2) needs an even-dimensional quadric, got n=3"),
+            (4, "S", "S: S needs an odd-dimensional quadric, got n=4"),
+        ]
+        for n, name, text in cases:
+            ctx = quadric.sheaf_context(n)
+            calls = [
+                lambda: ctx.resolve(name),
+                lambda: formalcat.hom(ctx, formalcat.Gen(name), formalcat.Gen("O")),
+                lambda: ctx.twist_gen(name, 1),
+            ]
+            for call in calls:
+                with pytest.raises(UnknownGenerator) as exc:
                     call()
                 assert str(exc.value) == text
 
