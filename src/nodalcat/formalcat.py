@@ -123,11 +123,12 @@ class Sum(Frozen):
 
 
 class _HashOnce(Frozen):
-    """Holds a subclass's hash, computed on first use.
+    """Holds a subclass's hash, computed on first use; the subclass's
+    ``__init__`` sets it to None.
 
     The slot lives here, outside the subclass's ``__slots__``, so
     ``Value``'s equality, repr and pickling never see it; a copy or an
-    unpickled value starts without it and computes its own.
+    unpickled value is built through ``__init__`` and computes its own.
     """
 
     __slots__ = ("_hash",)
@@ -144,6 +145,7 @@ class Cone(_HashOnce):
         _set_cone_src(self, src)
         _set_cone_tgt(self, tgt)
         _set_cone_tag(self, tag)
+        _set_hash(self, None)
 
     # written out: a memo and rotation-index key (~6x faster); skips the tag
     def __eq__(self, other):
@@ -152,12 +154,11 @@ class Cone(_HashOnce):
         return NotImplemented
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
+        h = self._hash
+        if h is None:
             h = hash((self.src, self.tgt))
             _set_hash(self, h)
-            return h
+        return h
 
 
 # slot setters for the constructors, which bypass the raising __setattr__
@@ -190,15 +191,28 @@ def render(e: ObjExpr) -> str:
     """The text of an expression, in the grammar the CLI parses.
 
     Generators and their shifts, the parts of nearly every sum, are
-    formatted directly; other terms join ``render_chunks``.  The sort keys
-    of ``_sorted_parts`` come from ``_short_text``, which writes no key out
-    longer than ``RUN_SLICE``.
+    formatted directly, and so is a cone between two of them, the tag of
+    a mutation-cone step; other terms join ``render_chunks``.  The sort
+    keys of ``_sorted_parts`` come from ``_short_text``, which writes no
+    key out longer than ``RUN_SLICE``.
     """
-    if isinstance(e, Gen):
-        return e.name
-    if isinstance(e, Shift) and isinstance(e.expr, Gen):
-        return f"{e.expr.name}[{e.m}]"
+    text = _leaf_text(e)
+    if text is not None:
+        return text
+    if e.__class__ is Cone:
+        src, tgt = _leaf_text(e.src), _leaf_text(e.tgt)
+        if src is not None and tgt is not None:
+            return f"cone({src} -> {tgt})"
     return "".join(render_chunks(e))
+
+
+def _leaf_text(e: ObjExpr) -> str | None:
+    """The text of a generator or a shifted generator, else None."""
+    if e.__class__ is Gen:
+        return e.name
+    if e.__class__ is Shift and e.expr.__class__ is Gen:
+        return f"{e.expr.name}[{e.m}]"
+    return None
 
 
 def render_chunks(e: ObjExpr, compact: bool = False) -> Iterator[str]:
@@ -267,8 +281,9 @@ def render_chunks(e: ObjExpr, compact: bool = False) -> Iterator[str]:
 def _short_text(e: ObjExpr) -> str | None:
     """``render(e)`` if it is at most ``RUN_SLICE`` characters long, else
     None, having read at most one chunk past that length."""
-    if isinstance(e, Gen) or isinstance(e, Shift) and isinstance(e.expr, Gen):
-        return render(e)
+    text = _leaf_text(e)
+    if text is not None:
+        return text
     out: list[str] = []
     size = 0
     for chunk in render_chunks(e):
@@ -287,10 +302,10 @@ def shift_expr(e: ObjExpr, m: int) -> ObjExpr:
     """Shift a normalized expression by [m], keeping normal form."""
     if m == 0:
         return e
-    if isinstance(e, Shift):
+    if e.__class__ is Shift:
         k = e.m + m
         return e.expr if k == 0 else Shift(e.expr, k)
-    if isinstance(e, Sum):
+    if e.__class__ is Sum:
         if len(e.parts) == 1:
             # one part: nothing to merge or sort
             p, r = e.parts[0]
@@ -550,11 +565,6 @@ class Context:
         yield from self.triangles
         yield from self._derived_triangles
 
-    def has_zero_fact(self, F: ObjExpr, G: ObjExpr) -> bool:
-        if not self._zero_facts:
-            return False
-        return (_strip_shift(F), _strip_shift(G)) in self._zero_facts
-
     def add_zero_fact(self, F: ObjExpr, G: ObjExpr) -> None:
         self._zero_facts.add((_strip_shift(F), _strip_shift(G)))
 
@@ -563,17 +573,23 @@ class Context:
 
     def _register_triangle(self, tri: Triangle) -> None:
         """``add_triangle`` of a triangle whose parts are already normal."""
-        if tri not in self._known_triangles:
-            self._known_triangles.add(tri)
+        known = self._known_triangles
+        size = len(known)
+        known.add(tri)  # one hash of the triangle: the set grows when it is new
+        if len(known) > size:
             self._derived_triangles.append(tri)
             self._index_triangle(tri)
 
     def _index_triangle(self, t: Triangle) -> None:
-        # first wins: registry order, then rotation order, decides a key
+        # first wins: registry order, then rotation order, decides a key.
+        # Rotation (p, q, res, s) says cone(p -> q) = res[s]; its key is
+        # (p, q) shifted by -m, and res[s - m] is built only for a new key
+        index = self._cone_index
         x1 = shift_expr(t.x, 1)
-        for p, q, res in ((t.x, t.y, t.z), (t.y, t.z, x1), (t.z, x1, shift_expr(t.y, 1))):
+        for p, q, res, s in ((t.x, t.y, t.z, 0), (t.y, t.z, t.x, 1), (t.z, x1, t.y, 1)):
             key, m = _cone_key(p, q)
-            self._cone_index.setdefault(key, shift_expr(res, -m))
+            if key not in index:
+                index[key] = shift_expr(res, s - m)
 
     def resolve(self, name: str):
         obj = self._resolved.get(name, _MISS)
@@ -595,8 +611,8 @@ class Context:
 
 def hom(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim:
     """Graded Hom of two terms over a context."""
-    return _hom(ctx, F if isinstance(F, Gen) else normalize(F),
-                G if isinstance(G, Gen) else normalize(G))
+    return _hom(ctx, F if F.__class__ is Gen else normalize(F),
+                G if G.__class__ is Gen else normalize(G))
 
 
 def _hom(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim:
@@ -626,31 +642,39 @@ def _hom(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim:
 
 
 def _hom_compute(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim:
-    if ctx.has_zero_fact(F, G):
+    # dispatched on the exact classes: no term class is subclassed
+    fc, gc = F.__class__, G.__class__
+    facts = ctx._zero_facts
+    # a fact holds for the unshifted pair, as add_zero_fact stores it
+    if facts and (F.expr if fc is Shift else F, G.expr if gc is Shift else G) in facts:
         return GradedDim.zero()
-    if F.__class__ is Gen and G.__class__ is Gen:
-        return ctx.base_hom(ctx.resolve(F.name), ctx.resolve(G.name))
-    if is_zero(F) or is_zero(G):
+    if fc is Gen and gc is Gen:
+        resolved = ctx._resolved
+        a, b = resolved.get(F.name, _MISS), resolved.get(G.name, _MISS)
+        if a is _MISS or b is _MISS:
+            a, b = ctx.resolve(F.name), ctx.resolve(G.name)
+        return ctx.base_hom(a, b)
+    if fc is Sum and not F.parts or gc is Sum and not G.parts:
         return GradedDim.zero()
-    if isinstance(F, Sum):
+    if fc is Sum:
         out = GradedDim.zero()
         for p, r in F.parts:
             out = out + _hom(ctx, p, G).scale(r)
         return out
-    if isinstance(G, Sum):
+    if gc is Sum:
         out = GradedDim.zero()
         for p, r in G.parts:
             out = out + _hom(ctx, F, p).scale(r)
         return out
-    if isinstance(F, Shift):
+    if fc is Shift:
         return _hom(ctx, F.expr, G).shift(-F.m)
-    if isinstance(G, Shift):
+    if gc is Shift:
         return _hom(ctx, F, G.expr).shift(G.m)
-    if isinstance(G, Cone):
+    if gc is Cone:
         try:
             return _solve_covariant(ctx, F, G)
         except IndeterminateHom:
-            if isinstance(F, Cone):
+            if fc is Cone:
                 return _solve_contravariant(ctx, F, G)
             raise
     return _solve_contravariant(ctx, F, G)
@@ -690,17 +714,18 @@ def splice(Y: GradedDim, X: GradedDim, s: int, t: int,
     if not Y.entries:
         return X.shift(t)
     y_at, x_at = dict(Y.entries), dict(X.entries)
-    out: dict[int, int] = {}
+    # degrees ascending, each with y or x positive: the entries as stored
+    entries: list[tuple[int, int]] = []
     bad: list[int] = []
     for k in sorted(y_at.keys() | {j - t for j in x_at}):
         y, x = y_at.get(k, 0), x_at.get(k + t, 0)
         if (y and x_at.get(k + s)) or (x and y_at.get(k + t - s)):
             bad.append(k)
         else:
-            out[k] = y + x
+            entries.append((k, y + x))
     if bad:
         raise IndeterminateHom(bad, label)
-    return GradedDim.from_dict(out)
+    return GradedDim(tuple(entries))
 
 
 def _solve_covariant(ctx: Context, W: ObjExpr, Z: Cone) -> GradedDim:
@@ -725,9 +750,9 @@ def _solve_contravariant(ctx: Context, Z: Cone, W: ObjExpr) -> GradedDim:
 
 def _min_shift(e: ObjExpr) -> int:
     """Smallest outer shift of a normalized term, over the parts of a sum."""
-    if isinstance(e, Sum):
+    if e.__class__ is Sum:
         return min((_outer_shift(p) for p, _ in e.parts), default=0)
-    return e.m if isinstance(e, Shift) else 0
+    return e.m if e.__class__ is Shift else 0
 
 
 def _cone_key(src: ObjExpr, tgt: ObjExpr) -> tuple[tuple[ObjExpr, ObjExpr], int]:
@@ -785,8 +810,13 @@ def _tensor(V: GradedDim, E: Gen, sign: int) -> ObjExpr:
     entry of V in degree k gives E[sign * k].
 
     The summands are distinct shifts of one generator, already in normal
-    form, so they are sorted directly rather than normalized.
+    form, so they are sorted directly rather than normalized, and one entry
+    needs no sorting.
     """
+    if len(V.entries) == 1:
+        (k, r), = V.entries
+        e = shift_expr(E, sign * k)
+        return e if r == 1 else Sum(((e, r),))
     parts = _sorted_parts((shift_expr(E, sign * k), r) for k, r in V.entries)
     if len(parts) == 1 and parts[0][1] == 1:
         return parts[0][0]
@@ -809,10 +839,14 @@ def mutate_left(ctx: Context, through, F: ObjExpr) -> ObjExpr:
 
 def _mutate(ctx: Context, through, F: ObjExpr, right: bool) -> ObjExpr:
     gens = through if isinstance(through, (list, tuple)) else (through,)
-    out = normalize(F)
+    out = F if F.__class__ is Gen else normalize(F)
+    checked = ctx._checked_exceptional
     for E in gens if right else reversed(gens):
-        E = _as_gen(E)
-        _require_exceptional(ctx, E)
+        if E.__class__ is str:
+            E = Gen(E)  # a stored collection holds names
+        if E.__class__ is not Gen or E not in checked:
+            E = _as_gen(E)
+            _require_exceptional(ctx, E)
         out = _mutate_one(ctx, E, out, right)
     return out
 
@@ -830,15 +864,13 @@ def _mutate_one(ctx: Context, E: Gen, F: ObjExpr, right: bool) -> ObjExpr:
     unchanged (zero Hom) and failing steps are not stored: the first are
     free, and the second raise again through the Hom memo's stored copy.
     """
-    if isinstance(F, Shift):
+    if F.__class__ is Shift:
         # mutation commutes with shifts, and Hom(F[m], E) is Hom(F, E) moved
         return shift_expr(_mutate_one(ctx, E, F.expr, right), F.m)
-    if is_zero(F):
-        return ZERO
-    if F == E:
-        return ZERO  # cone on the identity map
+    if F is E or F.__class__ is Sum and not F.parts:
+        return ZERO  # the cone on the identity map, or zero
     V = _hom(ctx, F, E) if right else _hom(ctx, E, F)
-    if V.is_zero:
+    if not V.entries:
         return F
     key = (E, F, right)
     out = ctx._memo.get(key)
@@ -850,9 +882,9 @@ def _mutate_one(ctx: Context, E: Gen, F: ObjExpr, right: bool) -> ObjExpr:
 def _mutate_step(ctx: Context, E: Gen, F: ObjExpr, V: GradedDim, right: bool) -> ObjExpr:
     """``_mutate_one`` of an unshifted F with V = Hom(F, E) (right) or
     Hom(E, F) (left) nonzero."""
-    if isinstance(F, Sum):
+    if F.__class__ is Sum:
         return sum_exprs((_mutate_one(ctx, E, p, right), r) for p, r in F.parts)
-    if isinstance(F, Cone):
+    if F.__class__ is Cone:
         # mutation is exact: act on the legs; the connecting arrow of the
         # new cone is nonzero (otherwise the image would decompose), so it
         # stays one indecomposable term
@@ -878,10 +910,8 @@ def _record_mutation_cone(ctx: Context, cone: ObjExpr, E: Gen, right: bool) -> N
     if not isinstance(core, Cone):
         return
     ctx._register_triangle(Triangle(core.src, core.tgt, core, tag=core.tag))
-    if right:
-        ctx.add_zero_fact(core, E)
-    else:
-        ctx.add_zero_fact(E, core)
+    # add_zero_fact of two unshifted terms
+    ctx._zero_facts.add((core, E) if right else (E, core))
 
 
 # ---------------------------------------------------------------------------

@@ -136,13 +136,14 @@ class GradedDim(Frozen):
             raise ValueError("multiplicities must stay nonnegative")
         if r == 0:
             return _ZERO
-        return GradedDim(tuple((k, r * v) for k, v in self.entries))
+        return GradedDim(tuple([(k, r * v) for k, v in self.entries]))
 
     def shift(self, m: int) -> "GradedDim":
-        # entry at degree a moves to degree a - m
-        if m == 0:
+        # entry at degree a moves to degree a - m; a list comprehension
+        # builds the few entries faster than a generator
+        if m == 0 or not self.entries:
             return self
-        return GradedDim(tuple((k - m, v) for k, v in self.entries))
+        return GradedDim(tuple([(k - m, v) for k, v in self.entries]))
 
     def dual(self) -> "GradedDim":
         return GradedDim(tuple(sorted((-k, v) for k, v in self.entries)))

@@ -64,9 +64,19 @@ def hom_push(n: int, F: quadric.QuadricSheaf, G: quadric.QuadricSheaf) -> Graded
     ``formalcat.splice(P, R, -2, -1, ...)``.  A degree is accepted only when
     the two bounding maps are forced by a vanishing neighbor.
     """
-    P = quadric.hom_quadric(n, F, G)
-    R = quadric.hom_quadric(n, F.twisted(1), G)
-    return formalcat.splice(P, R, -2, -1, lambda: (f"Hom(j*{F}, j*{G})",))
+    quadric.check_parity(n, F)
+    quadric.check_parity(n, G)
+    return _push_value(n, F.kind, F.twist, G.kind, G.twist)
+
+
+def _push_value(n: int, kind1: str, t1: int, kind2: str, t2: int) -> GradedDim:
+    """``hom_push`` of the sheaves ``kind1(t1)`` and ``kind2(t2)``, already
+    checked on Q^n, read off the kinds and twists without building a
+    sheaf; ``splice`` returns at once when a row is zero."""
+    P = quadric._hom_quadric(n, kind1, t1, kind2, t2)
+    R = quadric._hom_quadric(n, kind1, t1 + 1, kind2, t2)
+    return formalcat.splice(P, R, -2, -1, lambda: (
+        f"Hom(j*{quadric.sheaf_name(kind1, t1)}, j*{quadric.sheaf_name(kind2, t2)})",))
 
 
 def _hom_class(F: quadric.QuadricSheaf, G: quadric.QuadricSheaf) -> tuple[str, int, str]:
@@ -78,15 +88,15 @@ def _hom_class(F: quadric.QuadricSheaf, G: quadric.QuadricSheaf) -> tuple[str, i
 
 @cache
 def _pair_value(n: int, kind1: str, c: int, kind2: str) -> GradedDim:
-    """``hom_push`` of the class ``(kind1, c, kind2)``, see ``_hom_class``."""
-    return hom_push(n, quadric.QuadricSheaf(kind1, c), quadric.QuadricSheaf(kind2, 0))
+    """``hom_push`` of the class ``(kind1, c, kind2)``, see ``_hom_class``;
+    the kinds are those of resolved generators, so already checked."""
+    return _push_value(n, kind1, c, kind2, 0)
 
 
 class NodalSetup:
     """Roster and derived data of the nodal blow-up context in dimension d."""
 
-    def __init__(self, d: int, n: int, context: Context, perp: tuple[str, ...]):
-        self.d = d
+    def __init__(self, n: int, context: Context, perp: tuple[str, ...]):
         self.n = n
         self.context = context
         self.perp = perp
@@ -140,7 +150,7 @@ def _setup(d: int) -> NodalSetup:
             )
         perp = [g for g in perp if g != "j*S'(-1)"]
         perp.append("j*S''")
-    return NodalSetup(d=d, n=n, context=ctx, perp=tuple(perp))
+    return NodalSetup(n=n, context=ctx, perp=tuple(perp))
 
 
 def _perp_semiorthogonal(ctx: Context, perp: tuple[str, ...]) -> bool:
@@ -301,11 +311,20 @@ def verify_dim(d: int) -> VerificationReport:
     items: list[ReportItem] = []
     even = d % 2 == 0
     spin = "j*S" if even else "j*S'"
+    spin_gen = Gen(spin)
 
-    def check_all_exceptional(lines: bool):
-        bad = [g for g in ctx.generators
-               if parse_push_name(g).is_line == lines and not formalcat.check_exceptional(ctx, Gen(g))]
-        return ("all exceptional" if not bad else f"not exceptional: {bad}", not bad)
+    def check_all_exceptional(kinds: tuple[str, ...]):
+        # One generator per kind is exact.  Facts in a nodal context always
+        # have a cone on one side (see _perp_semiorthogonal), so Hom(E, E)
+        # of a generator E = j*F, a value or an error, is base_hom of the
+        # class (kind, 0, kind) of F, the same for every twist.  Kinds are
+        # asked in the order the roster first meets them, so an error is
+        # the one the first failing roster name would raise.
+        ok = {kd: formalcat.check_exceptional(ctx, Gen(_push_text(kd, 0))) for kd in kinds}
+        if all(ok.values()):
+            return "all exceptional", True
+        bad = [g for g in ctx.generators if not ok.get(parse_push_name(g).kind, True)]
+        return f"not exceptional: {bad}", False
 
     def check_hom(a: str, b: str, want: GradedDim):
         v = formalcat.hom(ctx, Gen(a), Gen(b))
@@ -314,7 +333,7 @@ def verify_dim(d: int) -> VerificationReport:
     if d >= 3:
         add_item(items, "line-bundles-exceptional",
                  "pushforwards of line bundles from the exceptional quadric are exceptional",
-                 "all exceptional", lambda: check_all_exceptional(True))
+                 "all exceptional", lambda: check_all_exceptional((quadric.LINE,)))
 
     if even:
         add_item(items, "spinor-endomorphisms",
@@ -323,7 +342,7 @@ def verify_dim(d: int) -> VerificationReport:
     else:
         add_item(items, "spinors-exceptional",
                  "pushforwards of both spinor bundles are exceptional when the dimension is odd",
-                 "all exceptional", lambda: check_all_exceptional(False))
+                 "all exceptional", lambda: check_all_exceptional(quadric.spinor_kinds(n)))
         add_item(items, "spinor-cross-hom",
                  "Hom(j*S', j*S'') is one dimension in degree 2",
                  "C[-2]", lambda: check_hom("j*S'", "j*S''", GradedDim.point(2)))
@@ -334,8 +353,8 @@ def verify_dim(d: int) -> VerificationReport:
     if d >= 3:
         def check_fix():
             for k in range(2 - d, 0):
-                got = formalcat.mutate_right(ctx, Gen(f"j*O({k})"), Gen(spin))
-                if got != Gen(spin):
+                got = formalcat.mutate_right(ctx, Gen(_push_text(quadric.LINE, k)), spin_gen)
+                if got is not spin_gen:
                     return f"k={k}: {formalcat.render(got)}", False
             return f"{spin} fixed for k in {2 - d}..-1", True
 
@@ -345,11 +364,11 @@ def verify_dim(d: int) -> VerificationReport:
 
         def check_steps():
             for k in range(1 - n, 0):
+                line = Gen(_push_text(quadric.LINE, k))
                 for kd in quadric.spinor_kinds(n):
-                    nxt = quadric.next_spinor(n, kd)
-                    src = Gen(push_name(quadric.QuadricSheaf(kd, k)))
-                    want = Shift(Gen(push_name(quadric.QuadricSheaf(nxt, k + 1))), -1)
-                    got = formalcat.mutate_right(ctx, Gen(f"j*O({k})"), src)
+                    src = Gen(_push_text(kd, k))
+                    want = Shift(Gen(_push_text(quadric.next_spinor(n, kd), k + 1)), -1)
+                    got = formalcat.mutate_right(ctx, line, src)
                     if got != want:
                         return f"k={k}, {kd}: {formalcat.render(got)}", False
             return "all twisted mutation steps identified", True

@@ -224,22 +224,28 @@ def hom_quadric(n: int, F: QuadricSheaf, G: QuadricSheaf) -> GradedDim:
     """
     check_parity(n, F)
     check_parity(n, G)
-    if F.kind == LINE:
-        return _cohomology(n, G.kind, G.twist - F.twist)
-    if G.kind == LINE:
-        # H^*(F^v(G.twist)); the dual's kind is not read (see `_h0_spinor`)
-        return _cohomology(n, F.kind, _dual_twist(F.twist) + G.twist)
-    c = F.twist - G.twist
+    return _hom_quadric(n, F.kind, F.twist, G.kind, G.twist)
+
+
+def _hom_quadric(n: int, kind1: str, t1: int, kind2: str, t2: int) -> GradedDim:
+    """``hom_quadric`` of the sheaves ``kind1(t1)`` and ``kind2(t2)``,
+    already checked on Q^n."""
+    if kind1 == LINE:
+        return _cohomology(n, kind2, t2 - t1)
+    if kind2 == LINE:
+        # H^*(F^v(t2)); the dual's kind is not read (see `_h0_spinor`)
+        return _cohomology(n, kind1, _dual_twist(t1) + t2)
+    c = t1 - t2
     if not 0 <= c <= n:
         raise UnsupportedPair(
-            f"Hom({F}, {G}) on Q^{n}: twist difference {c} is outside the "
-            f"range 0..{n} reachable by the tautological-sequence recursion"
+            f"Hom({sheaf_name(kind1, t1)}, {sheaf_name(kind2, t2)}) on Q^{n}: twist difference "
+            f"{c} is outside the range 0..{n} reachable by the tautological-sequence recursion"
         )
     if n % 2 == 1:
         return GradedDim.point(c, 1)
     # even: each descent step swaps the prime
-    start = F.kind if c % 2 == 0 else _flip(F.kind)
-    if start == G.kind:
+    start = kind1 if c % 2 == 0 else _flip(kind1)
+    if start == kind2:
         return GradedDim.point(c, 1)
     return GradedDim.zero()
 

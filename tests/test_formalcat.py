@@ -896,12 +896,13 @@ class TestInternedGen:
 
     def test_cone_hash_is_recomputed_by_copies(self):
         # a cone keeps its hash once computed; copies and unpickled cones
-        # start without it and compute the same value
+        # start without it (None) and compute the same value
         e = Cone(Cone(Gen("a"), Shift(Gen("b"), 1), tag="inner"), Sum(((Gen("a"), 2),)), tag="outer")
         want = hash((e.src, e.tgt))
-        assert hash(e) == want and hash(e) == want
+        assert e._hash is None
+        assert hash(e) == want and hash(e) == want and e._hash == want
         for clone in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
-            assert not hasattr(clone, "_hash")
+            assert clone._hash is None
             assert clone == e and clone.tag == "outer"
             assert hash(clone) == want
         assert repr(e) == ("Cone(src=Cone(src=Gen(name='a'), tgt=Shift(expr=Gen(name='b'), m=1), tag='inner'), "

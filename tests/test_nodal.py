@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -388,6 +390,102 @@ class TestVerifyDim:
         assert [item.got for item in kernel_items] == ["error: kernel mutation did not close"] * 3
         assert not any(item.passed for item in kernel_items)
         assert calls == [5]
+
+
+# ---------------------------------------------------------------------------
+# the per-kind exceptional items against the per-generator loop
+# ---------------------------------------------------------------------------
+
+
+def _exceptional_reference(ctx, lines: bool):
+    """(got, passed) of the loop asking every roster generator of the
+    chosen kinds, as an exceptional item reports it."""
+    try:
+        bad = [g for g in ctx.generators if nodal.parse_push_name(g).is_line == lines
+               and not formalcat.check_exceptional(ctx, Gen(g))]
+    except NodalcatError as exc:
+        return f"error: {exc}", False
+    return ("all exceptional" if not bad else f"not exceptional: {bad}"), not bad
+
+
+def _exceptional_items(d) -> tuple[dict, dict]:
+    """The exceptional items of ``verify_dim(d)`` beside their references."""
+    got = {item.id: (item.got, item.passed) for item in nodal.verify_dim(d).items
+           if item.id in ("line-bundles-exceptional", "spinors-exceptional")}
+    ctx = nodal.build_context(d)
+    want = {}
+    if d >= 3:
+        want["line-bundles-exceptional"] = _exceptional_reference(ctx, True)
+    if d % 2 == 1:
+        want["spinors-exceptional"] = _exceptional_reference(ctx, False)
+    return got, want
+
+
+def test_exceptional_items_match_the_per_generator_loop(fresh_contexts):
+    for d in range(2, 49):
+        got, want = _exceptional_items(d)
+        assert got == want, d
+
+
+@pytest.mark.parametrize("d", range(3, 11))
+def test_a_failing_kind_is_reported_as_by_the_per_generator_loop(fresh_contexts, monkeypatch, d):
+    # one kind gets endomorphisms C + C[-2], or an error, in every twist;
+    # the line bundle stays exceptional for odd d, whose set-up mutates
+    # through one
+    pair_value = nodal._pair_value
+    kinds = quadric.spinor_kinds(d - 1) if d % 2 == 1 else (quadric.LINE,)
+    for kind in kinds:
+        for broken in (gd({0: 1, 2: 1}), UnsupportedPair):
+            def patched(n, kind1, c, kind2, kind=kind, broken=broken):
+                if (kind1, c, kind2) != (kind, 0, kind):
+                    return pair_value(n, kind1, c, kind2)
+                if broken is UnsupportedPair:
+                    raise UnsupportedPair(f"no endomorphisms of {kind} on Q^{n}")
+                return broken
+
+            monkeypatch.setattr(nodal, "_pair_value", patched)
+            nodal._setup.cache_clear()
+            got, want = _exceptional_items(d)
+            assert got == want, (d, kind, broken)
+            assert not all(passed for _, passed in got.values())
+            if broken is UnsupportedPair:
+                assert f"error: no endomorphisms of {kind} on Q^{d - 1}" in [text for text, _ in got.values()]
+            else:
+                bad = [g for g in nodal.build_context(d).generators if nodal.parse_push_name(g).kind == kind]
+                assert f"not exceptional: {bad}" in [text for text, _ in got.values()]
+
+
+@pytest.mark.parametrize("d, asked", [(47, 3), (48, 1)])
+def test_one_exceptional_check_per_kind(monkeypatch, d, asked):
+    calls = []
+    check = formalcat.check_exceptional
+    monkeypatch.setattr(formalcat, "check_exceptional", lambda c, F: calls.append(F) or check(c, F))
+    nodal.verify_dim(d)
+    # one per kind: O, and S' and S'' for odd d; not one per roster name
+    assert len(calls) == asked == len(set(calls))
+
+
+def _registry_digest(contexts) -> str:
+    """sha256 over what queries registered: each context's derived
+    triangles in registration order, its zero facts ordered by their text,
+    and its rotation index in insertion order; repr shows the tags."""
+    h = hashlib.sha256()
+    for ctx in contexts:
+        h.update(repr(ctx._derived_triangles).encode())
+        facts = sorted((render(F), render(G), repr((F, G))) for F, G in ctx._zero_facts)
+        h.update(repr(facts).encode())
+        h.update(repr(list(ctx._cone_index.items())).encode())
+    return h.hexdigest()
+
+
+def test_verify_leaves_the_same_registry(fresh_contexts):
+    # what verify registers is what later queries see, tags included, so
+    # a faster registration path must leave exactly this registry
+    for d in range(2, 16):
+        nodal.verify_dim(d)
+    contexts = [nodal.build_context(d) for d in range(2, 16)]
+    assert sum(len(ctx._derived_triangles) for ctx in contexts) == 42
+    assert _registry_digest(contexts) == "572d82dca65aa4661f0f942442d116306546fd50b0f6982255266290b544381a"
 
 
 # ---------------------------------------------------------------------------
