@@ -103,25 +103,6 @@ class Shift(Frozen):
         return hash((self.expr, self.m))
 
 
-class Sum(Frozen):
-    """A finite direct sum; ``parts`` are (atom-or-shifted-atom,
-    multiplicity) pairs, canonically sorted."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple[tuple[ObjExpr, int], ...]):
-        _set_sum_parts(self, parts)
-
-    # written out: a memo key, where Value's generic methods are ~6x slower
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.parts,))
-
-
 class _HashOnce(Frozen):
     """Holds a subclass's hash, computed on first use; the subclass's
     ``__init__`` sets it to None.
@@ -132,6 +113,32 @@ class _HashOnce(Frozen):
     """
 
     __slots__ = ("_hash",)
+
+
+class Sum(_HashOnce):
+    """A finite direct sum; ``parts`` are (atom-or-shifted-atom,
+    multiplicity) pairs, canonically sorted.  Its hash is computed once:
+    a tautological middle term is hashed by two rotation keys and the
+    triangle registry."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[tuple[ObjExpr, int], ...]):
+        _set_sum_parts(self, parts)
+        _set_hash(self, None)
+
+    # written out: a memo key, where Value's generic methods are ~6x slower
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.parts,))
+            _set_hash(self, h)
+        return h
 
 
 class Cone(_HashOnce):
@@ -308,8 +315,8 @@ def shift_expr(e: ObjExpr, m: int) -> ObjExpr:
     if e.__class__ is Sum:
         if len(e.parts) == 1:
             # one part: nothing to merge or sort
-            p, r = e.parts[0]
-            return Sum(((shift_expr(p, m), r),) if r else ())
+            (p, r), = e.parts
+            return Sum(((Shift(p, m) if p.__class__ is Gen else shift_expr(p, m), r),) if r else ())
         return Sum(_sorted_parts([(shift_expr(p, m), r) for p, r in e.parts]))
     return Shift(e, m)
 
@@ -395,21 +402,27 @@ def normalize(e: ObjExpr) -> ObjExpr:
     """Canonical normal form: shifts at leaves, sums flat, trivial cones gone.
 
     A term already in normal form comes back as the same object, so a cone
-    keeps the hash it has computed.
+    or a sum keeps the hash it has computed.  One generator or shifted
+    generator of multiplicity at least 2, the shape of every tautological
+    middle term and one-degree ``_tensor``, is returned without a rewrite.
 
     Cones over (or under) the zero object simplify; an identity-tagged cone
     is zero; otherwise the cone is kept intact since a dimension-level
     calculus cannot prove a map zero.  A cone absorbs the outer shift of
     its source, so cone(X[s] -> Y) = cone(X -> Y[-s])[s].
     """
-    if isinstance(e, Gen):
+    if e.__class__ is Gen:
         return e
-    if isinstance(e, Shift):
+    if e.__class__ is Shift:
         inner = normalize(e.expr)
         if e.m and inner is e.expr and isinstance(inner, (Gen, Cone)):
             return e
         return shift_expr(inner, e.m)
-    if isinstance(e, Sum):
+    if e.__class__ is Sum:
+        if len(e.parts) == 1:
+            (p, r), = e.parts
+            if r >= 2 and (p.__class__ is Gen or p.__class__ is Shift and p.m and p.expr.__class__ is Gen):
+                return e
         flat: list[tuple[ObjExpr, int]] = []
         for p, r in e.parts:
             q = normalize(p)
@@ -546,7 +559,7 @@ class Context:
         self.gen_resolve = gen_resolve
         self.twist_gen = twist_gen
         self.serre_action = serre_action
-        self.triangles = tuple(tri.normalized() for tri in triangles)
+        self.triangles = tuple(map(Triangle.normalized, triangles))
         self._memo: dict = {}
         self._derived_triangles: list[Triangle] = []
         self._zero_facts: set = set()
@@ -582,14 +595,16 @@ class Context:
 
     def _index_triangle(self, t: Triangle) -> None:
         # first wins: registry order, then rotation order, decides a key.
-        # Rotation (p, q, res, s) says cone(p -> q) = res[s]; its key is
-        # (p, q) shifted by -m, and res[s - m] is built only for a new key
-        index = self._cone_index
-        x1 = shift_expr(t.x, 1)
-        for p, q, res, s in ((t.x, t.y, t.z, 0), (t.y, t.z, t.x, 1), (t.z, x1, t.y, 1)):
-            key, m = _cone_key(p, q)
-            if key not in index:
-                index[key] = shift_expr(res, s - m)
+        # Rotation (p, q, r) says cone(p -> q) = r; with m = _min_shift(p)
+        # its key is (p, q) shifted by -m and its value r[-m], both built
+        # only when m is nonzero.  One setdefault hashes the key once
+        x, y, z = t.x, t.y, t.z
+        x1 = Shift(x, 1) if x.__class__ is Gen else shift_expr(x, 1)
+        for p, q, r in ((x, y, z), (y, z, x1), (z, x1, shift_expr(y, 1))):
+            m = p.m if p.__class__ is Shift else _min_shift(p) if p.__class__ is Sum else 0
+            if m:
+                p, q, r = shift_expr(p, -m), shift_expr(q, -m), shift_expr(r, -m)
+            self._cone_index.setdefault((p, q), r)
 
     def resolve(self, name: str):
         obj = self._resolved.get(name, _MISS)
@@ -749,18 +764,16 @@ def _solve_contravariant(ctx: Context, Z: Cone, W: ObjExpr) -> GradedDim:
 
 
 def _min_shift(e: ObjExpr) -> int:
-    """Smallest outer shift of a normalized term, over the parts of a sum."""
-    if e.__class__ is Sum:
-        return min((_outer_shift(p) for p, _ in e.parts), default=0)
-    return e.m if e.__class__ is Shift else 0
-
-
-def _cone_key(src: ObjExpr, tgt: ObjExpr) -> tuple[tuple[ObjExpr, ObjExpr], int]:
-    """The pair shifted by -m, with m = _min_shift(src), and m itself."""
-    m = _min_shift(src)
-    if not m:
-        return (src, tgt), 0
-    return (shift_expr(src, -m), shift_expr(tgt, -m)), m
+    """Smallest outer shift of a normalized term, over the parts of a sum
+    (0 for the zero sum)."""
+    if e.__class__ is not Sum:
+        return e.m if e.__class__ is Shift else 0
+    low = None
+    for p, _ in e.parts:
+        m = p.m if p.__class__ is Shift else 0
+        if low is None or m < low:
+            low = m
+    return low or 0
 
 
 def _identify_cone(ctx: Context, src: ObjExpr, tgt: ObjExpr) -> ObjExpr | None:
@@ -777,8 +790,10 @@ def _identify_cone(ctx: Context, src: ObjExpr, tgt: ObjExpr) -> ObjExpr | None:
     several rotations share a key, the first registered triangle, then its
     first rotation, holds it.
     """
-    key, m = _cone_key(src, tgt)
-    hit = ctx._cone_index.get(key)
+    m = src.m if src.__class__ is Shift else _min_shift(src) if src.__class__ is Sum else 0
+    if not m:
+        return ctx._cone_index.get((src, tgt))
+    hit = ctx._cone_index.get((shift_expr(src, -m), shift_expr(tgt, -m)))
     return None if hit is None else shift_expr(hit, m)
 
 
@@ -817,10 +832,8 @@ def _tensor(V: GradedDim, E: Gen, sign: int) -> ObjExpr:
         (k, r), = V.entries
         e = shift_expr(E, sign * k)
         return e if r == 1 else Sum(((e, r),))
-    parts = _sorted_parts((shift_expr(E, sign * k), r) for k, r in V.entries)
-    if len(parts) == 1 and parts[0][1] == 1:
-        return parts[0][0]
-    return Sum(parts)
+    # distinct degrees: at least two distinct parts
+    return Sum(_sorted_parts((shift_expr(E, sign * k), r) for k, r in V.entries))
 
 
 def mutate_right(ctx: Context, through, F: ObjExpr) -> ObjExpr:
@@ -958,13 +971,8 @@ def check_exceptional(ctx: Context, F: ObjExpr) -> bool:
 def check_semiorthogonal(ctx: Context, sod: SOD) -> bool:
     """No Homs from a later block to an earlier one."""
     blocks = [[Gen(a) for a in block] for block in sod.blocks]
-    for i in range(len(blocks)):
-        for j in range(i):
-            for a in blocks[i]:
-                for b in blocks[j]:
-                    if not hom(ctx, a, b).is_zero:
-                        return False
-    return True
+    return all(hom(ctx, a, b).is_zero
+               for i, later in enumerate(blocks) for earlier in blocks[:i] for a in later for b in earlier)
 
 
 class SphericalReport:

@@ -492,8 +492,9 @@ def family_context(n: int, name: str, prefix: str, twists: range, base_hom, pars
     from . import formalcat
 
     kinds = spinor_kinds(n)
-    names = {(kd, k): prefix + sheaf_name(kd, k) for kd in (LINE, *kinds) for k in twists}
-    roster = [names[LINE, k] for k in twists] + [names[kd, k] for k in twists for kd in kinds]
+    # the generators of each kind, by position in twists
+    gens = {kd: [formalcat.Gen(prefix + sheaf_name(kd, k)) for k in twists] for kd in (LINE, *kinds)}
+    roster = [g.name for g in gens[LINE]] + [gens[kd][i].name for i in range(len(twists)) for kd in kinds]
 
     def sheaf(text: str) -> QuadricSheaf:
         try:
@@ -524,15 +525,11 @@ def family_context(n: int, name: str, prefix: str, twists: range, base_hom, pars
     # built in normal form (the rank is at least 2), so stored as built
     r = taut_rank(n)
     taut = []
-    for k in twists[:-1]:
-        lines = formalcat.Sum(((formalcat.Gen(names[LINE, k]), r),))
-        for kd in kinds:
-            taut.append(formalcat.Triangle(
-                formalcat.Gen(names[kd, k]),
-                lines,
-                formalcat.Gen(names[next_spinor(n, kd), k + 1]),
-                tag=f"{tag} of {kd} at twist {k}",
-            ))
+    legs = [(kd, gens[kd], gens[next_spinor(n, kd)]) for kd in kinds]
+    for i, k in enumerate(twists[:-1]):
+        lines = formalcat.Sum(((gens[LINE][i], r),))
+        for kd, here, there in legs:
+            taut.append(formalcat.Triangle(here[i], lines, there[i + 1], f"{tag} of {kd} at twist {k}"))
     return formalcat.Context(
         name=name,
         generators=tuple(roster),

@@ -96,6 +96,32 @@ class TestNormalize:
     def test_render_sum_repeats(self):
         assert render(sum_of(Gen("A"), 3)) == "A + A + A"
 
+    @pytest.mark.parametrize("part", [Gen("A"), Shift(Gen("A"), -2), Shift(Gen("A"), 5)])
+    @pytest.mark.parametrize("r", [2, 3, 10**9])
+    def test_one_generator_part_comes_back_as_is(self, part, r):
+        # the shape of every tautological middle term and one-degree tensor
+        e = Sum(((part, r),))
+        assert normalize(e) is e
+        assert Triangle(Gen("B"), e, Gen("C")).normalized().y is e
+
+    @pytest.mark.parametrize("raw", [
+        Sum(((Gen("A"), 1),)),
+        Sum(((Shift(Gen("A"), 2), 1),)),
+        Sum(((Gen("A"), 0),)),
+        Sum(((Shift(Gen("A"), 0), 2),)),
+        Sum(((Shift(Shift(Gen("A"), 1), 1), 2),)),
+        Sum(((Cone(Gen("A"), Gen("B")), 2),)),
+        Sum(((Cone(Shift(Gen("A"), 1), Gen("B"), tag="f"), 2),)),
+        Sum(((Sum(((Gen("A"), 2),)), 3),)),
+        Sum(((Gen("B"), 1), (Gen("A"), 2))),
+        Sum(((Gen("A"), 2), (Gen("A"), 1))),
+        Sum(((Gen("A"), 2), (Shift(Gen("A"), 1), 2))),
+    ])
+    def test_other_sums_are_rewritten_as_before(self, raw):
+        # multiplicities 0 and 1, non-generator parts and two parts keep the
+        # general path, which agrees with the reference normal form
+        assert _same(normalize(raw), _reference_normalize(raw))
+
 
 class TestHomStructural:
     def test_generator_row(self):
@@ -400,6 +426,84 @@ def test_add_triangle_dedupes_and_keeps_order():
         ctx.add_triangle(tri)
     assert ctx._derived_triangles == [t1, t2]
     assert list(ctx.all_triangles()) == [static, t1, t2]
+
+
+# the rotation index as it was built before the one-pass indexing: every
+# rotation through _cone_key, its result built from the unshifted leg
+
+
+def _old_min_shift(e):
+    if e.__class__ is Sum:
+        return min((p.m if isinstance(p, Shift) else 0 for p, _ in e.parts), default=0)
+    return e.m if e.__class__ is Shift else 0
+
+
+def _old_cone_key(src, tgt):
+    m = _old_min_shift(src)
+    if not m:
+        return (src, tgt), 0
+    return (shift_expr(src, -m), shift_expr(tgt, -m)), m
+
+
+def _old_index_triangle(index, t):
+    x1 = shift_expr(t.x, 1)
+    for p, q, res, s in ((t.x, t.y, t.z, 0), (t.y, t.z, t.x, 1), (t.z, x1, t.y, 1)):
+        key, m = _old_cone_key(p, q)
+        if key not in index:
+            index[key] = shift_expr(res, s - m)
+
+
+def _old_registry(static, added):
+    """(triangles, rotation index) of a context built on ``static`` that
+    was then given ``added``, registered by the rule above."""
+    def normalized(t):
+        return Triangle(_reference_normalize(t.x), _reference_normalize(t.y), _reference_normalize(t.z), t.tag)
+
+    triangles, index = [normalized(t) for t in static], {}
+    known = set(triangles)
+    for t in triangles:
+        _old_index_triangle(index, t)
+    for t in map(normalized, added):
+        if t not in known:
+            known.add(t)
+            triangles.append(t)
+            _old_index_triangle(index, t)
+    return triangles, index
+
+
+# triangle legs: generators, shifted generators (by 0 too), sums of those
+# with multiplicities 0..3, and one-level cones of all of them
+_leg_gens = st.sampled_from([Gen("A"), Gen("B"), Gen("C")])
+_leg_atoms = _leg_gens | st.builds(Shift, _leg_gens, st.integers(-2, 2))
+_leg_flat = _leg_atoms | st.lists(st.tuples(_leg_atoms, st.integers(0, 3)), max_size=3).map(lambda ps: Sum(tuple(ps)))
+_legs = _leg_flat | st.builds(Cone, _leg_flat, _leg_flat, st.sampled_from(["", "f", "identity"]))
+_index_triangles = st.builds(Triangle, _legs, _legs, _legs, st.sampled_from(["", "t"]))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_index_triangles, min_size=1, max_size=5), st.data())
+def test_rotation_index_matches_the_old_rule(pool, data):
+    # static and added triangles drawn from one pool, so repeats exercise
+    # the dedupe and colliding keys the first-wins order
+    static = data.draw(st.lists(st.sampled_from(pool), max_size=4))
+    added = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+    ctx = Context(name="toy", generators=("A", "B", "C"), base_hom=lambda a, b: C, triangles=tuple(static))
+    for t in added:
+        ctx.add_triangle(t)
+    triangles, index = _old_registry(static, added)
+    # repr shows the cone and triangle tags, which equality ignores
+    assert repr(list(ctx.all_triangles())) == repr(triangles)
+    assert repr(list(ctx._cone_index.items())) == repr(list(index.items()))
+    # probes shifted off each rotation find what the old lookup found
+    s = data.draw(st.integers(-2, 2))
+    for t in triangles:
+        x1 = shift_expr(t.x, 1)
+        for p, q in ((t.x, t.y), (t.y, t.z), (t.z, x1)):
+            src, tgt = shift_expr(p, s), shift_expr(q, s)
+            key, m = _old_cone_key(src, tgt)
+            want = index.get(key)
+            want = None if want is None else shift_expr(want, m)
+            assert repr(formalcat._identify_cone(ctx, src, tgt)) == repr(want)
 
 
 # ---------------------------------------------------------------------------
@@ -907,6 +1011,23 @@ class TestInternedGen:
             assert hash(clone) == want
         assert repr(e) == ("Cone(src=Cone(src=Gen(name='a'), tgt=Shift(expr=Gen(name='b'), m=1), tag='inner'), "
                            "tgt=Sum(parts=((Gen(name='a'), 2),)), tag='outer')")
+
+    def test_sum_hash_is_recomputed_by_copies(self):
+        # a sum keeps its hash once computed, as a cone does; copies and
+        # unpickled sums start without it and compute the same value
+        e = Sum(((Shift(Gen("a"), -1), 2), (Cone(Gen("a"), Gen("b"), tag="t"), 3)))
+        want = hash((e.parts,))
+        assert e._hash is None
+        assert hash(e) == want and hash(e) == want and e._hash == want
+        for clone in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert clone._hash is None
+            assert clone == e and clone.parts[1][0].tag == "t"
+            assert hash(clone) == want
+        # equal sums hash equal, whatever their cone tags
+        twin = Sum(((Shift(Gen("a"), -1), 2), (Cone(Gen("a"), Gen("b")), 3)))
+        assert twin == e and hash(twin) == want and {e: 1}[twin] == 1
+        assert repr(e) == ("Sum(parts=((Shift(expr=Gen(name='a'), m=-1), 2), "
+                           "(Cone(src=Gen(name='a'), tgt=Gen(name='b'), tag='t'), 3)))")
 
     def test_assignment_raises(self):
         g = Gen("a")

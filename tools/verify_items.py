@@ -1,11 +1,12 @@
-"""Print the best in-process time of each verify item.
+"""Print the best in-process time of each verify item, and of the
+context build before them.
 
 Each repeat starts from fresh contexts and empty class caches, as a new
-process would, builds every context first (untimed, as the benchmark's
-set-up does), then runs ``nodal.verify_dim(d)`` for each d and times every
-item's check.  The kernel generator, which ``verify_dim`` builds once for
-three items, is timed as its own row.  Each row is the best sum over the
-dimensions among the repeats.  Standard library only.
+process would, builds every context first (the benchmark's set-up), timed
+as the "(context build)" row, then runs ``nodal.verify_dim(d)`` for each d
+and times every item's check.  The kernel generator, which ``verify_dim``
+builds once for three items, is timed as its own row.  Each row is the
+best sum over the dimensions among the repeats.  Standard library only.
 
     python3 tools/verify_items.py [--dims 2..48] [--repeat 5]
 """
@@ -23,6 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from nodalcat import nodal  # noqa: E402
 
 KERNEL = "(kernel build)"
+BUILD = "(context build)"
 
 
 def _dims(text: str) -> range:
@@ -35,9 +37,10 @@ def one_pass(dims: range) -> dict[str, float]:
     nodal._setup = functools.cache(nodal._setup.__wrapped__)
     nodal._pair_value.cache_clear()
     nodal.parse_push_name.cache_clear()
+    t0 = time.perf_counter()
     for d in dims:
         nodal.build_context(d)
-    spent: dict[str, float] = {}
+    spent = {BUILD: time.perf_counter() - t0}
 
     def add_item(items, id, citation, expected, compute):
         def timed():
