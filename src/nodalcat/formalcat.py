@@ -117,9 +117,7 @@ class _HashOnce(Frozen):
 
 class Sum(_HashOnce):
     """A finite direct sum; ``parts`` are (atom-or-shifted-atom,
-    multiplicity) pairs, canonically sorted.  Its hash is computed once:
-    a tautological middle term is hashed by two rotation keys and the
-    triangle registry."""
+    multiplicity) pairs, canonically sorted."""
 
     __slots__ = ("parts",)
 
@@ -402,9 +400,8 @@ def normalize(e: ObjExpr) -> ObjExpr:
     """Canonical normal form: shifts at leaves, sums flat, trivial cones gone.
 
     A term already in normal form comes back as the same object, so a cone
-    or a sum keeps the hash it has computed.  One generator or shifted
-    generator of multiplicity at least 2, the shape of every tautological
-    middle term and one-degree ``_tensor``, is returned without a rewrite.
+    or a sum keeps the hash it has computed; a sum of one generator or
+    shifted generator, r >= 2 times, is returned at once.
 
     Cones over (or under) the zero object simplify; an identity-tagged cone
     is zero; otherwise the cone is kept intact since a dimension-level
@@ -540,7 +537,8 @@ class Context:
     pair-Serre functor.  The static
     ``triangles`` are normalized once, on construction, and stored so; a
     triangle whose legs are already normal is stored as given, so a caller
-    that builds them in normal form pays only for indexing them.
+    that builds them in normal form pays only for indexing them: for a
+    tautological triangle, two shifted legs and three keys.
     """
 
     def __init__(
@@ -764,8 +762,7 @@ def _solve_contravariant(ctx: Context, Z: Cone, W: ObjExpr) -> GradedDim:
 
 
 def _min_shift(e: ObjExpr) -> int:
-    """Smallest outer shift of a normalized term, over the parts of a sum
-    (0 for the zero sum)."""
+    """Smallest outer shift of a normalized term, over the parts of a sum."""
     if e.__class__ is not Sum:
         return e.m if e.__class__ is Shift else 0
     low = None
