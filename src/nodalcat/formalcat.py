@@ -299,10 +299,6 @@ def _short_text(e: ObjExpr) -> str | None:
     return "".join(out)
 
 
-def _outer_shift(e: ObjExpr) -> int:
-    return e.m if isinstance(e, Shift) else 0
-
-
 def shift_expr(e: ObjExpr, m: int) -> ObjExpr:
     """Shift a normalized expression by [m], keeping normal form."""
     if m == 0:
@@ -447,7 +443,7 @@ def cone_of(src: ObjExpr, tgt: ObjExpr, tag: str) -> ObjExpr:
         return tgt
     if is_zero(tgt):
         return shift_expr(src, 1)
-    s = _outer_shift(src)
+    s = src.m if src.__class__ is Shift else 0
     if s:
         return Shift(Cone(shift_expr(src, -s), shift_expr(tgt, -s), tag), s)
     return Cone(src, tgt, tag)
@@ -596,9 +592,8 @@ class Context:
         # Rotation (p, q, r) says cone(p -> q) = r; with m = _min_shift(p)
         # its key is (p, q) shifted by -m and its value r[-m], both built
         # only when m is nonzero.  One setdefault hashes the key once
-        x, y, z = t.x, t.y, t.z
-        x1 = Shift(x, 1) if x.__class__ is Gen else shift_expr(x, 1)
-        for p, q, r in ((x, y, z), (y, z, x1), (z, x1, shift_expr(y, 1))):
+        x1 = Shift(t.x, 1) if t.x.__class__ is Gen else shift_expr(t.x, 1)
+        for p, q, r in ((t.x, t.y, t.z), (t.y, t.z, x1), (t.z, x1, shift_expr(t.y, 1))):
             m = p.m if p.__class__ is Shift else _min_shift(p) if p.__class__ is Sum else 0
             if m:
                 p, q, r = shift_expr(p, -m), shift_expr(q, -m), shift_expr(r, -m)
@@ -768,8 +763,7 @@ def _min_shift(e: ObjExpr) -> int:
     low = None
     for p, _ in e.parts:
         m = p.m if p.__class__ is Shift else 0
-        if low is None or m < low:
-            low = m
+        low = m if low is None or m < low else low
     return low or 0
 
 
@@ -788,9 +782,7 @@ def _identify_cone(ctx: Context, src: ObjExpr, tgt: ObjExpr) -> ObjExpr | None:
     first rotation, holds it.
     """
     m = src.m if src.__class__ is Shift else _min_shift(src) if src.__class__ is Sum else 0
-    if not m:
-        return ctx._cone_index.get((src, tgt))
-    hit = ctx._cone_index.get((shift_expr(src, -m), shift_expr(tgt, -m)))
+    hit = ctx._cone_index.get((shift_expr(src, -m), shift_expr(tgt, -m)) if m else (src, tgt))
     return None if hit is None else shift_expr(hit, m)
 
 
@@ -968,8 +960,13 @@ def check_exceptional(ctx: Context, F: ObjExpr) -> bool:
 def check_semiorthogonal(ctx: Context, sod: SOD) -> bool:
     """No Homs from a later block to an earlier one."""
     blocks = [[Gen(a) for a in block] for block in sod.blocks]
-    return all(hom(ctx, a, b).is_zero
-               for i, later in enumerate(blocks) for earlier in blocks[:i] for a in later for b in earlier)
+    for i in range(len(blocks)):
+        for j in range(i):
+            for a in blocks[i]:
+                for b in blocks[j]:
+                    if not hom(ctx, a, b).is_zero:
+                        return False
+    return True
 
 
 class SphericalReport:

@@ -344,10 +344,13 @@ def test_chi_conservation_across_registered_triangles():
 def _scan_identify_cone(ctx, src, tgt):
     """Reference: scan every triangle and rotation, first match wins."""
 
+    def outer_shift(e):
+        return e.m if isinstance(e, Shift) else 0
+
     def min_shift(e):
         if isinstance(e, Sum):
-            return min(formalcat._outer_shift(p) for p, _ in e.parts)
-        return formalcat._outer_shift(e)
+            return min(outer_shift(p) for p, _ in e.parts)
+        return outer_shift(e)
 
     for tri in ctx.all_triangles():
         t = tri.normalized()
@@ -679,7 +682,7 @@ def _reference_normalize(e):
         return tgt
     if formalcat.is_zero(tgt):
         return _reference_shift_expr(src, 1)
-    s = formalcat._outer_shift(src)
+    s = src.m if isinstance(src, Shift) else 0
     if s:
         return Shift(Cone(_reference_shift_expr(src, -s), _reference_shift_expr(tgt, -s), e.tag), s)
     return Cone(src, tgt, e.tag)
