@@ -592,8 +592,9 @@ class Context:
         # Rotation (p, q, r) says cone(p -> q) = r; with m = _min_shift(p)
         # its key is (p, q) shifted by -m and its value r[-m], both built
         # only when m is nonzero.  One setdefault hashes the key once
-        x1 = Shift(t.x, 1) if t.x.__class__ is Gen else shift_expr(t.x, 1)
-        for p, q, r in ((t.x, t.y, t.z), (t.y, t.z, x1), (t.z, x1, shift_expr(t.y, 1))):
+        x, y, z = t.x, t.y, t.z
+        x1 = Shift(x, 1) if x.__class__ is Gen else shift_expr(x, 1)
+        for p, q, r in ((x, y, z), (y, z, x1), (z, x1, shift_expr(y, 1))):
             m = p.m if p.__class__ is Shift else _min_shift(p) if p.__class__ is Sum else 0
             if m:
                 p, q, r = shift_expr(p, -m), shift_expr(q, -m), shift_expr(r, -m)
