@@ -487,7 +487,7 @@ _index_triangles = st.builds(Triangle, _legs, _legs, _legs, st.sampled_from(["",
 @given(st.lists(_index_triangles, min_size=1, max_size=5), st.data())
 def test_rotation_index_matches_the_old_rule(pool, data):
     # static and added triangles drawn from one pool, so repeats exercise
-    # the dedupe and colliding keys the first-wins order
+    # the dedupe, and colliding keys the first-wins order
     static = data.draw(st.lists(st.sampled_from(pool), max_size=4))
     added = data.draw(st.lists(st.sampled_from(pool), max_size=6))
     ctx = Context(name="toy", generators=("A", "B", "C"), base_hom=lambda a, b: C, triangles=tuple(static))
