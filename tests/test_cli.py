@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nodalcat import cli, formalcat, nodal
 from nodalcat.cli import ExprParseError, main, parse_expr, parse_sheaf
-from nodalcat.errors import IndeterminateHom
+from nodalcat.errors import IndeterminateHom, UnknownGenerator
 from nodalcat.formalcat import Cone, Gen, Shift, render
 from nodalcat.quadric import QuadricSheaf as QS
 
@@ -141,6 +141,76 @@ def test_compact_render_round_trip(expr):
     assert parse_expr(ctx, "".join(formalcat.render_chunks(expr, compact=True))) == expr
     if _copies(expr) <= 10_000:
         assert parse_expr(ctx, render(expr)) == expr
+
+
+_LONG_LITERAL = "9" * (cli.MAX_LITERAL_DIGITS + 1)
+
+# (context dimension d, text, error type, message, column, exit code of
+# `hom --context nodal:<d> TEXT j*O`).  A syntax error anywhere in the text
+# wins over an unknown generator anywhere in it; of two unknown generators
+# the leftmost is named.
+_EXPR_ERRORS = [
+    (4, "j*S' + @", ExprParseError, "parse error at column 8: unexpected character '@'", 8, 3),
+    (4, "foo + j*O[", ExprParseError, "parse error at column 11: expected int", 11, 3),
+    (5, "j*S'(1)[2", ExprParseError, "parse error at column 10: expected rbr", 10, 3),
+    (4, "j*S'(1)[2", ExprParseError, "parse error at column 10: expected rbr", 10, 3),
+    (5, "cone(j*S' -> j*O", ExprParseError, "parse error at column 17: expected rpar", 17, 3),
+    (5, "j*O^-1", ExprParseError,
+     "parse error at column 5: expected a multiplicity of 0 or more, found '-1'", 5, 3),
+    (5, "j*O^", ExprParseError, "parse error at column 5: expected int", 5, 3),
+    (5, "j*X", ExprParseError, "parse error at column 2: unexpected character '*'", 2, 3),
+    (3, "cone(" * (cli.MAX_CONE_DEPTH + 1) + "j*O" + " -> j*O(1))" * (cli.MAX_CONE_DEPTH + 1),
+     ExprParseError, f"parse error at column {5 * cli.MAX_CONE_DEPTH + 1}: cones nested more than "
+     f"{cli.MAX_CONE_DEPTH} deep", 5 * cli.MAX_CONE_DEPTH + 1, 3),
+    (3, f"j*O({_LONG_LITERAL})", ExprParseError,
+     "parse error at column 5: integer literal longer than 4300 digits", 5, 3),
+    (3, f"j*O[{_LONG_LITERAL}]", ExprParseError,
+     "parse error at column 5: integer literal longer than 4300 digits", 5, 3),
+    (3, f"j*O^{_LONG_LITERAL}", ExprParseError,
+     "parse error at column 5: integer literal longer than 4300 digits", 5, 3),
+    (5, "X", UnknownGenerator, "'X' is not a pushforward sheaf generator", None, 2),
+    (4, "j*S'(1)[2] + X", UnknownGenerator, "j*S': S' needs an even-dimensional quadric, got n=3", None, 2),
+    (4, "cone(j*O -> X(1)) + j*S'", UnknownGenerator, "'X' is not a pushforward sheaf generator", None, 2),
+    (4, "j*S'^0", UnknownGenerator, "j*S': S' needs an even-dimensional quadric, got n=3", None, 2),
+]
+
+
+@pytest.mark.parametrize("d, text, error, message, column, code", _EXPR_ERRORS,
+                         ids=[f"{d}:{text[:24]}" for d, text, *_ in _EXPR_ERRORS])
+def test_expression_error_corpus(capsys, d, text, error, message, column, code):
+    with pytest.raises(error) as exc:
+        parse_expr(nodal.build_context(d), text)
+    assert (str(exc.value), getattr(exc.value, "column", None)) == (message, column)
+    assert main(["hom", "--context", f"nodal:{d}", text, "j*O"]) == code
+    prefix = "" if error is ExprParseError else f"{error.__name__}: "
+    assert capsys.readouterr() == ("", f"nodalcat: {prefix}{message}\n")
+
+
+# (text, message, column) of `parse_sheaf`; `cohom --quadric 3 TEXT` exits 3
+_SHEAF_ERRORS = [
+    ("S(x)", "parse error at column 3: expected int, found 'x'", 3),
+    ("j*O", "parse error at column 1: expected a sheaf expression", 1),
+    ("S[1][-1]", "parse error at column 1: expected a sheaf expression", 1),
+    ("S^1", "parse error at column 1: expected a sheaf expression", 1),
+    ("S + 0", "parse error at column 1: expected a sheaf expression", 1),
+    ("0(1)", "parse error at column 1: expected a sheaf expression", 1),
+    ("foo(1)", "parse error at column 1: unknown sheaf 'foo'", 1),
+    ("S(1) @", "parse error at column 6: unexpected character '@'", 6),
+]
+
+
+@pytest.mark.parametrize("text, message, column", _SHEAF_ERRORS)
+def test_sheaf_error_corpus(capsys, text, message, column):
+    with pytest.raises(ExprParseError) as exc:
+        parse_sheaf(text)
+    assert (str(exc.value), exc.value.column) == (message, column)
+    assert main(["cohom", "--quadric", "3", text]) == cli.EXIT_PARSE
+    assert capsys.readouterr() == ("", f"nodalcat: {message}\n")
+
+
+def test_sheaf_twist_spellings():
+    for text in ("S(1)(2)", "S (1) ( 2 )", "S(4)(-1)(0)"):
+        assert parse_sheaf(text) == QS("S", 3)
 
 
 def test_multiplicity_binds_tighter_than_sum():
