@@ -19,6 +19,16 @@ error, so it never reaches the recursive solvers.  Postfix chains
 at most ``MAX_LITERAL_DIGITS`` digits; an answer has no cap on its
 numbers, which are written out exactly.
 
+A text is read in one tokenizer pass.  A name with its run of twists
+``(k)`` and shifts ``[m]`` written without spaces is one token, so
+``j*S'(-2)[1]`` is one token, and a text that is one such token needs no
+parser.  Twist and shift commute on a generator: a token's twists are
+summed, its shifts are summed, and it resolves with one call of the
+context's twist rule.  Other postfixes (after a space, or after ``^``)
+apply one at a time.  The parser builds the object as it reads, and a
+syntax error anywhere in a text wins over a generator that does not
+resolve, wherever each lies.
+
 Exit codes: 0 success, 1 verification failure, 2 indeterminate or
 unsupported computation, 3 parse or usage error, 4 internal error (an
 exception of no documented kind, reported in one stderr line), 141 stdout
@@ -44,7 +54,7 @@ from .errors import (
     UnknownGenerator,
     UnsupportedPair,
 )
-from .formalcat import Cone, Gen, ObjExpr
+from .formalcat import ZERO, Gen, ObjExpr
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -77,9 +87,20 @@ class ExprParseError(Exception):
 # tokenizer / parser
 # ---------------------------------------------------------------------------
 
+# A generator (or any other name) takes its run of twists "(k)" and shifts
+# "[m]" into its own token, so "j*S'(-2)[1]" is one match.  A postfix
+# written with spaces, a malformed one or one whose literal is too long
+# ends the run and is read as the tokens after it, with their own columns
+# and messages.  "cone" before "(" is not a name; the generator pattern
+# comes next, since most tokens are generators.
+_LITERAL = rf"-?\d{{1,{MAX_LITERAL_DIGITS}}}"
+_GEN = rf"""(j\*(?:S''|S'|S|O)|(?:S''|S'|S|O)(?!['\w])|[A-Za-z_]\w*)((?:\({_LITERAL}\)|\[{_LITERAL}\])*)"""
+_GEN_RE = re.compile(_GEN)
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
+    rf"""
+    (?P<cone>cone(?=\())
+  | (?P<gen>{_GEN})
+  | (?P<ws>\s+)
   | (?P<arrow>->)
   | (?P<plus>\+)
   | (?P<int>-?\d+)
@@ -88,12 +109,11 @@ _TOKEN_RE = re.compile(
   | (?P<lbr>\[)
   | (?P<rbr>\])
   | (?P<caret>\^)
-  | (?P<cone>cone(?=\())
-  | (?P<gen>j\*(?:S''|S'|S|O)|(?:S''|S'|S|O)(?!['\w]))
-  | (?P<name>[A-Za-z_]\w*)
+  | (?P<bad>(?s:.))
     """,
     re.VERBOSE,
 )
+_POSTFIX_RE = re.compile(r"\((-?\d+)\)|\[(-?\d+)\]")
 
 
 def _int_literal(text: str, column: int) -> int:
@@ -102,34 +122,47 @@ def _int_literal(text: str, column: int) -> int:
     return int(text)
 
 
-def _tokenize(text: str):
+def _fold(run: str) -> tuple[int, int | None]:
+    """The sum of the twists and the sum of the shifts of a run of
+    postfixes, the shift None where the run writes none."""
+    twist, shift = 0, None
+    if run:
+        for k, m in _POSTFIX_RE.findall(run):
+            if k:
+                twist += int(k)
+            else:
+                shift = (shift or 0) + int(m)
+    return twist, shift
+
+
+def _tokenize(text: str) -> list[tuple]:
+    """(kind, text, column) per token, then ("end", "", column).  A
+    generator token is ("gen", name, column, twist, shift): the sums of the
+    twists and of the shifts in its run, shift None where it writes none."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ExprParseError(f"unexpected character {text[pos]!r}", pos + 1)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos + 1))
-        pos = m.end()
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "gen":
+            # groups 3 and 4: the name and the run of _GEN
+            tokens.append((kind, match[3], match.start() + 1, *_fold(match[4])))
+        elif kind == "bad":
+            raise ExprParseError(f"unexpected character {match.group()!r}", match.start() + 1)
+        elif kind != "ws":
+            tokens.append((kind, match.group(), match.start() + 1))
     tokens.append(("end", "", len(text) + 1))
     return tokens
 
 
 class _Parser:
-    """Recursive descent over the object grammar; produces a raw tree.
+    """Recursive descent over the object grammar, building the normalized
+    object over ``ctx`` as it reads.  Without a context it only checks the
+    syntax, and every object reads as zero."""
 
-    Raw nodes: ("gen", name), ("shift", node, m), ("twist", node, k),
-    ("mult", node, m), ("cone", a, b), ("sum", [nodes]).
-    """
-
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+    def __init__(self, tokens: list[tuple], ctx: formalcat.Context | None = None):
+        self.tokens = tokens
+        self.ctx = ctx
         self.i = 0
         self.depth = 0  # cones open at the current token
-
-    def peek(self):
-        return self.tokens[self.i]
 
     def take(self, kind: str):
         tok = self.tokens[self.i]
@@ -138,138 +171,116 @@ class _Parser:
         self.i += 1
         return tok
 
-    def take_int(self) -> int:
-        _, text, column = self.take("int")
-        return _int_literal(text, column)
-
-    def parse(self):
+    def parse(self) -> ObjExpr:
         node = self.parse_sum()
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok[0] != "end":
             raise ExprParseError(f"unexpected {tok[1]!r}", tok[2])
         return node
 
-    def parse_sum(self):
+    def parse_sum(self) -> ObjExpr:
         parts = [self.parse_postfix()]
-        while self.peek()[0] == "plus":
-            self.take("plus")
+        while self.tokens[self.i][0] == "plus":
+            self.i += 1
             parts.append(self.parse_postfix())
-        if len(parts) == 1:
-            return parts[0]
-        return ("sum", parts)
+        return parts[0] if len(parts) == 1 else formalcat.sum_exprs((p, 1) for p in parts)
 
-    def parse_postfix(self):
+    def parse_postfix(self) -> ObjExpr:
+        # postfixes apply one at a time, in a loop: a chain has no cap
         node = self.parse_atom()
         while True:
-            kind = self.peek()[0]
+            kind = self.tokens[self.i][0]
             if kind == "lbr":
-                self.take("lbr")
-                m = self.take_int()
+                self.i += 1
+                m = _int_literal(*self.take("int")[1:])
                 self.take("rbr")
-                node = ("shift", node, m)
+                node = formalcat.shift_expr(node, m)
             elif kind == "lpar":
-                self.take("lpar")
-                k = self.take_int()
+                self.i += 1
+                k = _int_literal(*self.take("int")[1:])
                 self.take("rpar")
-                node = ("twist", node, k)
+                if self.ctx is not None:
+                    node = formalcat.twist_expr(self.ctx, node, k)
             elif kind == "caret":
-                self.take("caret")
+                self.i += 1
                 tok = self.take("int")
                 if tok[1].startswith("-"):
                     raise ExprParseError(f"expected a multiplicity of 0 or more, found {tok[1]!r}", tok[2])
-                node = ("mult", node, _int_literal(tok[1], tok[2]))
+                node = formalcat.sum_of(node, _int_literal(tok[1], tok[2]))
             else:
                 return node
 
-    def parse_atom(self):
-        tok = self.peek()
-        if tok[0] == "cone":
+    def parse_atom(self) -> ObjExpr:
+        tok = self.tokens[self.i]
+        kind = tok[0]
+        if kind == "gen":
+            self.i += 1
+            return ZERO if self.ctx is None else _generator(self.ctx, tok[1], tok[3], tok[4])
+        if kind == "cone":
             if self.depth == MAX_CONE_DEPTH:
                 raise ExprParseError(f"cones nested more than {MAX_CONE_DEPTH} deep", tok[2])
             self.depth += 1
-            self.take("cone")
+            self.i += 1
             self.take("lpar")
             a = self.parse_sum()
             self.take("arrow")
             b = self.parse_sum()
             self.take("rpar")
             self.depth -= 1
-            return ("cone", a, b)
-        if tok[0] in ("gen", "name", "int"):
-            if tok[0] == "int" and tok[1] != "0":
+            return formalcat.cone_of(a, b, "")
+        if kind == "int":
+            if tok[1] != "0":
                 raise ExprParseError(f"unexpected {tok[1]!r}", tok[2])
-            self.take(tok[0])
-            return ("gen", tok[1])
-        raise ExprParseError(
-            f"expected an object, found {tok[1]!r}" if tok[1] else "expected an object",
-            tok[2],
-        )
+            self.i += 1
+            return ZERO
+        raise ExprParseError(f"expected an object, found {tok[1]!r}" if tok[1] else "expected an object", tok[2])
 
 
-def parse_raw(text: str):
-    return _Parser(text).parse()
+# Twist and shift commute on a generator, and a context's twist rule reads
+# only the written name, so a generator token resolves with one call of the
+# rule, here once per (context, name, twist, shift).  A name that does not
+# resolve raises on every call.
+@lru_cache(maxsize=4096)
+def _generator(ctx: formalcat.Context, name: str, twist: int, shift: int | None) -> ObjExpr:
+    gen = Gen(ctx.twist_gen(name, twist))
+    return formalcat.shift_expr(gen, shift) if shift else gen
 
 
-def _canon_gen(ctx: formalcat.Context, name: str) -> str:
-    # "j*S(0)" and "j*S" denote the same generator, and the context resolves
-    # only "j*S": its twist rule reads either and writes the canonical name
-    return ctx.twist_gen(name, 0)
-
-
-_POSTFIX = ("shift", "twist", "mult")
-
-
-def resolve(ctx: formalcat.Context, node) -> ObjExpr:
-    """Turn a raw parse tree into a normalized object over a context."""
-    kind = node[0]
-    if kind == "gen":
-        if node[1] == "0":
-            return formalcat.ZERO
-        return Gen(_canon_gen(ctx, node[1]))
-    if kind in _POSTFIX:
-        # a postfix chain nests one node per operator: walk it in a loop
-        ops = []
-        while node[0] in _POSTFIX:
-            ops.append(node)
-            node = node[1]
-        out = resolve(ctx, node)
-        for op, _, m in reversed(ops):
-            if op == "shift":
-                out = formalcat.shift_expr(out, m)
-            elif op == "twist":
-                out = formalcat.twist_expr(ctx, out, m)
-            else:
-                out = formalcat.sum_of(out, m)
-        return out
-    if kind == "cone":
-        return formalcat.normalize(Cone(resolve(ctx, node[1]), resolve(ctx, node[2])))
-    return formalcat.sum_exprs((resolve(ctx, p), 1) for p in node[1])
-
-
-# Parsing reads only a context's generator names and twist rule, never its
-# facts or triangles, and the terms it returns are immutable: one parse per
-# (context, text) serves every later query.  A failing parse is not cached
-# and raises again on every call.  The bound caps the contexts and texts the
-# cache keeps alive.
+# Parsing reads only a context's twist rule, never its facts or triangles,
+# and the terms it returns are immutable: one parse per (context, text)
+# serves every later query.  A failing parse is not cached and raises again
+# on every call.  The bound caps the contexts and texts the cache keeps
+# alive.
 @lru_cache(maxsize=1024)
 def parse_expr(ctx: formalcat.Context, text: str) -> ObjExpr:
     """Parse and resolve an object expression over a context."""
-    return resolve(ctx, parse_raw(text))
+    match = _GEN_RE.fullmatch(text)
+    if match:  # most texts are one generator token, with nothing to parse
+        return _generator(ctx, match[1], *_fold(match[2]))
+    tokens = _tokenize(text)
+    try:
+        return _Parser(tokens, ctx).parse()
+    except Exception:
+        # a syntax error anywhere in the text wins over a generator that
+        # does not resolve: read the whole text again for one
+        _Parser(tokens).parse()
+        raise
 
 
 def parse_sheaf(text: str) -> quadric.QuadricSheaf:
     """Parse a bare sheaf expression O(k), S(k), S'(k), S''(k)."""
-    node = parse_raw(text)
-    twist = 0
-    while node[0] == "twist":
-        twist += node[2]
-        node = node[1]
-    if node[0] != "gen" or node[1].startswith("j*") or node[1] == "0":
+    tokens = _tokenize(text)
+    head, rest = tokens[0], tokens[1:-1]
+    # a sheaf name, its twists, and after it only twists written apart
+    if (head[0] != "gen" or head[1].startswith("j*") or head[4] is not None
+            or [tok[0] for tok in rest] != ["lpar", "int", "rpar"] * (len(rest) // 3)):
+        _Parser(tokens).parse()  # a syntax error comes first
         raise ExprParseError("expected a sheaf expression", 1)
+    twist = head[3] + sum(_int_literal(tok[1], tok[2]) for tok in rest[1::3])
     try:
-        base = quadric.sheaf_from_string(node[1])
+        base = quadric.sheaf_from_string(head[1])
     except ValueError:
-        raise ExprParseError(f"unknown sheaf {node[1]!r}", 1) from None
+        raise ExprParseError(f"unknown sheaf {head[1]!r}", 1) from None
     return base.twisted(twist)
 
 
@@ -278,9 +289,12 @@ def parse_sheaf(text: str) -> quadric.QuadricSheaf:
 # ---------------------------------------------------------------------------
 
 
+_CONTEXT_RE = re.compile(r"^nodal:(\d+)$")
+
+
 def _context_for(spec: str) -> tuple[int, formalcat.Context]:
     """The dimension d and the context of a ``nodal:<d>`` spec."""
-    m = re.match(r"^nodal:(\d+)$", spec)
+    m = _CONTEXT_RE.match(spec)
     if not m:
         raise ExprParseError(f"unknown context {spec!r} (expected nodal:<dim>)", 1)
     d = _int_literal(m.group(1), m.start(1) + 1)
@@ -312,7 +326,9 @@ def _cmd_hom(args) -> int:
 def _cmd_mutate(args) -> int:
     _, ctx = _context_for(args.context)
     F = parse_expr(ctx, args.expr)
-    through = [Gen(_canon_gen(ctx, t)) for t in args.through]
+    # "j*O(0)" names the generator "j*O": the twist rule reads any spelling
+    # and writes the one the context resolves
+    through = [Gen(ctx.twist_gen(t, 0)) for t in args.through]
     mutate = formalcat.mutate_right if args.dir == "right" else formalcat.mutate_left
     _print_chunks(formalcat.render_chunks(mutate(ctx, through, F)))
     return EXIT_OK
@@ -417,7 +433,8 @@ _COMMANDS = {
     "mutate": ("mutate an object through generators", _cmd_mutate,
                (_CONTEXT, ("--dir", "value", "right", ("right", "left"), None),
                 ("--through", "append", _REQUIRED, None, "GEN")), ("expr",)),
-    "serre": ("Serre functor of the resolution component", _cmd_serre,
+    "serre": ("S_A(beta^*X): the Serre functor of the component A after beta^*, the left"
+              " adjoint of its inclusion; equal to S_A X only for X in A", _cmd_serre,
               (_CONTEXT, ("--relative", "flag", False, None, None)), ("expr",)),
     "kernel": ("kernel generator and its sphericalness", _cmd_kernel,
                (("--dim", "int", _REQUIRED, None, None),), ()),
@@ -492,7 +509,10 @@ def _table_parse(argv) -> SimpleNamespace | None:
     if entry is None:
         return None
     _, func, options, positionals = entry
-    values = {option[0][2:]: option[2] for option in options}
+    args = SimpleNamespace(command=argv[0], func=func)
+    values = args.__dict__
+    for option in options:
+        values[option[0][2:]] = option[2]
     i, n = 1, len(argv)
     while i < n and argv[i][:1] == "-":
         arg = argv[i]
@@ -529,11 +549,13 @@ def _table_parse(argv) -> SimpleNamespace | None:
         else:
             values[dest] = [value]
     rest = argv[i:]
-    if (len(rest) != len(positionals) or _REQUIRED in values.values()
-            or any(not arg or arg[0] == "-" for arg in rest)):
+    if len(rest) != len(positionals) or _REQUIRED in values.values():
         return None
-    values.update(zip(positionals, rest))
-    return SimpleNamespace(command=argv[0], func=func, **values)
+    for dest, arg in zip(positionals, rest):
+        if arg[:1] in "-":  # empty, or an option
+            return None
+        values[dest] = arg
+    return args
 
 
 def _parse_args(argv):

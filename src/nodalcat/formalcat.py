@@ -935,10 +935,14 @@ def apply_serre_action(ctx: Context, F: ObjExpr) -> ObjExpr:
 
 
 def serre_in(ctx: Context, perp, F: ObjExpr) -> ObjExpr:
-    """Serre functor of the right-orthogonal complement of ``perp``.
+    """Serre functor of A, the left orthogonal of ``perp``: the objects X
+    with Hom(X, P) = 0 for every P in ``perp``.
 
     Ambient Serre action followed by right mutation through the stored
-    orthogonal collection, in its semiorthogonal order.
+    orthogonal collection, in its semiorthogonal order; the right mutation
+    lands in A.  For F outside A the answer is S_A(beta^* F), where beta^*
+    is the left adjoint of the inclusion of A; it equals S_A(F) only for F
+    in A.
     """
     return mutate_right(ctx, tuple(perp), apply_serre_action(ctx, F))
 

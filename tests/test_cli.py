@@ -9,7 +9,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nodalcat import cli, formalcat, nodal
 from nodalcat.cli import ExprParseError, main, parse_expr, parse_sheaf
@@ -31,7 +31,7 @@ class TestParser:
 
     def test_error_position(self):
         with pytest.raises(ExprParseError) as exc:
-            cli.parse_raw("cone(j*S' ->")
+            parse_expr(nodal.build_context(5), "cone(j*S' ->")
         assert exc.value.column == 13
 
     def test_twist_distributes(self):
@@ -69,7 +69,7 @@ class TestParser:
 
     def test_garbage(self):
         with pytest.raises(ExprParseError):
-            cli.parse_raw("j*S' @ j*S''")
+            parse_expr(nodal.build_context(5), "j*S' @ j*S''")
 
     def test_parsed_once_per_context_and_text(self):
         from nodalcat.errors import UnknownGenerator
@@ -220,6 +220,81 @@ def test_multiplicity_binds_tighter_than_sum():
                            " + cone(j*S'(-1) -> j*O(-1) + j*O(-1) + j*O(-1))")
     assert got == want
     assert parse_expr(ctx, "j*O^0") == formalcat.ZERO
+
+
+# written forms render never produces: interleaved postfix chains, explicit
+# (0) and ^0, a space before a postfix, inside sums and cones.  A node is
+# (base, chain): base an atom or a cone (src parts, tgt parts), chain a
+# list of (operator, value, spaced).
+_chain = st.lists(st.tuples(st.sampled_from("([^"), st.integers(-2, 3), st.booleans()), max_size=6)
+_postfixed = st.recursive(
+    st.tuples(st.sampled_from(["j*S'", "j*S''", "j*O", "j*O(-1)", "0"]), _chain),
+    lambda inner: st.tuples(st.tuples(st.lists(inner, min_size=1, max_size=2),
+                                      st.lists(inner, min_size=1, max_size=2)), _chain),
+    max_leaves=6,
+)
+_CLOSE = {"(": ")", "[": "]", "^": ""}
+
+
+def _written(parts) -> str:
+    texts = []
+    for base, chain in parts:
+        text = base if isinstance(base, str) else f"cone({_written(base[0])} -> {_written(base[1])})"
+        for op, v, spaced in chain:
+            text += f"{' ' if spaced else ''}{op}{abs(v) if op == '^' else v}{_CLOSE[op]}"
+        texts.append(text)
+    return " + ".join(texts)
+
+
+def _stepwise(ctx, parts):
+    """The reference: each postfix applied on its own, in written order."""
+    values = []
+    for base, chain in parts:
+        if isinstance(base, str):
+            out = formalcat.ZERO if base == "0" else Gen(ctx.twist_gen(base, 0))
+        else:
+            out = formalcat.normalize(Cone(_stepwise(ctx, base[0]), _stepwise(ctx, base[1])))
+        for op, v, _ in chain:
+            if op == "(":
+                out = formalcat.twist_expr(ctx, out, v)
+            elif op == "[":
+                out = formalcat.shift_expr(out, v)
+            else:
+                out = formalcat.sum_of(out, abs(v))
+        values.append(out)
+    return values[0] if len(values) == 1 else formalcat.sum_exprs((v, 1) for v in values)
+
+
+@settings(max_examples=300, deadline=None)
+@example([("j*S'", [("(", -1, False), ("(", 1, False), ("[", 2, False), ("[", -1, False),
+                    ("^", 2, False), ("(", 3, False)])])
+@given(st.lists(_postfixed, min_size=1, max_size=3))
+def test_postfix_chains_fold_as_applied_one_at_a_time(parts):
+    ctx = nodal.build_context(5)
+    assert parse_expr(ctx, _written(parts)) == _stepwise(ctx, parts)
+
+
+@pytest.mark.usefixtures("fresh_contexts")
+@pytest.mark.parametrize("argv, texts", [
+    (["hom", "--context", "nodal:5", "j*S'", "j*S''[1]"], ["j*S'", "j*S''[1]"]),
+    (["mutate", "--context", "nodal:5", "--through", "j*S''", "j*S'"], ["j*S'"]),
+    (["serre", "--context", "nodal:4", "j*S"], ["j*S"]),
+    (["serre", "--context", "nodal:4", "--relative", "j*S"], ["j*S"]),
+])
+def test_commands_parse_through_the_module_global(capsys, monkeypatch, argv, texts):
+    # the benchmark tracer wraps cli.parse_expr by assignment: a command
+    # that held its own reference would keep its parses out of that row
+    seen = []
+    parse = cli.parse_expr
+
+    def counting(ctx, text):
+        seen.append(text)
+        return parse(ctx, text)
+
+    monkeypatch.setattr(cli, "parse_expr", counting)
+    assert main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    assert seen == texts
 
 
 class TestCommands:
