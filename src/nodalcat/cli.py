@@ -237,10 +237,8 @@ class _Parser:
 
 
 # Twist and shift commute on a generator, and a context's twist rule reads
-# only the written name, so a generator token resolves with one call of the
-# rule, here once per (context, name, twist, shift).  A name that does not
-# resolve raises on every call.
-@lru_cache(maxsize=4096)
+# only the written name, so a generator token, however long its run,
+# resolves with one call of the rule.
 def _generator(ctx: formalcat.Context, name: str, twist: int, shift: int | None) -> ObjExpr:
     gen = Gen(ctx.twist_gen(name, twist))
     return formalcat.shift_expr(gen, shift) if shift else gen
