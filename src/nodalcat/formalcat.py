@@ -28,14 +28,16 @@ module implements:
 
 Contexts are immutable after construction apart from append-only state:
 registries of freshly created mutation cones and their orthogonality
-facts, a rotation index over every registered triangle (so cone
-identification is one dict lookup), a cache of resolved generator names,
-the set of generators already checked exceptional as mutation targets,
-and one memo table, holding Hom values and failures under (F, G) keys and
-single mutation steps under (E, F, right) keys.  Entries are only ever
-added, never invalidated, so a memoized Hom can predate a fact registered
-later.  This state is updated without locks: a context is not
-thread-safe.
+facts, a rotation index over the registered triangles (so cone
+identification is one or two dict lookups: the static triangles are
+indexed on construction, the mutation cones only when a probe misses the
+static ones), a cache of resolved generator names, which a builder may
+fill with its roster up front, the set of generators already checked
+exceptional as mutation targets, and one memo table, holding Hom values
+and failures under (F, G) keys and single mutation steps under
+(E, F, right) keys.  Entries are only ever added, never invalidated, so a
+memoized Hom can predate a fact registered later.  This state is updated
+without locks: a context is not thread-safe.
 """
 
 from __future__ import annotations
@@ -524,6 +526,9 @@ class Context:
     UnknownGenerator.  Without it a generator is a name in ``generators``
     and resolves to itself.  ``resolve`` memoizes each successful
     resolution per name; a failing name raises on every call.
+    ``resolved`` pre-fills that memo (the context keeps the dict): a
+    builder that already holds what ``gen_resolve`` returns for its roster
+    hands it over, and ``gen_resolve`` then runs only for other names.
     ``base_hom(a, b)`` returns the graded Hom between two generators and
     receives them resolved, as ``resolve`` returned them, never as names
     (it may raise UnsupportedPair).  ``twist_gen(name, k)`` names the
@@ -534,7 +539,15 @@ class Context:
     ``triangles`` are normalized once, on construction, and stored so; a
     triangle whose legs are already normal is stored as given, so a caller
     that builds them in normal form pays only for indexing them: for a
-    tautological triangle, two shifted legs and three keys.
+    tautological triangle, two shifted legs and three keys, the middle
+    leg's shift shared with the triangle before when both have the same
+    middle object.
+
+    Derived triangles (``add_triangle``, mutation cones) are only queued
+    when registered; ``_identify_cone`` indexes the queue, in registration
+    order, when a probe misses the static index.  ``rotation_index``
+    returns the one index that indexing every triangle at registration
+    would have built.
     """
 
     def __init__(
@@ -546,6 +559,7 @@ class Context:
         twist_gen: Callable[[str, int], str] | None = None,
         serre_action: Callable[[str], ObjExpr] | None = None,
         triangles: tuple[Triangle, ...] = (),
+        resolved: dict | None = None,
     ):
         self.name = name
         self.generators = generators
@@ -557,48 +571,61 @@ class Context:
         self._memo: dict = {}
         self._derived_triangles: list[Triangle] = []
         self._zero_facts: set = set()
+        # whether a zero fact joins two generators, see _hom_compute
+        self._gen_facts = False
         # static and derived triangles, for the dedupe in add_triangle
         self._known_triangles = set(self.triangles)
-        # rotation index: shift-normalized (src, tgt) -> cone, see _identify_cone
+        # rotation index of the static triangles: shift-normalized
+        # (src, tgt) -> cone, see _identify_cone
         self._cone_index: dict = {}
+        # the same for the first _indexed derived triangles, see _derived
+        self._derived_index, self._indexed = {}, 0
         # name -> resolved generator, filled by resolve
-        self._resolved: dict = {}
+        self._resolved: dict = {} if resolved is None else resolved
         # generators that passed _require_exceptional; a failure is not stored
         self._checked_exceptional: set[Gen] = set()
+        y = y1 = None
         for tri in self.triangles:
-            self._index_triangle(tri)
+            if tri.y is not y:
+                y, y1 = tri.y, shift_expr(tri.y, 1)
+            _index_triangle(self._cone_index, tri, y1)
 
     def all_triangles(self):
         yield from self.triangles
         yield from self._derived_triangles
 
     def add_zero_fact(self, F: ObjExpr, G: ObjExpr) -> None:
-        self._zero_facts.add((_strip_shift(F), _strip_shift(G)))
+        F, G = _strip_shift(F), _strip_shift(G)
+        self._zero_facts.add((F, G))
+        self._gen_facts |= F.__class__ is Gen and G.__class__ is Gen
 
     def add_triangle(self, tri: Triangle) -> None:
         self._register_triangle(tri.normalized())
 
     def _register_triangle(self, tri: Triangle) -> None:
-        """``add_triangle`` of a triangle whose parts are already normal."""
+        """``add_triangle`` of a triangle whose parts are already normal:
+        queued for the derived index."""
         known = self._known_triangles
         size = len(known)
         known.add(tri)  # one hash of the triangle: the set grows when it is new
         if len(known) > size:
             self._derived_triangles.append(tri)
-            self._index_triangle(tri)
 
-    def _index_triangle(self, t: Triangle) -> None:
-        # first wins: registry order, then rotation order, decides a key.
-        # Rotation (p, q, r) says cone(p -> q) = r; with m = _min_shift(p)
-        # its key is (p, q) shifted by -m and its value r[-m], both built
-        # only when m is nonzero.  One setdefault hashes the key once
-        x, y, z = t.x, t.y, t.z
-        x1 = Shift(x, 1) if x.__class__ is Gen else shift_expr(x, 1)
-        for p, q, r in ((x, y, z), (y, z, x1), (z, x1, shift_expr(y, 1))):
-            m = p.m if p.__class__ is Shift else _min_shift(p) if p.__class__ is Sum else 0
-            if m:
-                p, q, r = shift_expr(p, -m), shift_expr(q, -m), shift_expr(r, -m)
-            self._cone_index.setdefault((p, q), r)
+    def _derived(self) -> dict:
+        """The rotation index of the derived triangles, the queued ones
+        indexed first, in registration order."""
+        tris = self._derived_triangles
+        for i in range(self._indexed, len(tris)):
+            _index_triangle(self._derived_index, tris[i], shift_expr(tris[i].y, 1))
+        self._indexed = len(tris)
+        return self._derived_index
+
+    def rotation_index(self) -> dict:
+        """The rotation index of every registered triangle, first
+        registration winning: the static entries, then the derived ones
+        under keys no static triangle holds.  Indexes the queue first."""
+        static = self._cone_index
+        return static | {key: r for key, r in self._derived().items() if key not in static}
 
     def resolve(self, name: str):
         obj = self._resolved.get(name, _MISS)
@@ -654,15 +681,19 @@ def _hom_compute(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim:
     # dispatched on the exact classes: no term class is subclassed
     fc, gc = F.__class__, G.__class__
     facts = ctx._zero_facts
-    # a fact holds for the unshifted pair, as add_zero_fact stores it
-    if facts and (F.expr if fc is Shift else F, G.expr if gc is Shift else G) in facts:
-        return GradedDim.zero()
     if fc is Gen and gc is Gen:
+        # mutation cones record facts with a cone on one side: a pair of
+        # generators is probed only once add_zero_fact joined two
+        if ctx._gen_facts and (F, G) in facts:
+            return GradedDim.zero()
         resolved = ctx._resolved
         a, b = resolved.get(F.name, _MISS), resolved.get(G.name, _MISS)
         if a is _MISS or b is _MISS:
             a, b = ctx.resolve(F.name), ctx.resolve(G.name)
         return ctx.base_hom(a, b)
+    # a fact holds for the unshifted pair, as add_zero_fact stores it
+    if facts and (F.expr if fc is Shift else F, G.expr if gc is Shift else G) in facts:
+        return GradedDim.zero()
     if fc is Sum and not F.parts or gc is Sum and not G.parts:
         return GradedDim.zero()
     if fc is Sum:
@@ -768,22 +799,47 @@ def _min_shift(e: ObjExpr) -> int:
     return low or 0
 
 
+def _index_triangle(index: dict, t: Triangle, y1: ObjExpr) -> None:
+    """Enter the three rotations of t, whose y[1] is y1, into index.
+
+    First wins: registry order, then rotation order, decides a key.
+    Rotation (p, q, r) says cone(p -> q) = r; with m = _min_shift(p) its key
+    is (p, q) shifted by -m and its value r[-m], both built only when m is
+    nonzero.  One setdefault hashes the key once.
+    """
+    x, y, z = t.x, t.y, t.z
+    x1 = Shift(x, 1) if x.__class__ is Gen else shift_expr(x, 1)
+    for p, q, r in ((x, y, z), (y, z, x1), (z, x1, y1)):
+        m = p.m if p.__class__ is Shift else _min_shift(p) if p.__class__ is Sum else 0
+        if m:
+            p, q, r = shift_expr(p, -m), shift_expr(q, -m), shift_expr(r, -m)
+        index.setdefault((p, q), r)
+
+
 def _identify_cone(ctx: Context, src: ObjExpr, tgt: ObjExpr) -> ObjExpr | None:
     """Match cone(src -> tgt) against registered triangles.
 
     Matching is up to a common shift and up to rotation: a triangle
     x -> y -> z also certifies cone(y -> z) = x[1] and cone(z -> x[1]) = y[1].
 
-    Each registered triangle sits in ``ctx._cone_index`` under the keys of
-    its three rotations (p, q, r).  A key is (p[-m], q[-m]), where m is the
+    Each registered triangle sits in a rotation index under the keys of its
+    three rotations (p, q, r).  A key is (p[-m], q[-m]), where m is the
     smallest outer shift of p (of its parts, for a sum), and maps to r[-m].
     The probe is normalized the same way, so one lookup finds a match up to
     a common shift, and the hit is shifted back by the probe's own m.  When
     several rotations share a key, the first registered triangle, then its
     first rotation, holds it.
+
+    The static index ``ctx._cone_index`` is asked first; only on a miss are
+    the queued derived triangles indexed and their index asked.
+    This is what one index of every triangle would answer: static triangles
+    come first in registration order, so no derived one holds a static key.
     """
     m = src.m if src.__class__ is Shift else _min_shift(src) if src.__class__ is Sum else 0
-    hit = ctx._cone_index.get((shift_expr(src, -m), shift_expr(tgt, -m)) if m else (src, tgt))
+    key = (shift_expr(src, -m), shift_expr(tgt, -m)) if m else (src, tgt)
+    hit = ctx._cone_index.get(key)
+    if hit is None:
+        hit = ctx._derived().get(key)
     return None if hit is None else shift_expr(hit, m)
 
 

@@ -44,6 +44,12 @@ def _push_text(kind: str, twist: int) -> str:
 
 
 @cache
+def _push_gen(kind: str, twist: int) -> Gen:
+    """The generator of the sheaf ``kind(twist)``, named and interned once."""
+    return Gen(_push_text(kind, twist))
+
+
+@cache
 def parse_push_name(name: str) -> quadric.QuadricSheaf:
     m = _PUSH_RE.match(name)
     if not m:
@@ -320,7 +326,7 @@ def verify_dim(d: int) -> VerificationReport:
         # class (kind, 0, kind) of F, the same for every twist.  Kinds are
         # asked in the order the roster first meets them, so an error is
         # the one the first failing roster name would raise.
-        ok = {kd: formalcat.check_exceptional(ctx, Gen(_push_text(kd, 0))) for kd in kinds}
+        ok = {kd: formalcat.check_exceptional(ctx, _push_gen(kd, 0)) for kd in kinds}
         if all(ok.values()):
             return "all exceptional", True
         bad = [g for g in ctx.generators if not ok.get(parse_push_name(g).kind, True)]
@@ -353,7 +359,7 @@ def verify_dim(d: int) -> VerificationReport:
     if d >= 3:
         def check_fix():
             for k in range(2 - d, 0):
-                got = formalcat.mutate_right(ctx, Gen(_push_text(quadric.LINE, k)), spin_gen)
+                got = formalcat.mutate_right(ctx, _push_gen(quadric.LINE, k), spin_gen)
                 if got is not spin_gen:
                     return f"k={k}: {formalcat.render(got)}", False
             return f"{spin} fixed for k in {2 - d}..-1", True
@@ -364,10 +370,10 @@ def verify_dim(d: int) -> VerificationReport:
 
         def check_steps():
             for k in range(1 - n, 0):
-                line = Gen(_push_text(quadric.LINE, k))
+                line = _push_gen(quadric.LINE, k)
                 for kd in quadric.spinor_kinds(n):
-                    src = Gen(_push_text(kd, k))
-                    want = Shift(Gen(_push_text(quadric.next_spinor(n, kd), k + 1)), -1)
+                    src = _push_gen(kd, k)
+                    want = Shift(_push_gen(quadric.next_spinor(n, kd), k + 1), -1)
                     got = formalcat.mutate_right(ctx, line, src)
                     if got != want:
                         return f"k={k}, {kd}: {formalcat.render(got)}", False

@@ -484,10 +484,11 @@ def family_context(n: int, name: str, prefix: str, twists: range, base_hom, pars
     every twist but the last, tagged "<tag> of <kind> at twist <k>", and
     ``triangles`` after them.  ``parse(text)`` reads any spelling of a
     sheaf and raises ValueError or UnknownGenerator on other text.  The
-    context resolves only the text this builder writes, and any other
-    spelling raises UnknownGenerator naming the right one; its twist rule
-    reads every spelling ``parse`` does.  ``serre=(t, s)`` gives the
-    pair-Serre action F -> F(t)[s].
+    context resolves only the text this builder writes, which it receives
+    already resolved (``parse`` runs once per roster name, at build), and
+    any other spelling raises UnknownGenerator naming the right one; its
+    twist rule reads every spelling ``parse`` does.  ``serre=(t, s)``
+    gives the pair-Serre action F -> F(t)[s].
     """
     from . import formalcat
 
@@ -538,6 +539,10 @@ def family_context(n: int, name: str, prefix: str, twists: range, base_hom, pars
         twist_gen=twist,
         serre_action=serre_action if serre else None,
         triangles=(*taut, *triangles),
+        # what resolve above returns for each roster name, which is
+        # canonical and of the right parity: the context calls it only for
+        # other names
+        resolved={name: parse(name) for name in roster},
     )
 
 

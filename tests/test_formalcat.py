@@ -490,15 +490,27 @@ def test_rotation_index_matches_the_old_rule(pool, data):
     # the dedupe, and colliding keys the first-wins order
     static = data.draw(st.lists(st.sampled_from(pool), max_size=4))
     added = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+    # probes between the registrations: the first miss indexes the queued
+    # triangles mid-sequence, and later registrations refill the queue
+    probe_at = data.draw(st.sets(st.integers(0, 5)))
     ctx = Context(name="toy", generators=("A", "B", "C"), base_hom=lambda a, b: C, triangles=tuple(static))
-    for t in added:
-        ctx.add_triangle(t)
+    D = Gen("D")  # in no triangle: probing (D, D) always misses
+    for i in range(len(added)):
+        if i in probe_at:
+            _assert_probes_find_the_old_cones(ctx, *_old_registry(static, added[:i]), data.draw(st.integers(-2, 2)))
+            assert formalcat._identify_cone(ctx, D, D) is None
+            assert ctx._indexed == len(ctx._derived_triangles)
+        ctx.add_triangle(added[i])
     triangles, index = _old_registry(static, added)
+    _assert_probes_find_the_old_cones(ctx, triangles, index, data.draw(st.integers(-2, 2)))
     # repr shows the cone and triangle tags, which equality ignores
     assert repr(list(ctx.all_triangles())) == repr(triangles)
-    assert repr(list(ctx._cone_index.items())) == repr(list(index.items()))
-    # probes shifted off each rotation find what the old lookup found
-    s = data.draw(st.integers(-2, 2))
+    assert repr(list(ctx.rotation_index().items())) == repr(list(index.items()))
+
+
+def _assert_probes_find_the_old_cones(ctx, triangles, index, s):
+    """Probes shifted by s off each rotation find what the old lookup in
+    ``index`` found."""
     for t in triangles:
         x1 = shift_expr(t.x, 1)
         for p, q in ((t.x, t.y), (t.y, t.z), (t.z, x1)):

@@ -468,13 +468,13 @@ def test_one_exceptional_check_per_kind(monkeypatch, d, asked):
 def _registry_digest(contexts) -> str:
     """sha256 over what queries registered: each context's derived
     triangles in registration order, its zero facts ordered by their text,
-    and its rotation index in insertion order; repr shows the tags."""
+    and its merged rotation index in insertion order; repr shows the tags."""
     h = hashlib.sha256()
     for ctx in contexts:
         h.update(repr(ctx._derived_triangles).encode())
         facts = sorted((render(F), render(G), repr((F, G))) for F, G in ctx._zero_facts)
         h.update(repr(facts).encode())
-        h.update(repr(list(ctx._cone_index.items())).encode())
+        h.update(repr(list(ctx.rotation_index().items())).encode())
     return h.hexdigest()
 
 

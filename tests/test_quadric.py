@@ -379,6 +379,31 @@ class TestEvenSpinorPairing:
         assert forward == backward == cold
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_spinor_chi_closed_form(n):
+    # chi(Sp_a(s), Sp_b(t)) = P_n(c) + (-1)^c ([Sp_a = next^c(Sp_b)] - P_n(0)),
+    # c = t - s, where P_n(0) is 1 on odd and 1/2 on even quadrics and
+    # P_n(c) + P_n(c + 1) = r chi(Sp(1 + c)), with chi(Sp(k)) read off
+    # `cohomology`.  Kept as twice each side, so every value is an integer.
+    r, kinds = quadric.taut_rank(n), quadric.spinor_kinds(n)
+
+    def twice_step(c):  # 2 (P_n(c) + P_n(c + 1))
+        return 2 * r * cohomology(n, QS(kinds[0], 1 + c)).euler()
+
+    twice_p = {0: 2 if n % 2 else 1}
+    for c in range(0, 11):
+        twice_p[c + 1] = twice_step(c) - twice_p[c]
+    for c in range(-1, -11, -1):
+        twice_p[c] = twice_step(c) - twice_p[c + 1]
+    for ka, kb, s, t in itertools.product(kinds, kinds, (-3, 0, 2), range(-8, 9)):
+        c = t - s
+        kind = kb
+        for _ in range(abs(c)):
+            kind = quadric.next_spinor(n, kind)
+        want = twice_p[c] + (-1) ** c * (2 * (ka == kind) - twice_p[0])
+        assert 2 * chi_quadric(n, QS(ka, s), QS(kb, t)) == want, (n, ka, s, kb, t)
+
+
 class TestBruteForceQ2:
     def test_kunneth_line(self):
         assert brute_force_q2(QS("O"), QS("O", 1)) == gd({0: 4})

@@ -6,7 +6,11 @@ process would, builds every context first (the benchmark's set-up), timed
 as the "(context build)" row, then runs ``nodal.verify_dim(d)`` for each d
 and times every item's check.  The kernel generator, which ``verify_dim``
 builds once for three items, is timed as its own row.  Each row is the
-best sum over the dimensions among the repeats.  Standard library only.
+best sum over the dimensions among the repeats.  The "(registry)" row
+counts, over the verify calls of one pass, the derived triangles
+registered, those indexed for cone identification, and the calls of the
+contexts' ``gen_resolve`` (names resolved outside the roster handed over
+at build).  Standard library only.
 
     python3 tools/verify_items.py [--dims 2..48] [--repeat 5]
 """
@@ -32,15 +36,27 @@ def _dims(text: str) -> range:
     return range(int(lo), int(hi or lo) + 1)
 
 
-def one_pass(dims: range) -> dict[str, float]:
-    """Seconds per item, summed over ``dims``, from fresh contexts."""
+def one_pass(dims: range) -> tuple[dict[str, float], tuple[int, int, int]]:
+    """Seconds per item, summed over ``dims``, from fresh contexts, and the
+    registry counts (registered, indexed, gen_resolve calls)."""
     nodal._setup = functools.cache(nodal._setup.__wrapped__)
     nodal._pair_value.cache_clear()
     nodal.parse_push_name.cache_clear()
+    nodal._push_gen.cache_clear()
     t0 = time.perf_counter()
-    for d in dims:
-        nodal.build_context(d)
+    contexts = [nodal.build_context(d) for d in dims]
     spent = {BUILD: time.perf_counter() - t0}
+    resolves = 0
+
+    def counted(gen_resolve):
+        def resolve(name):
+            nonlocal resolves
+            resolves += 1
+            return gen_resolve(name)
+        return resolve
+
+    for ctx in contexts:
+        ctx.gen_resolve = counted(ctx.gen_resolve)
 
     def add_item(items, id, citation, expected, compute):
         def timed():
@@ -67,7 +83,9 @@ def one_pass(dims: range) -> dict[str, float]:
         spent["total"] = time.perf_counter() - t0
     finally:
         nodal.add_item, nodal.kernel_generator = add_item_plain, kernel_plain
-    return spent
+    counts = (sum(len(ctx._derived_triangles) for ctx in contexts),
+              sum(ctx._indexed for ctx in contexts), resolves)
+    return spent, counts
 
 
 def main(argv: list[str]) -> int:
@@ -79,7 +97,8 @@ def main(argv: list[str]) -> int:
     best: dict[str, float] = {}
     try:
         for _ in range(max(1, args.repeat)):
-            for item, s in one_pass(args.dims).items():
+            spent, counts = one_pass(args.dims)
+            for item, s in spent.items():
                 best[item] = min(best.get(item, s), s)
     finally:
         nodal._setup = setup
@@ -90,6 +109,8 @@ def main(argv: list[str]) -> int:
     for item, s in sorted(best.items(), key=lambda kv: -kv[1]):
         print(f"  {item:<{width}}  {s * 1e3:8.2f}")
     print(f"  {'verify_dim total':<{width}}  {total * 1e3:8.2f}")
+    print(f"  {'(registry)':<{width}}  {counts[0]} registered, {counts[1]} indexed, "
+          f"{counts[2]} gen_resolve calls")
     return 0
 
 
