@@ -447,9 +447,10 @@ _COMMANDS = {
 def build_arg_parser():
     """The argparse parser of ``_COMMANDS``, built once per process and then shared.
 
-    Only help and usage errors need it (see ``_parse_args``), so argparse is
-    imported here and not at start.  Parsing leaves the parser unchanged
-    (each call fills a fresh namespace), so every ``main`` call can reuse it.
+    Only help, usage errors and the argv forms the table does not read need
+    it (see ``_parse_args``), so argparse is imported here and not at start.
+    Parsing leaves the parser unchanged (each call fills a fresh namespace),
+    so every ``main`` call can reuse it.
     """
     import argparse
 
@@ -478,30 +479,16 @@ def build_arg_parser():
     return parser
 
 
-def _option(options, flag: str):
-    """The option a long flag names, written out or as a unique prefix; None
-    for anything else, ``--help`` and its prefixes included."""
-    if flag[:2] != "--":
-        return None
-    for option in options:
-        if option[0] == flag:
-            return option
-    if "--help".startswith(flag):
-        return None
-    matches = [option for option in options if option[0].startswith(flag)]
-    return matches[0] if len(matches) == 1 else None
-
-
 def _table_parse(argv) -> SimpleNamespace | None:
     """The namespace argparse gives a plainly well-formed argv, or None.
 
-    Accepted: a command name; then its long options, each written out,
-    abbreviated to a unique prefix or as ``--opt=value``; then an optional
-    ``--`` and exactly the command's positionals (a command without
-    positionals takes no ``--``).  Every value and positional must be
-    nonempty and must not start with "-".  Anything else (help, a short
-    option, a negative number, a positional before an option, a bad choice
-    or int, a missing or extra argument) is declined and left to argparse.
+    Accepted: a command name; then its long options, each written out in
+    full and followed by its value (a flag takes none); then exactly the
+    command's positionals.  Every value and positional must be nonempty
+    and must not start with "-".  Anything else (help, an abbreviated or
+    short option, ``--opt=value``, ``--``, a negative number, a positional
+    before an option, a bad choice or int, a missing or extra argument) is
+    declined and left to argparse.
     """
     entry = _COMMANDS.get(argv[0]) if argv else None
     if entry is None:
@@ -513,26 +500,19 @@ def _table_parse(argv) -> SimpleNamespace | None:
         values[option[0][2:]] = option[2]
     i, n = 1, len(argv)
     while i < n and argv[i][:1] == "-":
-        arg = argv[i]
-        i += 1
-        if arg == "--":
-            if not positionals:
-                return None  # argparse leaves this "--" over
-            break
-        flag, eq, value = arg.partition("=")
-        option = _option(options, flag)
-        if option is None:
+        for option in options:
+            if option[0] == argv[i]:
+                break
+        else:  # help, "--", an abbreviated or "--opt=value" form: argparse's
             return None
+        i += 1
         flag, kind, _, choices, _ = option
         dest = flag[2:]
         if kind == "flag":
-            if eq:
-                return None
             values[dest] = True
             continue
-        if not eq:
-            value = argv[i] if i < n else ""
-            i += 1
+        value = argv[i] if i < n else ""
+        i += 1
         if not value or value[0] == "-" or (choices and value not in choices):
             return None
         if kind == "int":

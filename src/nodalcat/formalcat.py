@@ -28,16 +28,16 @@ module implements:
 
 Contexts are immutable after construction apart from append-only state:
 registries of freshly created mutation cones and their orthogonality
-facts, a rotation index over the registered triangles (so cone
-identification is one or two dict lookups: the static triangles are
-indexed on construction, the mutation cones only when a probe misses the
-static ones), a cache of resolved generator names, which a builder may
-fill with its roster up front, the set of generators already checked
-exceptional as mutation targets, and one memo table, holding Hom values
-and failures under (F, G) keys and single mutation steps under
-(E, F, right) keys.  Entries are only ever added, never invalidated, so a
-memoized Hom can predate a fact registered later.  This state is updated
-without locks: a context is not thread-safe.
+facts, one rotation index over the registered triangles (so cone
+identification is a lookup in one dict: the static triangles are indexed
+on construction, the mutation cones only when a probe misses), a cache of
+resolved generator names, which a builder may fill with its roster up
+front, the set of generators already checked exceptional as mutation
+targets, and one memo table, holding Hom values and failures under
+(F, G) keys and single mutation steps under (E, F, right) keys.  Entries
+are only ever added, never invalidated, so a memoized Hom can predate a
+fact registered later.  This state is updated without locks: a context
+is not thread-safe.
 """
 
 from __future__ import annotations
@@ -545,9 +545,9 @@ class Context:
 
     Derived triangles (``add_triangle``, mutation cones) are only queued
     when registered; ``_identify_cone`` indexes the queue, in registration
-    order, when a probe misses the static index.  ``rotation_index``
-    returns the one index that indexing every triangle at registration
-    would have built.
+    order, into the same index when a probe misses.  First registration
+    wins a key, so the index is the one that indexing every triangle at
+    registration would have built.
     """
 
     def __init__(
@@ -575,11 +575,10 @@ class Context:
         self._gen_facts = False
         # static and derived triangles, for the dedupe in add_triangle
         self._known_triangles = set(self.triangles)
-        # rotation index of the static triangles: shift-normalized
-        # (src, tgt) -> cone, see _identify_cone
+        # rotation index of the static triangles and the first _indexed
+        # derived ones: shift-normalized (src, tgt) -> cone, see _identify_cone
         self._cone_index: dict = {}
-        # the same for the first _indexed derived triangles, see _derived
-        self._derived_index, self._indexed = {}, 0
+        self._indexed = 0
         # name -> resolved generator, filled by resolve
         self._resolved: dict = {} if resolved is None else resolved
         # generators that passed _require_exceptional; a failure is not stored
@@ -611,21 +610,15 @@ class Context:
         if len(known) > size:
             self._derived_triangles.append(tri)
 
-    def _derived(self) -> dict:
-        """The rotation index of the derived triangles, the queued ones
-        indexed first, in registration order."""
-        tris = self._derived_triangles
-        for i in range(self._indexed, len(tris)):
-            _index_triangle(self._derived_index, tris[i], shift_expr(tris[i].y, 1))
-        self._indexed = len(tris)
-        return self._derived_index
-
     def rotation_index(self) -> dict:
         """The rotation index of every registered triangle, first
-        registration winning: the static entries, then the derived ones
-        under keys no static triangle holds.  Indexes the queue first."""
-        static = self._cone_index
-        return static | {key: r for key, r in self._derived().items() if key not in static}
+        registration winning; the queued triangles are indexed first, in
+        registration order."""
+        tris = self._derived_triangles
+        for i in range(self._indexed, len(tris)):
+            _index_triangle(self._cone_index, tris[i], shift_expr(tris[i].y, 1))
+        self._indexed = len(tris)
+        return self._cone_index
 
     def resolve(self, name: str):
         obj = self._resolved.get(name, _MISS)
@@ -830,16 +823,16 @@ def _identify_cone(ctx: Context, src: ObjExpr, tgt: ObjExpr) -> ObjExpr | None:
     several rotations share a key, the first registered triangle, then its
     first rotation, holds it.
 
-    The static index ``ctx._cone_index`` is asked first; only on a miss are
-    the queued derived triangles indexed and their index asked.
-    This is what one index of every triangle would answer: static triangles
-    come first in registration order, so no derived one holds a static key.
+    Only on a miss of ``ctx._cone_index`` are the queued derived triangles
+    indexed into it and the index asked again.  A hit before that is
+    exact: a queued triangle was registered after every indexed one, so
+    under first-registration-wins it cannot hold that key.
     """
     m = src.m if src.__class__ is Shift else _min_shift(src) if src.__class__ is Sum else 0
     key = (shift_expr(src, -m), shift_expr(tgt, -m)) if m else (src, tgt)
     hit = ctx._cone_index.get(key)
     if hit is None:
-        hit = ctx._derived().get(key)
+        hit = ctx.rotation_index().get(key)
     return None if hit is None else shift_expr(hit, m)
 
 

@@ -415,11 +415,16 @@ _WELL_FORMED = [
     ["verify", "--dims", "3..4"],
     ["cubic4"],
     ["mukai", "S(1)"],
-    # an abbreviated option, "--opt=value", "--" and a repeated append option
+    # a repeated append option
+    ["mutate", "--context", "nodal:5", "--through", "j*O", "--through", "j*O(-1)", "j*S'"],
+]
+
+# well formed, but in a form the table leaves to argparse: an abbreviated
+# option, "--opt=value" and "--"
+_ARGPARSE_FORMS = [
     ["hom", "--cont", "nodal:3", "j*O", "j*O(-1)"],
     ["kernel", "--dim=5"],
     ["hom", "--context", "nodal:3", "--", "j*O", "j*O(-1)"],
-    ["mutate", "--context", "nodal:5", "--through", "j*O", "--through", "j*O(-1)", "j*S'"],
 ]
 
 _MALFORMED = [
@@ -444,7 +449,7 @@ class TestDispatch:
         captured = capsys.readouterr()
         return rc, captured.out, captured.err
 
-    @pytest.mark.parametrize("argv", _WELL_FORMED + _MALFORMED, ids=lambda a: " ".join(a) or "<empty>")
+    @pytest.mark.parametrize("argv", _WELL_FORMED + _ARGPARSE_FORMS + _MALFORMED, ids=lambda a: " ".join(a) or "<empty>")
     def test_matches_the_full_parser(self, capsys, monkeypatch, argv):
         got = self._run(capsys, argv)
         monkeypatch.setattr(cli, "_parse_args", _full_parse)
@@ -468,6 +473,9 @@ class TestDispatch:
         for argv in _WELL_FORMED:
             assert main(argv) == cli.EXIT_OK
         capsys.readouterr()
+        # the other well-formed argvs are argparse's alone
+        declined = [argv for argv in _WELL_FORMED + _ARGPARSE_FORMS if cli._table_parse(argv) is None]
+        assert declined == _ARGPARSE_FORMS
 
 
 # values each option takes, positionals, words drawn for any value or
