@@ -603,7 +603,7 @@ class Context:
 
     def _register_triangle(self, tri: Triangle) -> None:
         """``add_triangle`` of a triangle whose parts are already normal:
-        queued for the derived index."""
+        queued for the rotation index (indexed on a probe miss)."""
         known = self._known_triangles
         size = len(known)
         known.add(tri)  # one hash of the triangle: the set grows when it is new
@@ -613,7 +613,8 @@ class Context:
     def rotation_index(self) -> dict:
         """The rotation index of every registered triangle, first
         registration winning; the queued triangles are indexed first, in
-        registration order."""
+        registration order.  The dict returned is the context's own index,
+        which cone identification reads: do not modify it."""
         tris = self._derived_triangles
         for i in range(self._indexed, len(tris)):
             _index_triangle(self._cone_index, tris[i], shift_expr(tris[i].y, 1))

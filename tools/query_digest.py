@@ -1,18 +1,18 @@
-"""Print a sha256 digest of every answer of the query-mix script, per seed.
+"""Check the sha256 digest of every answer of the query-mix script, per seed.
 
 The op list is the benchmark's own (``bench/workloads.make_ops``), over
 the rosters of nodal d = 2..13 as ``bench/run.py`` builds them.  Every op
-runs through ``cli.main`` in this interpreter, and the digest is taken
-over ``json.dumps([argv, rc, stdout, stderr])`` of each op in order.  A
-change that must leave every query-mix answer byte-identical must leave
-these digests as they were.  Standard library only.
+of seeds 0 and 1 runs through ``cli.main`` in this interpreter, and the
+digest is taken over ``json.dumps([argv, rc, stdout, stderr])`` of each op
+in order.  Each digest is printed and compared with the pinned one; the
+exit status is 1 if either differs, so a changed query-mix answer fails.
+Standard library only.
 
-    python3 tools/query_digest.py [--seeds 0,1]
+    python3 tools/query_digest.py
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -26,6 +26,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import workloads  # noqa: E402
 from nodalcat import cli, nodal  # noqa: E402
 
+PINNED = {
+    0: "9776b96f7e48a7bac704aad826d341e227a12961ca01e765aacdd7e56923a7ac",
+    1: "b68ccd8e35c36aed6a478c5204654cb91e18c5ec8fe987f9ad6e403e5643b8b4",
+}
+
 
 def digest(seed: int, rosters: dict[int, tuple[str, ...]]) -> str:
     """sha256 over [argv, rc, stdout, stderr] of each query-mix op of ``seed``."""
@@ -38,15 +43,16 @@ def digest(seed: int, rosters: dict[int, tuple[str, ...]]) -> str:
     return h.hexdigest()
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", default="0,1", help="comma-separated seeds (default 0,1)")
-    args = parser.parse_args(argv)
+def main() -> int:
     rosters = {d: nodal.build_context(d).generators for d in range(2, 14)}
-    for seed in map(int, args.seeds.split(",")):
-        print(f"seed {seed}: {digest(seed, rosters)}")
-    return 0
+    status = 0
+    for seed, pinned in PINNED.items():
+        got = digest(seed, rosters)
+        ok = got == pinned
+        print(f"seed {seed}: {got}" + ("" if ok else f" (expected {pinned})"))
+        status |= not ok
+    return status
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
