@@ -76,6 +76,13 @@ MAX_CONE_DEPTH = 100
 # literal is a parse error before it costs a conversion.
 MAX_LITERAL_DIGITS = 4300
 
+# Largest dimension d of a nodal context a command accepts.  A context is
+# built whole before any query reads it, O(d) generators, triangles and
+# index keys (~185 MB at d = 10^5, within the benchmark's 1.5 GiB cap), so
+# a larger d is a parse error before any build instead of a MemoryError
+# after it.
+MAX_DIM = 100_000
+
 
 class ExprParseError(Exception):
     def __init__(self, message: str, column: int):
@@ -290,12 +297,20 @@ def parse_sheaf(text: str) -> quadric.QuadricSheaf:
 _CONTEXT_RE = re.compile(r"^nodal:(\d+)$")
 
 
+def _dim(d: int, column: int) -> int:
+    """d, checked to be at most ``MAX_DIM``; ``column`` is where it is written."""
+    if d > MAX_DIM:
+        raise ExprParseError(f"dimension {d} is above the limit {MAX_DIM}", column)
+    return d
+
+
 def _context_for(spec: str) -> tuple[int, formalcat.Context]:
     """The dimension d and the context of a ``nodal:<d>`` spec."""
     m = _CONTEXT_RE.match(spec)
     if not m:
         raise ExprParseError(f"unknown context {spec!r} (expected nodal:<dim>)", 1)
-    d = _int_literal(m.group(1), m.start(1) + 1)
+    column = m.start(1) + 1
+    d = _dim(_int_literal(m.group(1), column), column)
     return d, nodal.build_context(d)
 
 
@@ -338,17 +353,17 @@ def _cmd_serre(args) -> int:
     if args.relative:
         out = nodal.relative_serre(d, F)
     else:
-        out = formalcat.serre_in(ctx, nodal.perp_collection(d), F)
+        out = formalcat.serre_in(ctx, nodal.perp_generators(d), F)
     _print_chunks(formalcat.render_chunks(out))
     return EXIT_OK
 
 
 def _cmd_kernel(args) -> int:
-    d = args.dim
+    d = _dim(args.dim, 1)
     T = nodal.kernel_generator(d)
     k = nodal.spherical_degree(d)
     report = formalcat.check_spherical(
-        nodal.build_context(d), nodal.perp_collection(d), T, k
+        nodal.build_context(d), nodal.perp_generators(d), T, k
     )
     verdict = "pass" if report.passed else "FAIL"
     print(f"{formalcat.render(T)}, {k}-spherical: {verdict}")
@@ -359,8 +374,8 @@ def _parse_dims(spec: str) -> range:
     m = re.match(r"^(\d+)(?:\.\.(\d+))?$", spec)
     if not m:
         raise ExprParseError(f"bad dimension range {spec!r} (expected a..b)", 1)
-    lo = _int_literal(m.group(1), 1)
-    hi = _int_literal(m.group(2), m.start(2) + 1) if m.group(2) else lo
+    lo = _dim(_int_literal(m.group(1), 1), 1)
+    hi = _dim(_int_literal(m.group(2), m.start(2) + 1), m.start(2) + 1) if m.group(2) else lo
     if hi < lo:
         raise ExprParseError(f"empty dimension range {spec!r} (upper end below lower end)",
                              m.start(2) + 1)

@@ -62,3 +62,20 @@ class NotExceptional(NodalcatError):
 
 class RuleNotApplicable(NodalcatError):
     """A functor-chain rewrite rule does not fire on the given object."""
+
+
+class Failure:
+    """A raised error kept as data: its class and ``args``.
+
+    A memo stores this in place of the exception, so it pins no traceback,
+    frame, cause or context, and each hit raises ``exception()``, a fresh
+    instance with the same message, at the depth of the caller's raise.
+    """
+
+    __slots__ = ("cls", "args")
+
+    def __init__(self, exc: Exception):
+        self.cls, self.args = exc.__class__, exc.args
+
+    def exception(self) -> Exception:
+        return self.cls(*self.args)

@@ -42,10 +42,10 @@ is not thread-safe.
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Callable, Iterable, Iterator
 
 from .errors import (
+    Failure,
     IndeterminateHom,
     NotExceptional,
     UnknownGenerator,
@@ -530,8 +530,10 @@ class Context:
     builder that already holds what ``gen_resolve`` returns for its roster
     hands it over, and ``gen_resolve`` then runs only for other names.
     ``base_hom(a, b)`` returns the graded Hom between two generators and
-    receives them resolved, as ``resolve`` returned them, never as names
-    (it may raise UnsupportedPair).  ``twist_gen(name, k)`` names the
+    receives them resolved, as ``resolve`` returned them, never as names;
+    it may raise UnsupportedPair or IndeterminateHom, or return an
+    ``errors.Failure`` record of such an error, which ``_hom`` stores as
+    it is and raises from.  ``twist_gen(name, k)`` names the
     generator twisted by k steps of the context line bundle; `twist_expr`
     applies it leafwise, and a relative dualizing twist is one such twist.
     ``serre_action`` sends a generator name to its image under the ambient
@@ -554,7 +556,7 @@ class Context:
         self,
         name: str,
         generators: tuple[str, ...],
-        base_hom: Callable[[object, object], GradedDim],
+        base_hom: Callable[[object, object], GradedDim | Failure],
         gen_resolve: Callable[[str], object] | None = None,
         twist_gen: Callable[[str, int], str] | None = None,
         serre_action: Callable[[str], ObjExpr] | None = None,
@@ -648,30 +650,31 @@ def hom(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim:
 def _hom(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim:
     """Memoized graded Hom of normalized terms.
 
-    A failure (UnsupportedPair, IndeterminateHom) is memoized too, as a
-    copy made before it propagates, so the stored exception has no
-    traceback, cause or context; each hit raises a fresh copy of it.
-    Storing the raised exception itself would pin every frame it passed
-    through (with their locals) for the life of the context, and each
-    re-raise would lengthen its traceback.
+    A failure (UnsupportedPair, IndeterminateHom) is memoized too, as an
+    ``errors.Failure`` record of its class and ``args``, so nothing stored
+    holds a traceback, frame, cause or context; each hit raises a fresh
+    instance built from the record, with the same message.  Storing the
+    raised exception itself would pin every frame it passed through (with
+    their locals) for the life of the context, and each re-raise would
+    lengthen its traceback.  A record that ``base_hom`` returns is stored
+    as it is: a nodal context keeps one per Hom class (see
+    ``nodal._pair_value``), which every pair of that class shares.
     """
     key = (F, G)
     memo = ctx._memo
     val = memo.get(key, _MISS)
-    if val is not _MISS:
-        if isinstance(val, Exception):
-            raise copy.copy(val)
-        return val
-    try:
-        val = _hom_compute(ctx, F, G)
-    except (UnsupportedPair, IndeterminateHom) as exc:
-        memo[key] = copy.copy(exc)
-        raise
-    memo[key] = val
+    if val is _MISS:
+        try:
+            val = memo[key] = _hom_compute(ctx, F, G)
+        except (UnsupportedPair, IndeterminateHom) as exc:
+            memo[key] = Failure(exc)
+            raise
+    if val.__class__ is Failure:
+        raise val.exception()
     return val
 
 
-def _hom_compute(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim:
+def _hom_compute(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim | Failure:
     # dispatched on the exact classes: no term class is subclassed
     fc, gc = F.__class__, G.__class__
     facts = ctx._zero_facts
@@ -895,8 +898,6 @@ def _mutate(ctx: Context, through, F: ObjExpr, right: bool) -> ObjExpr:
     out = F if F.__class__ is Gen else normalize(F)
     checked = ctx._checked_exceptional
     for E in gens if right else reversed(gens):
-        if E.__class__ is str:
-            E = Gen(E)  # a stored collection holds names
         if E.__class__ is not Gen or E not in checked:
             E = _as_gen(E)
             _require_exceptional(ctx, E)
@@ -915,7 +916,7 @@ def _mutate_one(ctx: Context, E: Gen, F: ObjExpr, right: bool) -> ObjExpr:
     again finds that cone, tag included.  A recomputation registers no new
     triangle or fact either, so a hit skips nothing.  Steps that return F
     unchanged (zero Hom) and failing steps are not stored: the first are
-    free, and the second raise again through the Hom memo's stored copy.
+    free, and the second raise again through the Hom memo's stored record.
     """
     if F.__class__ is Shift:
         # mutation commutes with shifts, and Hom(F[m], E) is Hom(F, E) moved

@@ -27,7 +27,7 @@ import re
 from functools import cache
 
 from . import formalcat, quadric
-from .errors import NodalcatError, UnknownGenerator
+from .errors import Failure, IndeterminateHom, NodalcatError, UnknownGenerator, UnsupportedPair
 from .formalcat import Cone, Context, Gen, ObjExpr, Shift, Triangle
 from .graded import GradedDim
 
@@ -93,19 +93,29 @@ def _hom_class(F: quadric.QuadricSheaf, G: quadric.QuadricSheaf) -> tuple[str, i
 
 
 @cache
-def _pair_value(n: int, kind1: str, c: int, kind2: str) -> GradedDim:
-    """``hom_push`` of the class ``(kind1, c, kind2)``, see ``_hom_class``;
-    the kinds are those of resolved generators, so already checked."""
-    return _push_value(n, kind1, c, kind2, 0)
+def _pair_value(n: int, kind1: str, c: int, kind2: str) -> GradedDim | Failure:
+    """``hom_push`` of the class ``(kind1, c, kind2)``, see ``_hom_class``,
+    or the record of its failure: computed once per class either way, and
+    ``formalcat`` raises from the record.  The kinds are those of resolved
+    generators, so already checked.  A failure message names the class
+    representative ``kind1(c)``, ``kind2``, so every pair of the class
+    raises the same bytes."""
+    try:
+        return _push_value(n, kind1, c, kind2, 0)
+    except (UnsupportedPair, IndeterminateHom) as exc:
+        return Failure(exc)
 
 
 class NodalSetup:
-    """Roster and derived data of the nodal blow-up context in dimension d."""
+    """Roster and derived data of the nodal blow-up context in dimension d:
+    the stored orthogonal collection as names (``perp``) and as the
+    generators mutations run through (``perp_gens``)."""
 
     def __init__(self, n: int, context: Context, perp: tuple[str, ...]):
         self.n = n
         self.context = context
         self.perp = perp
+        self.perp_gens = tuple(map(Gen, perp))
 
 
 @cache
@@ -114,7 +124,7 @@ def _setup(d: int) -> NodalSetup:
         raise ValueError(f"dimension must be >= 2, got {d}")
     n = d - 1
 
-    def base_hom(Fa: quadric.QuadricSheaf, Fb: quadric.QuadricSheaf) -> GradedDim:
+    def base_hom(Fa: quadric.QuadricSheaf, Fb: quadric.QuadricSheaf) -> GradedDim | Failure:
         return _pair_value(n, *_hom_class(Fa, Fb))
 
     kernel_triangles: tuple[Triangle, ...] = ()
@@ -218,6 +228,11 @@ def perp_collection(d: int) -> tuple[str, ...]:
     return _setup(d).perp
 
 
+def perp_generators(d: int) -> tuple[Gen, ...]:
+    """``perp_collection(d)`` as generators, which mutations take as they are."""
+    return _setup(d).perp_gens
+
+
 def kernel_generator(d: int) -> ObjExpr:
     """Classical generator of the resolution kernel, built by mutation.
 
@@ -230,7 +245,7 @@ def kernel_generator(d: int) -> ObjExpr:
     setup = _setup(d)
     ctx = setup.context
     start = Gen("j*S") if d % 2 == 0 else Gen("j*S'")
-    moved = formalcat.mutate_right(ctx, setup.perp, start)
+    moved = formalcat.mutate_right(ctx, setup.perp_gens, start)
     if d % 2 == 0:
         if moved != start:
             raise NodalcatError(f"kernel mutation did not fix j*S: {formalcat.render(moved)}")
@@ -251,7 +266,7 @@ def relative_serre(d: int, F: ObjExpr) -> ObjExpr:
     into the resolution."""
     setup = _setup(d)
     return formalcat.mutate_right(
-        setup.context, setup.perp, formalcat.twist_expr(setup.context, F, 1 - setup.n)
+        setup.context, setup.perp_gens, formalcat.twist_expr(setup.context, F, 1 - setup.n)
     )
 
 
@@ -427,7 +442,7 @@ def verify_dim(d: int) -> VerificationReport:
     k_spherical = spherical_degree(d)
     def check_sph():
         T = built_kernel()
-        report = formalcat.check_spherical(ctx, setup.perp, T, k_spherical)
+        report = formalcat.check_spherical(ctx, setup.perp_gens, T, k_spherical)
         serre_desc = (
             formalcat.render(report.serre_value) if report.serre_value is not None
             else "not evaluated"

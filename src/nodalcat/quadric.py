@@ -255,17 +255,18 @@ def _hom_quadric(n: int, kind1: str, t1: int, kind2: str, t2: int) -> GradedDim:
 # ---------------------------------------------------------------------------
 
 
-def _choose_int(x: int, r: int) -> int:
-    """Generalized binomial coefficient binom(x, r) for any integer x."""
-    num = 1
-    for i in range(r):
-        num *= x - i
-    return num // math.factorial(r)
-
-
 def chi_line(n: int, k: int) -> int:
-    """chi(Q^n, O(k)): the Hilbert polynomial, valid for every k."""
-    return _choose_int(n + 1 + k, n + 1) - _choose_int(n + k - 1, n + 1)
+    """chi(Q^n, O(k)): the Hilbert polynomial binom(x, r) - binom(x - 2, r)
+    with x = n + 1 + k and r = n + 1, valid for every k.
+
+    A top below 2 is read through the negation rule binom(-y, r) =
+    (-1)^r binom(y + r - 1, r) on both terms, so ``math.comb`` only ever
+    sees nonnegative arguments.
+    """
+    r, x = n + 1, n + 1 + k
+    if x >= 2:
+        return math.comb(x, r) - math.comb(x - 2, r)
+    return (-1) ** r * (math.comb(r - 1 - x, r) - math.comb(r + 1 - x, r))
 
 
 # polynomials as tuples of Fractions, lowest degree first
@@ -401,8 +402,8 @@ def chi_quadric(n: int, F: QuadricSheaf, G: QuadricSheaf) -> int:
     if F.is_line:
         return _chi_spinor_eval(n, G.twist - F.twist)
     if G.is_line:
-        dualF = dual_sheaf(n, F)
-        return _chi_spinor_eval(n, dualF.twist + G.twist)
+        # chi(F^v(t)), whose kind `_chi_spinor_eval` does not read
+        return _chi_spinor_eval(n, _dual_twist(F.twist) + G.twist)
     if n % 2 == 1:
         # unique polynomial in the second twist; no base values needed
         w = _poly_compose_shift(_chi_spinor_poly(n), 1 - F.twist)

@@ -802,6 +802,45 @@ def test_integer_literal_over_the_cap_is_a_parse_error(capsys, argv, column):
                                        f"longer than {cli.MAX_LITERAL_DIGITS} digits\n")
 
 
+_OVER_DIM = cli.MAX_DIM + 1
+
+
+@pytest.mark.parametrize("argv, d, column", [
+    (["hom", "--context", "nodal:100000000", "j*O", "j*O"], 100000000, 7),
+    (["hom", "--context", f"nodal:{_OVER_DIM}", "j*O", "j*O"], _OVER_DIM, 7),
+    (["mutate", "--context", f"nodal:{_OVER_DIM}", "--through", "j*O", "j*O"], _OVER_DIM, 7),
+    (["serre", "--context", f"nodal:{_OVER_DIM}", "--relative", "j*O"], _OVER_DIM, 7),
+    (["kernel", "--dim", str(_OVER_DIM)], _OVER_DIM, 1),
+    (["verify", "--dims", str(_OVER_DIM)], _OVER_DIM, 1),
+    (["verify", "--dims", f"2..{_OVER_DIM}"], _OVER_DIM, 4),
+])
+def test_dimension_over_the_limit_is_a_parse_error(capsys, monkeypatch, argv, d, column):
+    # refused before any context is built
+    monkeypatch.setattr(nodal, "_setup", lambda d: pytest.fail(f"built nodal:{d}"))
+    assert main(argv) == cli.EXIT_PARSE
+    assert capsys.readouterr() == ("", f"nodalcat: parse error at column {column}: dimension {d} "
+                                       f"is above the limit {cli.MAX_DIM}\n")
+
+
+def test_dimension_at_the_limit_is_built(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(nodal, "build_context", lambda d: built.append(d) or nodal._setup(3).context)
+    assert main(["hom", "--context", f"nodal:{cli.MAX_DIM}", "j*O", "j*O"]) == cli.EXIT_OK
+    assert built == [cli.MAX_DIM]
+    assert capsys.readouterr() == ("C\n", "")
+
+
+def test_largest_context_builds_under_the_benchmark_cap():
+    # the benchmark's children run under a 1.5 GiB address-space cap
+    limit = 1536 << 20
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "nodalcat", "hom", "--context", f"nodal:{cli.MAX_DIM}", "j*O", "j*O"],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "C\n", "")
+
+
 def test_reader_gone_early_exits_quietly():
     # the ~57 MB answer outgrows the pipe long before it is written, so the
     # writes after the reader closed fail with EPIPE, as under `| head -c 10`

@@ -1,11 +1,12 @@
 import copy
 import pickle
+import types
 
 import pytest
 from hypothesis import HealthCheck, example, given, reject, settings, strategies as st
 
 from nodalcat import formalcat, nodal, quadric
-from nodalcat.errors import IndeterminateHom, NodalcatError, NotExceptional, UnknownGenerator
+from nodalcat.errors import Failure, IndeterminateHom, NodalcatError, NotExceptional, UnknownGenerator
 from nodalcat.formalcat import (
     Cone,
     Context,
@@ -926,11 +927,21 @@ def test_memoized_failure_keeps_its_traceback_depth():
         depths.append(_traceback_depth(exc.value))
     # the first call computes, the next five re-raise the memoized failure
     assert len(set(depths[1:])) == 1
-    stored = [v for v in ctx._memo.values() if isinstance(v, Exception)]
+    # the memo keeps a record of the failure's class and args, never the
+    # exception: nothing stored holds a traceback, frame, cause or context
+    stored = [v for v in ctx._memo.values() if isinstance(v, Failure)]
     assert stored
-    for exc in stored:
-        assert exc.__traceback__ is None
-        assert exc.__context__ is None and exc.__cause__ is None
+    assert not any(isinstance(v, BaseException) for v in ctx._memo.values())
+    pinning = (BaseException, types.TracebackType, types.FrameType)
+    for record in stored:
+        assert not hasattr(record, "__dict__")
+        parts = list(record.args)
+        for part in record.args:  # a message thunk's closure too
+            parts += [cell.cell_contents for cell in getattr(part, "__closure__", None) or ()]
+        assert not any(isinstance(part, pinning) for part in parts)
+        fresh = record.exception()
+        assert fresh.__traceback__ is None
+        assert fresh.__context__ is None and fresh.__cause__ is None
 
 
 def test_memoized_failure_pins_no_caller_frame():

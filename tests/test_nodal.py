@@ -1,3 +1,4 @@
+import functools
 import hashlib
 
 import pytest
@@ -56,6 +57,28 @@ class TestHomPush:
     def test_unsupported_propagates(self):
         with pytest.raises(UnsupportedPair):
             nodal.hom_push(4, QS("S'"), QS("S'", 1))
+
+
+def test_a_failing_class_is_computed_once(fresh_contexts, monkeypatch):
+    # two pairs of the class (S', -2, S'') on nodal:9, each asked twice:
+    # one computation, then fresh errors from one record, with the same bytes
+    ctx = nodal.build_context(9)
+    calls = []
+    push_value = nodal._push_value
+    monkeypatch.setattr(nodal, "_push_value", lambda *args: calls.append(args) or push_value(*args))
+    monkeypatch.setattr(nodal, "_pair_value", functools.cache(nodal._pair_value.__wrapped__))
+    raised = []
+    for a, b in [("j*S'(-2)", "j*S''"), ("j*S'(-3)", "j*S''(-1)")] * 2:
+        with pytest.raises(UnsupportedPair) as exc:
+            formalcat.hom(ctx, Gen(a), Gen(b))
+        raised.append(exc.value)
+    assert calls == [(8, "S'", -2, "S''", 0)]
+    # both pairs' memo entries are the class's one record
+    assert ctx._memo[Gen("j*S'(-2)"), Gen("j*S''")] is ctx._memo[Gen("j*S'(-3)"), Gen("j*S''(-1)")]
+    assert len({id(exc) for exc in raised}) == 4
+    assert {str(exc) for exc in raised} == {
+        "Hom(S'(-2), S'') on Q^8: twist difference -2 is outside the range 0..8 reachable "
+        "by the tautological-sequence recursion"}
 
 
 class TestBuildContext:

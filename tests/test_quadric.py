@@ -276,6 +276,26 @@ class TestChi:
         # the additive path reaches twist differences the Hom path cannot
         assert isinstance(chi_quadric(3, QS("S"), QS("S", 1)), int)
 
+    def test_chi_line_matches_cohomology_and_the_polynomial(self):
+        # the closed form against graded cohomology (Serre duality for
+        # negative twists) and against the Fraction Hilbert polynomial
+        for n in range(1, 41):
+            poly = quadric._chi_line_poly(n)
+            for k in range(-200, 201):
+                want = cohomology(n, QS("O", k)).euler()
+                assert chi_line(n, k) == want == quadric._poly_eval(poly, k), (n, k)
+
+    def test_spinor_line_pairing_matches_the_dual_sheaf(self):
+        # chi(F, O(t)) = euler H^*(F^v(t)), with F^v from the duality rules
+        for n in range(1, 17):
+            for kind in quadric.spinor_kinds(n):
+                for s in range(-30, 31):
+                    F = QS(kind, s)
+                    dual = dual_sheaf(n, F)
+                    for t in range(-30, 31):
+                        want = cohomology(n, dual.twisted(t)).euler()
+                        assert chi_quadric(n, F, QS("O", t)) == want, (n, str(F), t)
+
 
 def _even_kclass_recursive(n, kind, t):
     """K-theory class of kind(t) on even Q^n as (sign, twist-0 kind, line
