@@ -76,11 +76,13 @@ MAX_CONE_DEPTH = 100
 # literal is a parse error before it costs a conversion.
 MAX_LITERAL_DIGITS = 4300
 
-# Largest dimension d of a nodal context a command accepts.  A context is
-# built whole before any query reads it, O(d) generators, triangles and
-# index keys (~185 MB at d = 10^5, within the benchmark's 1.5 GiB cap), so
-# a larger d is a parse error before any build instead of a MemoryError
-# after it.
+# Largest dimension a command accepts: d of a nodal context, and the N of
+# ``cohom --quadric N``.  A larger one is a parse error before any work.
+# The limit bounds what grows with the dimension: the stored roster of 2d
+# or 3d generators (d = 10^5 builds and answers a Hom in ~0.6 s within
+# 128 MiB), the O(d) work of verify, kernel and serre, and the size of an
+# answer, whose numbers have O(N) digits (N = 10^7 took 33 s, mostly
+# converting one to text).
 MAX_DIM = 100_000
 
 
@@ -323,8 +325,7 @@ def _print_chunks(chunks) -> None:
 
 
 def _cmd_cohom(args) -> int:
-    sheaf = parse_sheaf(args.expr)
-    print(quadric.cohomology(args.quadric, sheaf).render())
+    print(quadric.cohomology(_dim(args.quadric, 1), parse_sheaf(args.expr)).render())
     return EXIT_OK
 
 

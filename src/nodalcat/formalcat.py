@@ -15,11 +15,12 @@ module implements:
   Hom(W, cone) and (0, -1) for Hom(cone, W); ``nodal.hom_push`` splices
   the restriction triangle with (-2, -1).
 * ``mutate_right`` / ``mutate_left``: mutations through exceptional
-  generators, with cone identification against registered triangles up to
-  shift and rotation.  Mutations distribute over sums, shifts and cone
-  legs (they are exact functors); an unidentified cone is kept as a single
-  indecomposable term carrying its own triangle, and the defining
-  orthogonality of the mutation is recorded as a fact.
+  generators, with cone identification up to shift and rotation, against
+  the context's cone rule and then its registered triangles.  Mutations
+  distribute over sums, shifts and cone legs (they are exact functors); an
+  unidentified cone is kept as a single indecomposable term carrying its
+  own triangle, and the defining orthogonality of the mutation is
+  recorded as a fact.
 * ``serre_in``: Serre functor of an admissible complement, computed as the
   ambient Serre action followed by right mutation through the stored
   orthogonal collection (compositions ordered as for mutation through a
@@ -27,10 +28,9 @@ module implements:
 * semiorthogonality / exceptionality / sphericalness checks.
 
 Contexts are immutable after construction apart from append-only state:
-registries of freshly created mutation cones and their orthogonality
-facts, one rotation index over the registered triangles (so cone
-identification is a lookup in one dict: the static triangles are indexed
-on construction, the mutation cones only when a probe misses), a cache of
+registries of added triangles, freshly created mutation cones and their
+orthogonality facts, one rotation index over the registered triangles
+(filled only when a probe misses, so a new context holds none), a cache of
 resolved generator names, which a builder may fill with its roster up
 front, the set of generators already checked exceptional as mutation
 targets, and one memo table, holding Hom values and failures under
@@ -537,15 +537,12 @@ class Context:
     generator twisted by k steps of the context line bundle; `twist_expr`
     applies it leafwise, and a relative dualizing twist is one such twist.
     ``serre_action`` sends a generator name to its image under the ambient
-    pair-Serre functor.  The static
-    ``triangles`` are normalized once, on construction, and stored so; a
-    triangle whose legs are already normal is stored as given, so a caller
-    that builds them in normal form pays only for indexing them: for a
-    tautological triangle, two shifted legs and three keys, the middle
-    leg's shift shared with the triangle before when both have the same
-    middle object.
+    pair-Serre functor.  ``cone_rule(src, tgt)`` names the cone of a probe
+    key of ``_identify_cone`` from a family of triangles the context knows
+    by rule, at no cost before a probe, or returns None; it answers before
+    any registered triangle.
 
-    Derived triangles (``add_triangle``, mutation cones) are only queued
+    Registered triangles (``add_triangle``, mutation cones) are only queued
     when registered; ``_identify_cone`` indexes the queue, in registration
     order, into the same index when a probe misses.  First registration
     wins a key, so the index is the one that indexing every triangle at
@@ -560,7 +557,7 @@ class Context:
         gen_resolve: Callable[[str], object] | None = None,
         twist_gen: Callable[[str, int], str] | None = None,
         serre_action: Callable[[str], ObjExpr] | None = None,
-        triangles: tuple[Triangle, ...] = (),
+        cone_rule: Callable[[ObjExpr, ObjExpr], ObjExpr | None] | None = None,
         resolved: dict | None = None,
     ):
         self.name = name
@@ -569,31 +566,27 @@ class Context:
         self.gen_resolve = gen_resolve
         self.twist_gen = twist_gen
         self.serre_action = serre_action
-        self.triangles = tuple(map(Triangle.normalized, triangles))
+        self.cone_rule = cone_rule
         self._memo: dict = {}
         self._derived_triangles: list[Triangle] = []
         self._zero_facts: set = set()
         # whether a zero fact joins two generators, see _hom_compute
         self._gen_facts = False
-        # static and derived triangles, for the dedupe in add_triangle
-        self._known_triangles = set(self.triangles)
-        # rotation index of the static triangles and the first _indexed
-        # derived ones: shift-normalized (src, tgt) -> cone, see _identify_cone
+        # the registered triangles, for the dedupe in add_triangle
+        self._known_triangles: set[Triangle] = set()
+        # rotation index of the first _indexed registered triangles:
+        # shift-normalized (src, tgt) -> cone, see _identify_cone
         self._cone_index: dict = {}
         self._indexed = 0
         # name -> resolved generator, filled by resolve
         self._resolved: dict = {} if resolved is None else resolved
         # generators that passed _require_exceptional; a failure is not stored
         self._checked_exceptional: set[Gen] = set()
-        y = y1 = None
-        for tri in self.triangles:
-            if tri.y is not y:
-                y, y1 = tri.y, shift_expr(tri.y, 1)
-            _index_triangle(self._cone_index, tri, y1)
 
-    def all_triangles(self):
-        yield from self.triangles
-        yield from self._derived_triangles
+    def all_triangles(self) -> Iterator[Triangle]:
+        """The registered triangles, in registration order; the triangles
+        of ``cone_rule`` are not listed."""
+        return iter(self._derived_triangles)
 
     def add_zero_fact(self, F: ObjExpr, G: ObjExpr) -> None:
         F, G = _strip_shift(F), _strip_shift(G)
@@ -619,7 +612,7 @@ class Context:
         which cone identification reads: do not modify it."""
         tris = self._derived_triangles
         for i in range(self._indexed, len(tris)):
-            _index_triangle(self._cone_index, tris[i], shift_expr(tris[i].y, 1))
+            _index_triangle(self._cone_index, tris[i])
         self._indexed = len(tris)
         return self._cone_index
 
@@ -796,45 +789,46 @@ def _min_shift(e: ObjExpr) -> int:
     return low or 0
 
 
-def _index_triangle(index: dict, t: Triangle, y1: ObjExpr) -> None:
-    """Enter the three rotations of t, whose y[1] is y1, into index.
+def _index_triangle(index: dict, t: Triangle) -> None:
+    """Enter the three rotations of t into index.
 
     First wins: registry order, then rotation order, decides a key.
     Rotation (p, q, r) says cone(p -> q) = r; with m = _min_shift(p) its key
-    is (p, q) shifted by -m and its value r[-m], both built only when m is
-    nonzero.  One setdefault hashes the key once.
+    is (p, q) shifted by -m and its value r[-m].
     """
-    x, y, z = t.x, t.y, t.z
-    x1 = Shift(x, 1) if x.__class__ is Gen else shift_expr(x, 1)
-    for p, q, r in ((x, y, z), (y, z, x1), (z, x1, y1)):
-        m = p.m if p.__class__ is Shift else _min_shift(p) if p.__class__ is Sum else 0
+    x1 = shift_expr(t.x, 1)
+    for p, q, r in ((t.x, t.y, t.z), (t.y, t.z, x1), (t.z, x1, shift_expr(t.y, 1))):
+        m = _min_shift(p)
         if m:
             p, q, r = shift_expr(p, -m), shift_expr(q, -m), shift_expr(r, -m)
         index.setdefault((p, q), r)
 
 
 def _identify_cone(ctx: Context, src: ObjExpr, tgt: ObjExpr) -> ObjExpr | None:
-    """Match cone(src -> tgt) against registered triangles.
+    """Match cone(src -> tgt) against the context's cone rule, then against
+    registered triangles.
 
     Matching is up to a common shift and up to rotation: a triangle
     x -> y -> z also certifies cone(y -> z) = x[1] and cone(z -> x[1]) = y[1].
+    The probe's key is (src[-m], tgt[-m]), where m is the smallest outer
+    shift of src (of its parts, for a sum), and the hit is shifted back by m.
 
-    Each registered triangle sits in a rotation index under the keys of its
-    three rotations (p, q, r).  A key is (p[-m], q[-m]), where m is the
-    smallest outer shift of p (of its parts, for a sum), and maps to r[-m].
-    The probe is normalized the same way, so one lookup finds a match up to
-    a common shift, and the hit is shifted back by the probe's own m.  When
-    several rotations share a key, the first registered triangle, then its
-    first rotation, holds it.
+    ``ctx.cone_rule`` is asked first, on the key.  Each registered triangle
+    sits in a rotation index under the keys of its three rotations (p, q,
+    r), shift-normalized the same way and mapping to r[-m], so one lookup
+    finds a match up to a common shift.  When several rotations share a
+    key, the first registered triangle, then its first rotation, holds it.
 
-    Only on a miss of ``ctx._cone_index`` are the queued derived triangles
-    indexed into it and the index asked again.  A hit before that is
-    exact: a queued triangle was registered after every indexed one, so
-    under first-registration-wins it cannot hold that key.
+    Only on a miss of ``ctx._cone_index`` are the queued triangles indexed
+    into it and the index asked again.  A hit before that is exact: a
+    queued triangle was registered after every indexed one, so under
+    first-registration-wins it cannot hold that key.
     """
     m = src.m if src.__class__ is Shift else _min_shift(src) if src.__class__ is Sum else 0
     key = (shift_expr(src, -m), shift_expr(tgt, -m)) if m else (src, tgt)
-    hit = ctx._cone_index.get(key)
+    hit = ctx.cone_rule and ctx.cone_rule(*key)
+    if hit is None:
+        hit = ctx._cone_index.get(key)
     if hit is None:
         hit = ctx.rotation_index().get(key)
     return None if hit is None else shift_expr(hit, m)

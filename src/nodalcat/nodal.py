@@ -127,26 +127,17 @@ def _setup(d: int) -> NodalSetup:
     def base_hom(Fa: quadric.QuadricSheaf, Fb: quadric.QuadricSheaf) -> GradedDim | Failure:
         return _pair_value(n, *_hom_class(Fa, Fb))
 
-    kernel_triangles: tuple[Triangle, ...] = ()
+    # pushed-forward tautological triangles at every twist, by rule;
+    # pair-Serre j_*F -> j_*F(1-n)[n+1]
+    ctx = quadric.family_context(n, f"nodal:{d}", "j*", range(1 - n, 2), base_hom, parse_push_name,
+                                 serre=(1 - n, n + 1))
     if d % 2 == 1:
-        # the context carries the kernel cone T and its companion T'
+        # the context carries the kernel cone T and its companion T', and
+        # the defining orthogonality of the mutation producing T
         sp, spp = Gen("j*S'"), Gen("j*S''")
-        t_cone = Cone(sp, Shift(spp, 2), tag="kernel mutation cone")
-        kernel_triangles = (
-            Triangle(sp, Shift(spp, 2), t_cone, tag="kernel mutation cone"),
-            Triangle(spp, Shift(sp, 2), Cone(spp, Shift(sp, 2), tag="companion cone with spinors swapped"),
-                     tag="companion cone with spinors swapped"),
-        )
-
-    # pushed-forward tautological sequences at every roster spinor twist but
-    # the last, then the kernel cones; pair-Serre j_*F -> j_*F(1-n)[n+1]
-    ctx = quadric.family_context(
-        n, f"nodal:{d}", "j*", range(1 - n, 2), base_hom, parse_push_name,
-        "pushforward of the tautological sequence", triangles=kernel_triangles, serre=(1 - n, n + 1),
-    )
-    if d % 2 == 1:
-        # defining orthogonality of the mutation producing T
-        ctx.add_zero_fact(t_cone, spp)
+        for a, b, tag in ((sp, spp, "kernel mutation cone"), (spp, sp, "companion cone with spinors swapped")):
+            ctx.add_triangle(Triangle(a, Shift(b, 2), Cone(a, Shift(b, 2), tag=tag), tag=tag))
+        ctx.add_zero_fact(Cone(sp, Shift(spp, 2), tag="kernel mutation cone"), spp)
 
     # stored orthogonal collection of the resolution subcategory: the
     # pushed Lefschetz blocks B_{n-1}(1-n), ..., B_1(-1); for odd d the

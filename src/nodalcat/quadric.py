@@ -474,29 +474,30 @@ def lefschetz_blocks(n: int) -> "formalcat.LefschetzData":
     return formalcat.LefschetzData(blocks)
 
 
-def family_context(n: int, name: str, prefix: str, twists: range, base_hom, parse, tag: str,
-                   triangles: tuple = (), serre: tuple[int, int] | None = None):
+def family_context(n: int, name: str, prefix: str, twists: range, base_hom, parse,
+                   serre: tuple[int, int] | None = None):
     """A formal context whose generators are the sheaves on Q^n, each
     written ``prefix`` + its `sheaf_name`.
 
     The roster is O(k) at each k in ``twists``, then every kind of
-    `spinor_kinds` at each k.  The tautological triangle
-    Sp(k) -> O(k)^r -> next(k + 1) of each spinor kind is registered at
-    every twist but the last, tagged "<tag> of <kind> at twist <k>", and
-    ``triangles`` after them.  ``parse(text)`` reads any spelling of a
+    `spinor_kinds` at each k.  ``parse(text)`` reads any spelling of a
     sheaf and raises ValueError or UnknownGenerator on other text.  The
-    context resolves only the text this builder writes, which it receives
-    already resolved (``parse`` runs once per roster name, at build), and
-    any other spelling raises UnknownGenerator naming the right one; its
-    twist rule reads every spelling ``parse`` does.  ``serre=(t, s)``
-    gives the pair-Serre action F -> F(t)[s].
+    context resolves only the text this builder writes, at any twist; it
+    receives the roster already resolved (``parse`` runs once per roster
+    name, at build), and any other spelling raises UnknownGenerator naming
+    the right one.  Its twist rule reads every spelling ``parse`` does.
+    ``serre=(t, s)`` gives the pair-Serre action F -> F(t)[s].
+
+    The tautological triangles Sp(k) -> O(k)^r -> next(k + 1) of every
+    spinor kind are the context's cone rule, at every twist k: tensoring
+    by O(1) is an autoequivalence, so no twist needs a triangle of its
+    own, and the build stores none.
     """
     from . import formalcat
 
     kinds = spinor_kinds(n)
-    # the generators of each kind, by position in twists
-    gens = {kd: [formalcat.Gen(prefix + sheaf_name(kd, k)) for k in twists] for kd in (LINE, *kinds)}
-    roster = [g.name for g in gens[LINE]] + [gens[kd][i].name for i in range(len(twists)) for kd in kinds]
+    roster = [prefix + sheaf_name(LINE, k) for k in twists]
+    roster += [prefix + sheaf_name(kd, k) for k in twists for kd in kinds]
 
     def sheaf(text: str) -> QuadricSheaf:
         try:
@@ -524,14 +525,43 @@ def family_context(n: int, name: str, prefix: str, twists: range, base_hom, pars
         t, s = serre
         return formalcat.Shift(formalcat.Gen(twist(text, t)), s)
 
-    # built in normal form (the rank is at least 2), so stored as built
-    r = taut_rank(n)
-    taut = []
-    legs = [(kd, gens[kd], gens[next_spinor(n, kd)]) for kd in kinds]
-    for i, k in enumerate(twists[:-1]):
-        lines = formalcat.Sum(((gens[LINE][i], r),))
-        for kd, here, there in legs:
-            taut.append(formalcat.Triangle(here[i], lines, there[i + 1], f"{tag} of {kd} at twist {k}"))
+    def gen(kind: str, k: int) -> "formalcat.Gen":
+        return formalcat.Gen(prefix + sheaf_name(kind, k))
+
+    def sheaf_of(e) -> QuadricSheaf | None:
+        """The sheaf of a generator, None for any other term.  A probe's
+        generators have all resolved before, as Hom arguments or as the
+        mutation's target, so ``resolved``, the context's resolve cache,
+        holds them; other names go through ``resolve``."""
+        return (resolved.get(e.name) or resolve(e.name)) if e.__class__ is formalcat.Gen else None
+
+    def lines_twist(e: "formalcat.Sum") -> int | None:
+        """k if the sum ``e`` is the middle term O(k)^r, else None."""
+        F = sheaf_of(e.parts[0][0]) if len(e.parts) == 1 and e.parts[0][1] == r else None
+        return F.twist if F is not None and F.kind == LINE else None
+
+    def cone_rule(src, tgt):
+        """cone(src -> tgt) by a rotation of a tautological triangle, read
+        off its spinor generator F = Sp(k), the source or else the target:
+        (F, O(k)^r) -> next(k + 1), (O(k - 1)^r, F) -> Sp~(k - 1)[1] and
+        (F, Sp~(k - 1)[1]) -> O(k - 1)^r[1], where next(Sp~) = Sp; else
+        None."""
+        F = sheaf_of(src if src.__class__ is formalcat.Gen else tgt)
+        if F is None or F.kind == LINE:
+            return None
+        k, other = F.twist, successor[F.kind]
+        if tgt.__class__ is formalcat.Sum:
+            return gen(other, k + 1) if lines_twist(tgt) == k else None
+        if src.__class__ is formalcat.Sum:
+            return formalcat.Shift(gen(other, k - 1), 1) if lines_twist(src) == k - 1 else None
+        if tgt == formalcat.Shift(gen(other, k - 1), 1):
+            return formalcat.Sum(((formalcat.Shift(gen(LINE, k - 1), 1), r),))
+        return None
+
+    r, successor = taut_rank(n), {kd: next_spinor(n, kd) for kd in kinds}
+    # what resolve above returns for each roster name, which is canonical
+    # and of the right parity: the context calls it only for other names
+    resolved = {name: parse(name) for name in roster}
     return formalcat.Context(
         name=name,
         generators=tuple(roster),
@@ -539,17 +569,14 @@ def family_context(n: int, name: str, prefix: str, twists: range, base_hom, pars
         gen_resolve=resolve,
         twist_gen=twist,
         serre_action=serre_action if serre else None,
-        triangles=(*taut, *triangles),
-        # what resolve above returns for each roster name, which is
-        # canonical and of the right parity: the context calls it only for
-        # other names
-        resolved={name: parse(name) for name in roster},
+        cone_rule=cone_rule,
+        resolved=resolved,
     )
 
 
 def sheaf_context(n: int):
     """A formal mutation context whose generators are sheaves on Q^n: the
     roster O, O(1), Sp, Sp(1) over the spinor kinds Sp of Q^n, with the
-    twist-0 tautological triangle of each spinor kind."""
+    tautological triangles of every spinor kind at every twist."""
     return family_context(n, f"quadric:{n}", "", range(2), lambda a, b: hom_quadric(n, a, b),
-                          sheaf_from_string, "tautological sequence")
+                          sheaf_from_string)

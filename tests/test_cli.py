@@ -588,11 +588,12 @@ for argv in json.load(sys.stdin):
 print(digest.hexdigest())
 """
 
-# taken once IndeterminateHom messages named their Hom arguments in the
-# X^m notation: against the digest before that (3123862b...), only the 74
-# IndeterminateHom stderr lines of `serre` queries differ, each expanding
-# (X^m to m copies) to its old text
-_FIXED_SCRIPT_SHA256 = "87ade7ce7868052551b08c3900bd8e15b007ac0c9096223c8af75aae9029f9b5"
+# taken once the tautological triangles became a rule at every twist:
+# against the digest before that (87ade7ce...), only the 13 queries whose
+# last mutation step takes a spinor at twist 1 through j*O(1) differ, each
+# naming the spinor at twist 2 where it kept an unidentified cone, with the
+# same exit code
+_FIXED_SCRIPT_SHA256 = "4b1768287888c4d696eab114238fc534e30f185ff8171264185372e57f1278ca"
 
 
 def _fixed_script_digest(**env_extra) -> str:
@@ -813,10 +814,13 @@ _OVER_DIM = cli.MAX_DIM + 1
     (["kernel", "--dim", str(_OVER_DIM)], _OVER_DIM, 1),
     (["verify", "--dims", str(_OVER_DIM)], _OVER_DIM, 1),
     (["verify", "--dims", f"2..{_OVER_DIM}"], _OVER_DIM, 4),
+    (["cohom", "--quadric", str(_OVER_DIM), "S(1)"], _OVER_DIM, 1),
+    (["cohom", "--quadric", "1000000000", "S(-1000000000)"], 1000000000, 1),
 ])
 def test_dimension_over_the_limit_is_a_parse_error(capsys, monkeypatch, argv, d, column):
-    # refused before any context is built
+    # refused before any context is built or any cohomology computed
     monkeypatch.setattr(nodal, "_setup", lambda d: pytest.fail(f"built nodal:{d}"))
+    monkeypatch.setattr(cli.quadric, "cohomology", lambda n, F: pytest.fail(f"computed on Q^{n}"))
     assert main(argv) == cli.EXIT_PARSE
     assert capsys.readouterr() == ("", f"nodalcat: parse error at column {column}: dimension {d} "
                                        f"is above the limit {cli.MAX_DIM}\n")
@@ -830,9 +834,10 @@ def test_dimension_at_the_limit_is_built(capsys, monkeypatch):
     assert capsys.readouterr() == ("C\n", "")
 
 
-def test_largest_context_builds_under_the_benchmark_cap():
-    # the benchmark's children run under a 1.5 GiB address-space cap
-    limit = 1536 << 20
+def test_largest_context_answers_within_128_mib():
+    # the build stores the roster and no triangle, so a two-generator
+    # query at the largest d fits a 128 MiB address-space cap
+    limit = 128 << 20
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "nodalcat", "hom", "--context", f"nodal:{cli.MAX_DIM}", "j*O", "j*O"],

@@ -29,6 +29,7 @@ from nodalcat.formalcat import (
     sum_of,
 )
 from nodalcat.graded import GradedDim
+from tautological import nodal_tautological
 
 
 def gd(d):
@@ -318,7 +319,7 @@ def test_chi_conservation_across_registered_triangles():
 
     for d in range(2, 14):
         ctx = nodal.build_context(d)
-        for tri in ctx.all_triangles():
+        for tri in [*nodal_tautological(d), *ctx.all_triangles()]:
             for w in ctx.generators:
                 W = Gen(w)
                 try:
@@ -342,7 +343,7 @@ def test_chi_conservation_across_registered_triangles():
 # ---------------------------------------------------------------------------
 
 
-def _scan_identify_cone(ctx, src, tgt):
+def _scan_identify_cone(triangles, src, tgt):
     """Reference: scan every triangle and rotation, first match wins."""
 
     def outer_shift(e):
@@ -353,7 +354,7 @@ def _scan_identify_cone(ctx, src, tgt):
             return min(outer_shift(p) for p, _ in e.parts)
         return outer_shift(e)
 
-    for tri in ctx.all_triangles():
+    for tri in triangles:
         t = tri.normalized()
         rotations = (
             (t.x, t.y, t.z),
@@ -375,8 +376,11 @@ def test_index_matches_scan_on_verify_probes(monkeypatch, fresh_contexts):
 
     def recording(ctx, src, tgt):
         got = indexed(ctx, src, tgt)
-        # repr shows the cone tags, which equality ignores
-        probes.append((repr(got), repr(_scan_identify_cone(ctx, src, tgt))))
+        # the rule answers first, so its triangles come first; repr shows
+        # the cone tags, which equality ignores
+        d = int(ctx.name.split(":")[1])
+        scanned = _scan_identify_cone([*nodal_tautological(d), *ctx.all_triangles()], src, tgt)
+        probes.append((repr(got), repr(scanned)))
         return got
 
     monkeypatch.setattr(formalcat, "_identify_cone", recording)
@@ -392,7 +396,7 @@ def test_index_matches_scan_on_verify_probes(monkeypatch, fresh_contexts):
 @given(st.integers(3, 9), st.data(), st.integers(0, 2), st.integers(-4, 4))
 def test_index_finds_every_rotation_up_to_shift(d, data, r, s):
     ctx = nodal.build_context(d)
-    triangles = list(ctx.all_triangles())
+    triangles = [*nodal_tautological(d), *ctx.all_triangles()]
     t = data.draw(st.sampled_from(triangles)).normalized()
     x1 = shift_expr(t.x, 1)
     p, q, res = ((t.x, t.y, t.z), (t.y, t.z, x1), (t.z, x1, shift_expr(t.y, 1)))[r]
@@ -403,17 +407,18 @@ def test_index_finds_every_rotation_up_to_shift(d, data, r, s):
 def test_colliding_keys_first_registered_decides():
     A, B = Gen("A"), Gen("B")
     first = Triangle(A, B, Cone(A, B, tag="first"))
-    # equal to `first` up to tags: both sit in the static tuple
+    # equal to `first` up to tags: not registered again
     twin = Triangle(A, B, Cone(A, B, tag="twin"))
-    ctx = Context(name="toy", generators=("A", "B"), base_hom=lambda a, b: C,
-                  triangles=(first, twin))
+    ctx = Context(name="toy", generators=("A", "B"), base_hom=lambda a, b: C)
+    ctx.add_triangle(first)
+    ctx.add_triangle(twin)
     assert formalcat._identify_cone(ctx, A, B).tag == "first"
     # a shifted copy is a new triangle with the same keys
     ctx.add_triangle(Triangle(Shift(A, 3), Shift(B, 3), Shift(Cone(A, B, tag="shifted"), 3)))
-    assert len(ctx._derived_triangles) == 1
+    assert len(ctx._derived_triangles) == 2
     got = formalcat._identify_cone(ctx, Shift(A, 2), Shift(B, 2))
     assert got == Shift(Cone(A, B), 2) and got.expr.tag == "first"
-    assert repr(got) == repr(_scan_identify_cone(ctx, Shift(A, 2), Shift(B, 2)))
+    assert repr(got) == repr(_scan_identify_cone(ctx.all_triangles(), Shift(A, 2), Shift(B, 2)))
     # rotations share the rule: cone(B -> cone(A -> B)) = A[1]
     assert formalcat._identify_cone(ctx, B, Cone(A, B)) == Shift(A, 1)
     assert formalcat._identify_cone(ctx, B, A) is None
@@ -421,15 +426,33 @@ def test_colliding_keys_first_registered_decides():
 
 def test_add_triangle_dedupes_and_keeps_order():
     A, B = Gen("A"), Gen("B")
-    static = Triangle(A, B, Cone(A, B))
-    ctx = Context(name="toy", generators=("A", "B"), base_hom=lambda a, b: C,
-                  triangles=(static,))
+    t0 = Triangle(A, B, Cone(A, B))
+    ctx = Context(name="toy", generators=("A", "B"), base_hom=lambda a, b: C)
     t1 = Triangle(B, A, Cone(B, A))
     t2 = Triangle(A, Shift(B, 1), Cone(A, Shift(B, 1)))
-    for tri in (static, t1, Triangle(Shift(Shift(B, 1), -1), A, Cone(B, A), tag="again"), t2, t1):
+    for tri in (t0, t0, t1, Triangle(Shift(Shift(B, 1), -1), A, Cone(B, A), tag="again"), t2, t1):
         ctx.add_triangle(tri)
-    assert ctx._derived_triangles == [t1, t2]
-    assert list(ctx.all_triangles()) == [static, t1, t2]
+    assert ctx._derived_triangles == [t0, t1, t2]
+    assert list(ctx.all_triangles()) == [t0, t1, t2]
+
+
+def test_cone_rule_answers_before_registered_triangles():
+    A, B = Gen("A"), Gen("B")
+    asked = []
+
+    def rule(src, tgt):
+        asked.append((src, tgt))
+        return Gen("R") if (src, tgt) == (A, B) else None
+
+    ctx = Context(name="toy", generators=("A", "B"), base_hom=lambda a, b: C, cone_rule=rule)
+    ctx.add_triangle(Triangle(A, B, Cone(A, B)))
+    # asked on the shift-normalized key; its hit is shifted back
+    assert formalcat._identify_cone(ctx, Shift(A, 2), Shift(B, 2)) == Shift(Gen("R"), 2)
+    assert ctx._indexed == 0
+    # a miss of the rule falls through to the registered triangle
+    assert formalcat._identify_cone(ctx, B, Cone(A, B)) == Shift(A, 1)
+    assert asked == [(A, B), (B, Cone(A, B))]
+    assert list(ctx.all_triangles()) == [Triangle(A, B, Cone(A, B))]
 
 
 # the rotation index as it was built before the one-pass indexing: every
@@ -457,16 +480,13 @@ def _old_index_triangle(index, t):
             index[key] = shift_expr(res, s - m)
 
 
-def _old_registry(static, added):
-    """(triangles, rotation index) of a context built on ``static`` that
-    was then given ``added``, registered by the rule above."""
+def _old_registry(added):
+    """(triangles, rotation index) of a context that was given ``added``,
+    registered by the rule above."""
     def normalized(t):
         return Triangle(_reference_normalize(t.x), _reference_normalize(t.y), _reference_normalize(t.z), t.tag)
 
-    triangles, index = [normalized(t) for t in static], {}
-    known = set(triangles)
-    for t in triangles:
-        _old_index_triangle(index, t)
+    triangles, index, known = [], {}, set()
     for t in map(normalized, added):
         if t not in known:
             known.add(t)
@@ -487,22 +507,21 @@ _index_triangles = st.builds(Triangle, _legs, _legs, _legs, st.sampled_from(["",
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(_index_triangles, min_size=1, max_size=5), st.data())
 def test_rotation_index_matches_the_old_rule(pool, data):
-    # static and added triangles drawn from one pool, so repeats exercise
-    # the dedupe, and colliding keys the first-wins order
-    static = data.draw(st.lists(st.sampled_from(pool), max_size=4))
-    added = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+    # triangles drawn from one pool, so repeats exercise the dedupe, and
+    # colliding keys the first-wins order
+    added = data.draw(st.lists(st.sampled_from(pool), max_size=10))
     # probes between the registrations: the first miss indexes the queued
     # triangles mid-sequence, and later registrations refill the queue
-    probe_at = data.draw(st.sets(st.integers(0, 5)))
-    ctx = Context(name="toy", generators=("A", "B", "C"), base_hom=lambda a, b: C, triangles=tuple(static))
+    probe_at = data.draw(st.sets(st.integers(0, 9)))
+    ctx = Context(name="toy", generators=("A", "B", "C"), base_hom=lambda a, b: C)
     D = Gen("D")  # in no triangle: probing (D, D) always misses
     for i in range(len(added)):
         if i in probe_at:
-            _assert_probes_find_the_old_cones(ctx, *_old_registry(static, added[:i]), data.draw(st.integers(-2, 2)))
+            _assert_probes_find_the_old_cones(ctx, *_old_registry(added[:i]), data.draw(st.integers(-2, 2)))
             assert formalcat._identify_cone(ctx, D, D) is None
             assert ctx._indexed == len(ctx._derived_triangles)
         ctx.add_triangle(added[i])
-    triangles, index = _old_registry(static, added)
+    triangles, index = _old_registry(added)
     _assert_probes_find_the_old_cones(ctx, triangles, index, data.draw(st.integers(-2, 2)))
     # repr shows the cone and triangle tags, which equality ignores
     assert repr(list(ctx.all_triangles())) == repr(triangles)

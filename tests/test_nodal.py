@@ -2,13 +2,14 @@ import functools
 import hashlib
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nodalcat import formalcat, nodal, quadric
 from nodalcat.errors import NodalcatError, UnknownGenerator, UnsupportedPair
-from nodalcat.formalcat import SOD, Cone, Gen, Shift, Triangle, normalize, render
+from nodalcat.formalcat import SOD, Cone, Gen, Shift, Sum, Triangle, normalize, render
 from nodalcat.graded import GradedDim
 from nodalcat.quadric import QuadricSheaf as QS
+from tautological import tautological_triangles
 
 
 def gd(d):
@@ -127,46 +128,19 @@ class TestBuildContext:
 
 
 # ---------------------------------------------------------------------------
-# context construction against the normalize-then-index reference
+# context construction, and the cone rule against the written-out triangles
 # ---------------------------------------------------------------------------
 
 
-def _reference_triangles(d):
-    """The static triangles of nodal:d, built through ``sum_of``, then each
-    leg normalized into a new triangle."""
-    n = d - 1
-    r = quadric.taut_rank(n)
-    out = []
-    for k in range(1 - n, 1):
-        for kd in quadric.spinor_kinds(n):
-            nxt = quadric.next_spinor(n, kd)
-            out.append(Triangle(
-                Gen(nodal.push_name(QS(kd, k))),
-                formalcat.sum_of(Gen(nodal.push_name(QS("O", k))), r),
-                Gen(nodal.push_name(QS(nxt, k + 1))),
-                tag=f"pushforward of the tautological sequence of {kd} at twist {k}",
-            ))
-    if d % 2 == 1:
-        sp, spp = Gen("j*S'"), Gen("j*S''")
-        out.append(Triangle(sp, Shift(spp, 2), Cone(sp, Shift(spp, 2), tag="kernel mutation cone"),
-                            tag="kernel mutation cone"))
-        out.append(Triangle(spp, Shift(sp, 2), Cone(spp, Shift(sp, 2), tag="companion cone with spinors swapped"),
-                            tag="companion cone with spinors swapped"))
-    return _normalized(out)
-
-
-def _reference_quadric_triangles(n):
-    kinds = ("S",) if n % 2 == 1 else ("S'", "S''")
-    return _normalized([
-        Triangle(Gen(QS(kd).render()), formalcat.sum_of(Gen(QS("O").render()), quadric.taut_rank(n)),
-                 Gen(QS(quadric.next_spinor(n, kd), 1).render()), tag=f"tautological sequence of {kd} at twist 0")
-        for kd in kinds
-    ])
-
-
-def _normalized(triangles):
-    return [Triangle(formalcat.normalize(t.x), formalcat.normalize(t.y), formalcat.normalize(t.z), t.tag)
-            for t in triangles]
+def _kernel_triangles():
+    """The kernel cone's triangle and its companion's, as odd d adds them."""
+    sp, spp = Gen("j*S'"), Gen("j*S''")
+    return [
+        Triangle(sp, Shift(spp, 2), Cone(sp, Shift(spp, 2), tag="kernel mutation cone"),
+                 tag="kernel mutation cone"),
+        Triangle(spp, Shift(sp, 2), Cone(spp, Shift(sp, 2), tag="companion cone with spinors swapped"),
+                 tag="companion cone with spinors swapped"),
+    ]
 
 
 def _reference_index(triangles) -> dict:
@@ -182,12 +156,41 @@ def _reference_index(triangles) -> dict:
     return index
 
 
-def _assert_built_as_reference(ctx, triangles, roster):
+def _rule_probes(n, prefix, twists):
+    """Probe keys around the tautological triangles: pairs of generators,
+    middle terms of every nearby rank, once-shifted spinors and sums of r
+    spinors, at a twist k and at the twists k - 1..k + 1 of ``twists``;
+    every source unshifted, as ``_identify_cone`` asks the rule."""
+    kinds = ("S",) if n % 2 == 1 else ("S'", "S''")
+    r = 2 ** ((n + 1) // 2)
+
+    def at(k):
+        line = Gen(prefix + QS("O", k).render())
+        spinors = [Gen(prefix + QS(kd, k).render()) for kd in kinds]
+        return [line, *spinors, *(Sum(((line, m),)) for m in (r - 1, r, r + 1)),
+                Sum(((Shift(line, 1), r),)), *(Shift(g, 1) for g in spinors), *(Sum(((g, r),)) for g in spinors)]
+
+    for k in twists:
+        sources = [e for e in at(k) if formalcat._min_shift(e) == 0]
+        targets = [e for j in (k - 1, k, k + 1) if j in twists for e in at(j)]
+        yield from ((p, q) for p in sources for q in targets)
+
+
+def _assert_built_as_reference(ctx, n, prefix, roster, added):
     # repr shows the cone and triangle tags, which equality ignores
-    assert repr(ctx.triangles) == repr(tuple(triangles))
-    assert ctx._derived_triangles == []
-    assert repr(list(ctx._cone_index.items())) == repr(list(_reference_index(triangles).items()))
+    assert repr(ctx._derived_triangles) == repr(added)
+    assert ctx._cone_index == {}
     assert ctx.generators == tuple(roster)
+    # on probes at the roster twists and five beyond on each side, which
+    # hold every rotation of each triangle between sheaves at those twists,
+    # the rule is the rotation index of the written-out triangles, one more
+    # twist on each side included
+    low, top = (f(ctx.resolve(g).twist for g in roster) for f in (min, max))
+    probes = list(_rule_probes(n, prefix, range(low - 5, top + 6)))
+    assert set(_reference_index(tautological_triangles(n, prefix, range(low - 5, top + 5)))) <= set(probes)
+    index = _reference_index(tautological_triangles(n, prefix, range(low - 6, top + 6)))
+    for src, tgt in probes:
+        assert repr(ctx.cone_rule(src, tgt)) == repr(index.get((src, tgt))), (src, tgt)
 
 
 @pytest.mark.parametrize("d", range(2, 31))
@@ -196,14 +199,14 @@ def test_nodal_context_built_as_the_reference(d):
     n, kinds = d - 1, quadric.spinor_kinds(d - 1)
     roster = [nodal.push_name(QS("O", k)) for k in range(1 - n, 2)]
     roster += [nodal.push_name(QS(kd, k)) for k in range(1 - n, 2) for kd in kinds]
-    _assert_built_as_reference(ctx, _reference_triangles(d), roster)
+    _assert_built_as_reference(ctx, n, "j*", roster, _kernel_triangles() if d % 2 else [])
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_quadric_context_built_as_the_reference(n):
     kinds = ("S",) if n % 2 == 1 else ("S'", "S''")
     roster = [QS("O", k).render() for k in (0, 1)] + [QS(kd, k).render() for k in (0, 1) for kd in kinds]
-    _assert_built_as_reference(quadric.sheaf_context(n), _reference_quadric_triangles(n), roster)
+    _assert_built_as_reference(quadric.sheaf_context(n), n, "", roster, [])
 
 
 # (context, another spelling of a generator, the name the context writes)
@@ -241,6 +244,31 @@ def test_one_spelling_per_generator(fresh_contexts, where, name, canonical):
 def test_canonical_names_mutate_as_the_tautological_triangle(fresh_contexts):
     ctx = nodal.build_context(4)
     assert formalcat.mutate_right(ctx, Gen("j*O"), Gen("j*S")) == Shift(Gen("j*S(1)"), -1)
+
+
+def _mutation_outcome(compute):
+    try:
+        return compute()
+    except NodalcatError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(3, 9), st.integers(0, 999), st.integers(0, 999), st.integers(-10**4, 10**4), st.booleans())
+@example(d=5, i=3, j=11, k=1, right=True)  # through j*O(1), j*S'(1) -> j*S''(2)[-1]
+def test_mutation_commutes_with_twists(fresh_contexts, d, i, j, k, right):
+    # tensoring by O(Q) is an autoequivalence, so a mutation of roster
+    # names, twisted by k, is the mutation of their twists; asked on a
+    # fresh context, the twist-0 mutation first
+    nodal._setup.cache_clear()
+    ctx = nodal.build_context(d)
+    lines = [g for g in ctx.generators if g.startswith("j*O")]
+    E, F = Gen(lines[i % len(lines)]), Gen(ctx.generators[j % len(ctx.generators)])
+    mutate = formalcat.mutate_right if right else formalcat.mutate_left
+    want = _mutation_outcome(lambda: formalcat.twist_expr(ctx, mutate(ctx, E, F), k))
+    got = _mutation_outcome(lambda: mutate(ctx, *(formalcat.twist_expr(ctx, G, k) for G in (E, F))))
+    assert got == want
 
 
 def _serre_outcome(compute):
@@ -491,23 +519,35 @@ def test_one_exceptional_check_per_kind(monkeypatch, d, asked):
 def _registry_digest(contexts) -> str:
     """sha256 over what queries registered: each context's derived
     triangles in registration order, its zero facts ordered by their text,
-    and its merged rotation index in insertion order; repr shows the tags."""
+    and its merged rotation index in insertion order; repr shows the tags.
+
+    Laid out as when the tautological triangles of the roster twists and
+    the kernel triangles were static: those first in the index, and the
+    kernel triangles, which odd d now adds first, not among the derived."""
     h = hashlib.sha256()
     for ctx in contexts:
-        h.update(repr(ctx._derived_triangles).encode())
+        d = int(ctx.name.split(":")[1])
+        static = tautological_triangles(d - 1, "j*", range(2 - d, 1), "pushforward of the tautological sequence")
+        kernel = _kernel_triangles() if d % 2 else []
+        assert repr(ctx._derived_triangles[:len(kernel)]) == repr(kernel)
+        h.update(repr(ctx._derived_triangles[len(kernel):]).encode())
         facts = sorted((render(F), render(G), repr((F, G))) for F, G in ctx._zero_facts)
         h.update(repr(facts).encode())
-        h.update(repr(list(ctx.rotation_index().items())).encode())
+        index = _reference_index(static + kernel)
+        for key, cone in ctx.rotation_index().items():
+            index.setdefault(key, cone)
+        h.update(repr(list(index.items())).encode())
     return h.hexdigest()
 
 
 def test_verify_leaves_the_same_registry(fresh_contexts):
     # what verify registers is what later queries see, tags included, so
-    # a faster registration path must leave exactly this registry
+    # a faster registration path must leave exactly this registry; the
+    # digest was taken before the tautological triangles became a rule
     for d in range(2, 16):
         nodal.verify_dim(d)
     contexts = [nodal.build_context(d) for d in range(2, 16)]
-    assert sum(len(ctx._derived_triangles) for ctx in contexts) == 42
+    assert sum(len(ctx._derived_triangles) for ctx in contexts) == 42 + 2 * 7
     assert _registry_digest(contexts) == "572d82dca65aa4661f0f942442d116306546fd50b0f6982255266290b544381a"
 
 

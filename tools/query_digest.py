@@ -27,8 +27,8 @@ import workloads  # noqa: E402
 from nodalcat import cli, nodal  # noqa: E402
 
 PINNED = {
-    0: "9776b96f7e48a7bac704aad826d341e227a12961ca01e765aacdd7e56923a7ac",
-    1: "b68ccd8e35c36aed6a478c5204654cb91e18c5ec8fe987f9ad6e403e5643b8b4",
+    0: "5ab68e6b0d7bdf57df4457999030b3aa5299eaf7e624abdccd973a04942c3b8d",
+    1: "32055dc3b78438fb0edcd86cc1bbaa95dae5d6e972841edd77c6dced8d08293a",
 }
 
 

@@ -57,6 +57,8 @@ def one_pass(dims: range) -> tuple[dict[str, float], tuple[int, int, int]]:
 
     for ctx in contexts:
         ctx.gen_resolve = counted(ctx.gen_resolve)
+    # the kernel triangles odd d adds at build are not the verify calls'
+    built = sum(len(ctx._derived_triangles) for ctx in contexts)
 
     def add_item(items, id, citation, expected, compute):
         def timed():
@@ -83,7 +85,7 @@ def one_pass(dims: range) -> tuple[dict[str, float], tuple[int, int, int]]:
         spent["total"] = time.perf_counter() - t0
     finally:
         nodal.add_item, nodal.kernel_generator = add_item_plain, kernel_plain
-    counts = (sum(len(ctx._derived_triangles) for ctx in contexts),
+    counts = (sum(len(ctx._derived_triangles) for ctx in contexts) - built,
               sum(ctx._indexed for ctx in contexts), resolves)
     return spent, counts
 
