@@ -19,10 +19,12 @@ error, so it never reaches the recursive solvers.  Postfix chains
 at most ``MAX_LITERAL_DIGITS`` digits; an answer has no cap on its
 numbers, which are written out exactly.
 
-A text is read in one tokenizer pass.  A name with its run of twists
-``(k)`` and shifts ``[m]`` written without spaces is one token, so
-``j*S'(-2)[1]`` is one token, and a text that is one such token needs no
-parser.  Twist and shift commute on a generator: a token's twists are
+A text that is a generator name the context has already resolved (its
+whole roster, and any name resolved since), alone or followed by one
+shift ``[m]``, is looked up and not parsed.  Any other text is read in
+one tokenizer pass.  A name with its run of twists ``(k)`` and shifts
+``[m]`` written without spaces is one token, so ``j*S'(-2)[1]`` is one
+token.  Twist and shift commute on a generator: a token's twists are
 summed, its shifts are summed, and it resolves with one call of the
 context's twist rule.  Other postfixes (after a space, or after ``^``)
 apply one at a time.  The parser builds the object as it reads, and a
@@ -104,7 +106,7 @@ class ExprParseError(Exception):
 # comes next, since most tokens are generators.
 _LITERAL = rf"-?\d{{1,{MAX_LITERAL_DIGITS}}}"
 _GEN = rf"""(j\*(?:S''|S'|S|O)|(?:S''|S'|S|O)(?!['\w])|[A-Za-z_]\w*)((?:\({_LITERAL}\)|\[{_LITERAL}\])*)"""
-_GEN_RE = re.compile(_GEN)
+_LITERAL_RE = re.compile(_LITERAL)
 _TOKEN_RE = re.compile(
     rf"""
     (?P<cone>cone(?=\())
@@ -253,17 +255,34 @@ def _generator(ctx: formalcat.Context, name: str, twist: int, shift: int | None)
     return formalcat.shift_expr(gen, shift) if shift else gen
 
 
-# Parsing reads only a context's twist rule, never its facts or triangles,
-# and the terms it returns are immutable: one parse per (context, text)
-# serves every later query.  A failing parse is not cached and raises again
-# on every call.  The bound caps the contexts and texts the cache keeps
-# alive.
+def _lookup(ctx: formalcat.Context, text: str) -> ObjExpr | None:
+    """What the parser reads from a generator name the context has
+    resolved, alone or followed by one shift ``[m]`` (m read by the
+    tokenizer's literal rule); None for any other text.  A resolved name
+    holds its twist as the tokenizer reads it, except a twist past the
+    literal cap (twists add up), which written out is a parse error: a
+    text that long is left to the parser."""
+    if len(text) > MAX_LITERAL_DIGITS:
+        return None
+    if ctx.has_resolved(text):
+        return Gen(text)
+    name, _, shift = text.rpartition("[")
+    if shift[-1:] == "]" and ctx.has_resolved(name) and _LITERAL_RE.fullmatch(shift, 0, len(shift) - 1):
+        return formalcat.shift_expr(Gen(name), int(shift[:-1]))
+    return None
+
+
+# Parsing reads only a context's resolved names and twist rule, never its
+# facts or triangles, and the terms it returns are immutable: one parse per
+# (context, text) serves every later query.  A failing parse is not cached
+# and raises again on every call.  The bound caps the contexts and texts the
+# cache keeps alive.
 @lru_cache(maxsize=1024)
 def parse_expr(ctx: formalcat.Context, text: str) -> ObjExpr:
     """Parse and resolve an object expression over a context."""
-    match = _GEN_RE.fullmatch(text)
-    if match:  # most texts are one generator token, with nothing to parse
-        return _generator(ctx, match[1], *_fold(match[2]))
+    found = _lookup(ctx, text)
+    if found is not None:  # most texts are a roster name, maybe shifted
+        return found
     tokens = _tokenize(text)
     try:
         return _Parser(tokens, ctx).parse()
@@ -306,13 +325,22 @@ def _dim(d: int, column: int) -> int:
     return d
 
 
-def _context_for(spec: str) -> tuple[int, formalcat.Context]:
-    """The dimension d and the context of a ``nodal:<d>`` spec."""
+# The dimension a spec names depends on its text alone, so it is read once
+# per text; a failing spec is not cached and raises on every call.  The
+# context itself comes from ``nodal.build_context`` on every query.
+@lru_cache(maxsize=256)
+def _spec_dim(spec: str) -> int:
+    """The d of a ``nodal:<d>`` spec."""
     m = _CONTEXT_RE.match(spec)
     if not m:
         raise ExprParseError(f"unknown context {spec!r} (expected nodal:<dim>)", 1)
     column = m.start(1) + 1
-    d = _dim(_int_literal(m.group(1), column), column)
+    return _dim(_int_literal(m.group(1), column), column)
+
+
+def _context_for(spec: str) -> tuple[int, formalcat.Context]:
+    """The dimension d and the context of a ``nodal:<d>`` spec."""
+    d = _spec_dim(spec)
     return d, nodal.build_context(d)
 
 
@@ -340,9 +368,9 @@ def _cmd_hom(args) -> int:
 def _cmd_mutate(args) -> int:
     _, ctx = _context_for(args.context)
     F = parse_expr(ctx, args.expr)
-    # "j*O(0)" names the generator "j*O": the twist rule reads any spelling
-    # and writes the one the context resolves
-    through = [Gen(ctx.twist_gen(t, 0)) for t in args.through]
+    # a resolved name is looked up; "j*O(0)" names the generator "j*O": the
+    # twist rule reads any spelling and writes the one the context resolves
+    through = [Gen(t if ctx.has_resolved(t) else ctx.twist_gen(t, 0)) for t in args.through]
     mutate = formalcat.mutate_right if args.dir == "right" else formalcat.mutate_left
     _print_chunks(formalcat.render_chunks(mutate(ctx, through, F)))
     return EXIT_OK
@@ -432,8 +460,9 @@ def _cmd_mukai(args) -> int:
 # option is (flag, kind, default, choices, metavar), and its dest is the flag
 # without "--", as argparse derives it.  Kinds: "value" stores the string,
 # "int" its int(), "flag" True, "append" each value in a list.  No option has
-# a help text of its own.  The argparse parser is built from this table and
-# ``_table_parse`` reads it, so the two accept the same options.
+# a help text of its own.  The argparse parser and ``_ARGV_TABLE``, which
+# ``_table_parse`` reads, are both built from this table, so the two accept
+# the same options.
 _REQUIRED = object()  # the default of a required option
 
 _CONTEXT = ("--context", "value", _REQUIRED, None, None)
@@ -495,35 +524,46 @@ def build_arg_parser():
     return parser
 
 
+# What ``_table_parse`` reads, per command, built once from ``_COMMANDS``:
+# the fields every namespace starts from (the command, its handler and the
+# default of each optional dest), flag -> (dest, kind, choices), the
+# required dests and the positionals.
+_ARGV_TABLE = {
+    name: ({"command": name, "func": func,
+            **{flag[2:]: default for flag, _, default, _, _ in options if default is not _REQUIRED}},
+           {flag: (flag[2:], kind, choices) for flag, kind, _, choices, _ in options},
+           frozenset(flag[2:] for flag, _, default, _, _ in options if default is _REQUIRED),
+           positionals)
+    for name, (_, func, options, positionals) in _COMMANDS.items()
+}
+
+
 def _table_parse(argv) -> SimpleNamespace | None:
     """The namespace argparse gives a plainly well-formed argv, or None.
 
-    Accepted: a command name; then its long options, each written out in
-    full and followed by its value (a flag takes none); then exactly the
-    command's positionals.  Every value and positional must be nonempty
+    Read by lookups in ``_ARGV_TABLE``: each namespace starts as a copy of
+    the command's defaults, and each flag finds its option by one dict
+    lookup.  Accepted: a command name; then its long options, each written
+    out in full and followed by its value (a flag takes none); then exactly
+    the command's positionals.  Every value and positional must be nonempty
     and must not start with "-".  Anything else (help, an abbreviated or
     short option, ``--opt=value``, ``--``, a negative number, a positional
     before an option, a bad choice or int, a missing or extra argument) is
     declined and left to argparse.
     """
-    entry = _COMMANDS.get(argv[0]) if argv else None
+    entry = _ARGV_TABLE.get(argv[0]) if argv else None
     if entry is None:
         return None
-    _, func, options, positionals = entry
-    args = SimpleNamespace(command=argv[0], func=func)
+    start, flags, required, positionals = entry
+    args = SimpleNamespace(**start)
     values = args.__dict__
-    for option in options:
-        values[option[0][2:]] = option[2]
     i, n = 1, len(argv)
     while i < n and argv[i][:1] == "-":
-        for option in options:
-            if option[0] == argv[i]:
-                break
-        else:  # help, "--", an abbreviated or "--opt=value" form: argparse's
+        option = flags.get(argv[i])
+        if option is None:  # help, "--", an abbreviated or "--opt=value" form: argparse's
             return None
+        dest, kind, choices = option
         i += 1
-        flag, kind, _, choices, _ = option
-        dest = flag[2:]
         if kind == "flag":
             values[dest] = True
             continue
@@ -536,14 +576,11 @@ def _table_parse(argv) -> SimpleNamespace | None:
                 value = int(value)
             except ValueError:
                 return None
-        if kind != "append":
-            values[dest] = value
-        elif isinstance(values[dest], list):
-            values[dest].append(value)
-        else:
-            values[dest] = [value]
+        elif kind == "append":  # a new list each parse, as argparse copies
+            value = [*(values.get(dest) or ()), value]
+        values[dest] = value
     rest = argv[i:]
-    if len(rest) != len(positionals) or _REQUIRED in values.values():
+    if len(rest) != len(positionals) or not required <= values.keys():
         return None
     for dest, arg in zip(positionals, rest):
         if arg[:1] in "-":  # empty, or an option

@@ -528,7 +528,8 @@ class Context:
     resolution per name; a failing name raises on every call.
     ``resolved`` pre-fills that memo (the context keeps the dict): a
     builder that already holds what ``gen_resolve`` returns for its roster
-    hands it over, and ``gen_resolve`` then runs only for other names.
+    hands it over, and ``gen_resolve`` then runs only for other names;
+    ``has_resolved`` asks the memo alone.
     ``base_hom(a, b)`` returns the graded Hom between two generators and
     receives them resolved, as ``resolve`` returned them, never as names;
     it may raise UnsupportedPair or IndeterminateHom, or return an
@@ -615,6 +616,12 @@ class Context:
             _index_triangle(self._cone_index, tris[i])
         self._indexed = len(tris)
         return self._cone_index
+
+    def has_resolved(self, name: str) -> bool:
+        """Whether ``resolve(name)`` reads its memo: true for the roster a
+        builder handed over and for every name resolved since.  A lookup
+        only; ``gen_resolve`` is not called."""
+        return name in self._resolved
 
     def resolve(self, name: str):
         obj = self._resolved.get(name, _MISS)

@@ -24,7 +24,7 @@ advertised generators coexists with Serre images at arbitrary twists.
 from __future__ import annotations
 
 import re
-from functools import cache
+from functools import cache, lru_cache
 
 from . import formalcat, quadric
 from .errors import Failure, IndeterminateHom, NodalcatError, UnknownGenerator, UnsupportedPair
@@ -49,7 +49,10 @@ def _push_gen(kind: str, twist: int) -> Gen:
     return Gen(_push_text(kind, twist))
 
 
-@cache
+# Bounded: a context's resolved names are its own memo, which the build
+# fills without this cache; the bound stays far above the ~230 roster names
+# of nodal d = 2..13 that oracle checks parse again and again.
+@lru_cache(maxsize=4096)
 def parse_push_name(name: str) -> quadric.QuadricSheaf:
     m = _PUSH_RE.match(name)
     if not m:

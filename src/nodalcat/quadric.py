@@ -483,10 +483,11 @@ def family_context(n: int, name: str, prefix: str, twists: range, base_hom, pars
     `spinor_kinds` at each k.  ``parse(text)`` reads any spelling of a
     sheaf and raises ValueError or UnknownGenerator on other text.  The
     context resolves only the text this builder writes, at any twist; it
-    receives the roster already resolved (``parse`` runs once per roster
-    name, at build), and any other spelling raises UnknownGenerator naming
-    the right one.  Its twist rule reads every spelling ``parse`` does.
-    ``serre=(t, s)`` gives the pair-Serre action F -> F(t)[s].
+    receives the roster already resolved, each name's sheaf built from its
+    kind and twist (``parse`` runs on no roster name), and any other
+    spelling raises UnknownGenerator naming the right one.  Its twist rule
+    reads every spelling ``parse`` does.  ``serre=(t, s)`` gives the
+    pair-Serre action F -> F(t)[s].
 
     The tautological triangles Sp(k) -> O(k)^r -> next(k + 1) of every
     spinor kind are the context's cone rule, at every twist k: tensoring
@@ -496,8 +497,12 @@ def family_context(n: int, name: str, prefix: str, twists: range, base_hom, pars
     from . import formalcat
 
     kinds = spinor_kinds(n)
-    roster = [prefix + sheaf_name(LINE, k) for k in twists]
-    roster += [prefix + sheaf_name(kd, k) for k in twists for kd in kinds]
+    # the roster, each name with what resolve below returns for it (it is
+    # canonical and of the right parity): the context calls resolve only
+    # for other names
+    roster = [QuadricSheaf(LINE, k) for k in twists]
+    roster += [QuadricSheaf(kd, k) for k in twists for kd in kinds]
+    resolved = {prefix + sheaf_name(F.kind, F.twist): F for F in roster}
 
     def sheaf(text: str) -> QuadricSheaf:
         try:
@@ -559,12 +564,9 @@ def family_context(n: int, name: str, prefix: str, twists: range, base_hom, pars
         return None
 
     r, successor = taut_rank(n), {kd: next_spinor(n, kd) for kd in kinds}
-    # what resolve above returns for each roster name, which is canonical
-    # and of the right parity: the context calls it only for other names
-    resolved = {name: parse(name) for name in roster}
     return formalcat.Context(
         name=name,
-        generators=tuple(roster),
+        generators=tuple(resolved),
         base_hom=base_hom,
         gen_resolve=resolve,
         twist_gen=twist,

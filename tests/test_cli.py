@@ -274,6 +274,101 @@ def test_postfix_chains_fold_as_applied_one_at_a_time(parts):
     assert parse_expr(ctx, _written(parts)) == _stepwise(ctx, parts)
 
 
+# roster names of nodal d = 2..13, and literals in every spelling: signed,
+# -0, leading zeros, a "+" sign, none, and digits that are not ASCII ("٣"
+# is a decimal digit, which \d and int read; "²" passes str.isdigit, but
+# \d and int reject it)
+_ROSTER_NAMES = [(d, g) for d in range(2, 14) for g in nodal.build_context(d).generators]
+_LITERALS = st.integers(-3, 3).map(str) | st.sampled_from(
+    ["0", "-0", "00", "-007", "+1", "", "²", "-²", "٣", "-٣", "1²"])
+
+
+@st.composite
+def _spelled_names(draw):
+    """(d, text): a roster name of nodal:d, maybe with a run of shifts and
+    twists and spaces around it."""
+    d, name = draw(st.sampled_from(_ROSTER_NAMES))
+    run = draw(st.lists(st.tuples(st.sampled_from(["[]", "()"]), _LITERALS), max_size=3))
+    text = name + "".join(f"{brackets[0]}{lit}{brackets[1]}" for brackets, lit in run)
+    return d, draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", " ", "\n"]))
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@example((5, "j*O(-1)[²]"))
+@example((4, "j*S[-0]"))
+@example((6, "j*O[٣]"))
+@given(_spelled_names())
+def test_resolved_names_read_as_parsed(case):
+    # a resolved name, alone or with one shift, is looked up: the same
+    # object or error as the tokenizer and parser give
+    d, text = case
+    ctx = nodal.build_context(d)
+    want = _outcome(lambda: cli._Parser(cli._tokenize(text), ctx).parse())
+    assert _outcome(lambda: parse_expr(ctx, text)) == want
+
+
+def test_resolved_name_past_the_literal_cap_stays_a_parse_error(capsys, fresh_contexts):
+    # twists add up past the cap, and the context then holds that name;
+    # written out, with or without a shift, it is still a literal over the cap
+    nines = "9" * cli.MAX_LITERAL_DIGITS
+    twisted, name = f"j*O({nines})({nines})", f"j*O(1{nines[1:]}8)"
+    assert main(["hom", "--context", "nodal:3", twisted, twisted]) == cli.EXIT_OK
+    assert nodal.build_context(3).has_resolved(name)
+    for text in (name, name + "[1]"):
+        assert main(["hom", "--context", "nodal:3", text, "j*O"]) == cli.EXIT_PARSE
+    message = f"nodalcat: parse error at column 5: integer literal longer than {cli.MAX_LITERAL_DIGITS} digits\n"
+    assert capsys.readouterr() == ("C\n", message * 2)
+
+
+@pytest.mark.parametrize("text, column, detail", [
+    ("cone(2)", 6, "unexpected '2'"),
+    ("cone(-1)(-0)", 6, "unexpected '-1'"),
+    ("cone(0)", 7, "expected arrow, found ')'"),
+])
+def test_cone_before_a_parenthesis_is_never_a_name(text, column, detail):
+    # "cone(" opens a cone wherever it stands, a whole text included
+    ctx = nodal.build_context(3)
+    for before in ("", "j*O + "):
+        with pytest.raises(ExprParseError) as exc:
+            parse_expr(ctx, before + text)
+        assert str(exc.value) == f"parse error at column {column + len(before)}: {detail}"
+
+
+@pytest.mark.parametrize("spec", ["nodal:x", "bogus", "nodal:", "nodal:-3", f"nodal:{cli.MAX_DIM + 1}",
+                                  "nodal:" + "9" * (cli.MAX_LITERAL_DIGITS + 1)])
+def test_failing_context_spec_raises_on_every_call(monkeypatch, spec):
+    monkeypatch.setattr(nodal, "_setup", lambda d: pytest.fail(f"built nodal:{d}"))
+    errors = []
+    for _ in range(3):
+        with pytest.raises(ExprParseError) as exc:
+            cli._context_for(spec)
+        errors.append(str(exc.value))
+    assert len(set(errors)) == 1
+
+
+def test_context_spec_is_read_once_and_built_per_query(capsys, monkeypatch):
+    # the spec's d is memoized, not its context: each query still asks
+    # nodal.build_context, and nodal._setup stays the one context cache
+    setup, built, calls = nodal._setup, [], []
+    monkeypatch.setattr(nodal, "_setup", lambda d: calls.append(d) or setup(d))
+    build = nodal.build_context
+    monkeypatch.setattr(nodal, "build_context", lambda d: built.append(d) or build(d))
+    hits = cli._spec_dim.cache_info().hits
+    for spec in ("nodal:5", "nodal:05", "nodal:5", "nodal:0005"):
+        assert main(["hom", "--context", spec, "j*S'", "j*S''"]) == cli.EXIT_OK
+    assert cli._spec_dim.cache_info().hits > hits
+    assert capsys.readouterr().out == "C[-2]\n" * 4
+    assert built == calls == [5] * 4
+    assert cli._context_for("nodal:05") == cli._context_for("nodal:5") == (5, setup(5).context)
+
+
 @pytest.mark.usefixtures("fresh_contexts")
 @pytest.mark.parametrize("argv, texts", [
     (["hom", "--context", "nodal:5", "j*S'", "j*S''[1]"], ["j*S'", "j*S''[1]"]),

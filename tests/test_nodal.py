@@ -117,6 +117,25 @@ class TestBuildContext:
         b = formalcat.hom(ctx, Gen("j*S'"), Gen("j*S''"))
         assert a == b == gd({2: 1})
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 13])
+    def test_roster_resolves_as_parsed(self, d):
+        # the build fills the resolve memo from kinds and twists; what it
+        # holds is what parsing each roster name gives
+        ctx = nodal._setup.__wrapped__(d).context
+        assert all(ctx.has_resolved(g) for g in ctx.generators)
+        assert [ctx.resolve(g) for g in ctx.generators] == [
+            nodal.parse_push_name.__wrapped__(g) for g in ctx.generators]
+
+    def test_parse_cache_is_bounded(self, fresh_contexts):
+        # the roster is resolved without the shared parse cache, which is
+        # bounded: the largest context adds nothing to it
+        before = nodal.parse_push_name.cache_info()
+        ctx = nodal.build_context(100000)
+        after = nodal.parse_push_name.cache_info()
+        assert len(ctx.generators) == 200000
+        assert after.maxsize is not None and after.currsize <= after.maxsize
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
     def test_declared_exceptional_rows(self):
         # the pushed line bundles for d >= 3, and the pushed spinors too
         # for odd d, have endomorphism algebra C

@@ -2,10 +2,10 @@
 
 The op list is the benchmark's own (``bench/workloads.make_ops``), over
 the rosters of nodal d = 2..13 as ``bench/run.py`` builds them.  Every op
-of seeds 0 and 1 runs through ``cli.main`` in this interpreter, and the
+of seeds 0, 1 and 2 runs through ``cli.main`` in this interpreter, and the
 digest is taken over ``json.dumps([argv, rc, stdout, stderr])`` of each op
 in order.  Each digest is printed and compared with the pinned one; the
-exit status is 1 if either differs, so a changed query-mix answer fails.
+exit status is 1 if any differs, so a changed query-mix answer fails.
 Standard library only.
 
     python3 tools/query_digest.py
@@ -29,6 +29,7 @@ from nodalcat import cli, nodal  # noqa: E402
 PINNED = {
     0: "5ab68e6b0d7bdf57df4457999030b3aa5299eaf7e624abdccd973a04942c3b8d",
     1: "32055dc3b78438fb0edcd86cc1bbaa95dae5d6e972841edd77c6dced8d08293a",
+    2: "971b0a5f3179d99aea858a2ad7a52fb32480249a872f40a0c0dcd3bf23aee11b",
 }
 
 
