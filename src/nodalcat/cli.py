@@ -256,6 +256,18 @@ def _generator(ctx: formalcat.Context, name: str, twist: int, shift: int | None)
 
 
 def _lookup(ctx: formalcat.Context, text: str) -> ObjExpr | None:
+    """What the parser reads from a text ``_lookup_name`` reads, or from a
+    one-level cone ``cone(A -> B)`` of two such texts, written with exactly
+    one " -> " and no other space (no such text holds a space); None for
+    any other text."""
+    if text.startswith("cone(") and text.endswith(")"):
+        src, _, tgt = text[5:-1].partition(" -> ")  # without an arrow tgt is ""
+        a, b = _lookup_name(ctx, src), _lookup_name(ctx, tgt)
+        return None if a is None or b is None else formalcat.cone_of(a, b, "")
+    return _lookup_name(ctx, text)
+
+
+def _lookup_name(ctx: formalcat.Context, text: str) -> ObjExpr | None:
     """What the parser reads from a generator name the context has
     resolved, alone or followed by one shift ``[m]`` (m read by the
     tokenizer's literal rule); None for any other text.  A resolved name
@@ -281,7 +293,7 @@ def _lookup(ctx: formalcat.Context, text: str) -> ObjExpr | None:
 def parse_expr(ctx: formalcat.Context, text: str) -> ObjExpr:
     """Parse and resolve an object expression over a context."""
     found = _lookup(ctx, text)
-    if found is not None:  # most texts are a roster name, maybe shifted
+    if found is not None:  # most texts are a roster name, maybe shifted, or a cone of two
         return found
     tokens = _tokenize(text)
     try:
@@ -315,7 +327,7 @@ def parse_sheaf(text: str) -> quadric.QuadricSheaf:
 # ---------------------------------------------------------------------------
 
 
-_CONTEXT_RE = re.compile(r"^nodal:(\d+)$")
+_CONTEXT_RE = re.compile(r"nodal:(\d+)")
 
 
 def _dim(d: int, column: int) -> int:
@@ -331,7 +343,7 @@ def _dim(d: int, column: int) -> int:
 @lru_cache(maxsize=256)
 def _spec_dim(spec: str) -> int:
     """The d of a ``nodal:<d>`` spec."""
-    m = _CONTEXT_RE.match(spec)
+    m = _CONTEXT_RE.fullmatch(spec)
     if not m:
         raise ExprParseError(f"unknown context {spec!r} (expected nodal:<dim>)", 1)
     column = m.start(1) + 1
@@ -400,7 +412,7 @@ def _cmd_kernel(args) -> int:
 
 
 def _parse_dims(spec: str) -> range:
-    m = re.match(r"^(\d+)(?:\.\.(\d+))?$", spec)
+    m = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", spec)
     if not m:
         raise ExprParseError(f"bad dimension range {spec!r} (expected a..b)", 1)
     lo = _dim(_int_literal(m.group(1), 1), 1)

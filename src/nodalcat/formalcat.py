@@ -16,7 +16,9 @@ module implements:
   the restriction triangle with (-2, -1).
 * ``mutate_right`` / ``mutate_left``: mutations through exceptional
   generators, with cone identification up to shift and rotation, against
-  the context's cone rule and then its registered triangles.  Mutations
+  the context's cone rule and then its registered triangles, indexed only
+  under keys that hold no cone: a mutation probes a generator against
+  shifts of one generator, so no other key is ever asked.  Mutations
   distribute over sums, shifts and cone legs (they are exact functors); an
   unidentified cone is kept as a single indecomposable term carrying its
   own triangle, and the defining orthogonality of the mutation is
@@ -30,7 +32,8 @@ module implements:
 Contexts are immutable after construction apart from append-only state:
 registries of added triangles, freshly created mutation cones and their
 orthogonality facts, one rotation index over the registered triangles
-(filled only when a probe misses, so a new context holds none), a cache of
+(filled only when a probe misses, so a new context holds none, and only
+with keys that hold no cone), a cache of
 resolved generator names, which a builder may fill with its roster up
 front, the set of generators already checked exceptional as mutation
 targets, and one memo table, holding Hom values and failures under
@@ -547,7 +550,9 @@ class Context:
     when registered; ``_identify_cone`` indexes the queue, in registration
     order, into the same index when a probe misses.  First registration
     wins a key, so the index is the one that indexing every triangle at
-    registration would have built.
+    registration would have built.  The index holds only the rotations
+    whose key holds no cone, the only keys a probe can ask for; every
+    registered triangle, cone tag and fact is kept all the same.
     """
 
     def __init__(
@@ -609,7 +614,9 @@ class Context:
     def rotation_index(self) -> dict:
         """The rotation index of every registered triangle, first
         registration winning; the queued triangles are indexed first, in
-        registration order.  The dict returned is the context's own index,
+        registration order.  It holds only keys without a cone, one
+        shift-normalized (src, tgt) pair per live rotation (see
+        ``_index_triangle``).  The dict returned is the context's own index,
         which cone identification reads: do not modify it."""
         tris = self._derived_triangles
         for i in range(self._indexed, len(tris)):
@@ -796,19 +803,42 @@ def _min_shift(e: ObjExpr) -> int:
     return low or 0
 
 
-def _index_triangle(index: dict, t: Triangle) -> None:
-    """Enter the three rotations of t into index.
+def _holds_cone(e: ObjExpr) -> bool:
+    """Whether a normalized term is a cone, shifted or not, or a sum with
+    such a part (sums are flat); a shift never changes the answer."""
+    if e.__class__ is Sum:
+        return any(_strip_shift(p).__class__ is Cone for p, _ in e.parts)
+    return _strip_shift(e).__class__ is Cone
 
-    First wins: registry order, then rotation order, decides a key.
-    Rotation (p, q, r) says cone(p -> q) = r; with m = _min_shift(p) its key
-    is (p, q) shifted by -m and its value r[-m].
+
+def _index_triangle(index: dict, t: Triangle) -> None:
+    """Enter the rotations of t whose key holds no cone into index.
+
+    No probe can ask for any other key (see ``_identify_cone``), so those
+    rotations are skipped before any of their terms is built.  Liveness is
+    read off the vertices: the rotations (x, y), (y, z) and (z, x[1]) are
+    live when neither of their two vertices holds a cone.  A mutation cone
+    or kernel triangle has a cone as z, which leaves at most (x, y).
+
+    First wins: registry order, then rotation order, decides a key; a key
+    holds a cone or not, so skipped keys never collide with live ones.
     """
-    x1 = shift_expr(t.x, 1)
-    for p, q, r in ((t.x, t.y, t.z), (t.y, t.z, x1), (t.z, x1, shift_expr(t.y, 1))):
-        m = _min_shift(p)
-        if m:
-            p, q, r = shift_expr(p, -m), shift_expr(q, -m), shift_expr(r, -m)
-        index.setdefault((p, q), r)
+    cx, cy, cz = _holds_cone(t.x), _holds_cone(t.y), _holds_cone(t.z)
+    if not (cx or cy):
+        _index_rotation(index, t.x, t.y, t.z)
+    if not (cy or cz):
+        _index_rotation(index, t.y, t.z, shift_expr(t.x, 1))
+    if not (cz or cx):
+        _index_rotation(index, t.z, shift_expr(t.x, 1), shift_expr(t.y, 1))
+
+
+def _index_rotation(index: dict, p: ObjExpr, q: ObjExpr, r: ObjExpr) -> None:
+    """Rotation (p, q, r) says cone(p -> q) = r; with m = _min_shift(p) its
+    key is (p, q) shifted by -m and its value r[-m], unless the key is held."""
+    m = _min_shift(p)
+    if m:
+        p, q, r = shift_expr(p, -m), shift_expr(q, -m), shift_expr(r, -m)
+    index.setdefault((p, q), r)
 
 
 def _identify_cone(ctx: Context, src: ObjExpr, tgt: ObjExpr) -> ObjExpr | None:
@@ -821,10 +851,15 @@ def _identify_cone(ctx: Context, src: ObjExpr, tgt: ObjExpr) -> ObjExpr | None:
     shift of src (of its parts, for a sum), and the hit is shifted back by m.
 
     ``ctx.cone_rule`` is asked first, on the key.  Each registered triangle
-    sits in a rotation index under the keys of its three rotations (p, q,
-    r), shift-normalized the same way and mapping to r[-m], so one lookup
+    sits in a rotation index under the keys of its rotations (p, q, r),
+    shift-normalized the same way and mapping to r[-m], so one lookup
     finds a match up to a common shift.  When several rotations share a
     key, the first registered triangle, then its first rotation, holds it.
+
+    Only rotations whose key holds no cone are indexed.  The one caller is
+    the generator branch of ``_mutate_step``: src or tgt is an unshifted
+    generator, and the other is V tensor E, shifts of one generator E, so
+    a probe never holds a cone and a skipped key could never be asked.
 
     Only on a miss of ``ctx._cone_index`` are the queued triangles indexed
     into it and the index asked again.  A hit before that is exact: a

@@ -31,7 +31,7 @@ from .errors import Failure, IndeterminateHom, NodalcatError, UnknownGenerator, 
 from .formalcat import Cone, Context, Gen, ObjExpr, Shift, Triangle
 from .graded import GradedDim
 
-_PUSH_RE = re.compile(r"^j\*(O|S''|S'|S)(?:\((-?\d+)\))?$")
+_PUSH_RE = re.compile(r"j\*(O|S''|S'|S)(?:\((-?\d+)\))?")
 
 
 def push_name(F: quadric.QuadricSheaf) -> str:
@@ -54,7 +54,7 @@ def _push_gen(kind: str, twist: int) -> Gen:
 # of nodal d = 2..13 that oracle checks parse again and again.
 @lru_cache(maxsize=4096)
 def parse_push_name(name: str) -> quadric.QuadricSheaf:
-    m = _PUSH_RE.match(name)
+    m = _PUSH_RE.fullmatch(name)
     if not m:
         raise UnknownGenerator(f"{name!r} is not a pushforward sheaf generator")
     return quadric.QuadricSheaf(m.group(1), int(m.group(2) or 0))

@@ -474,6 +474,12 @@ def lefschetz_blocks(n: int) -> "formalcat.LefschetzData":
     return formalcat.LefschetzData(blocks)
 
 
+# The roster sheaves of family contexts, shared by (kind, twist) across
+# contexts, so a sweep of builds constructs (and kind-checks) each once;
+# the kinds are the builder's own.  Bounded: a huge roster cycles through.
+_roster_sheaf = lru_cache(maxsize=4096)(QuadricSheaf)
+
+
 def family_context(n: int, name: str, prefix: str, twists: range, base_hom, parse,
                    serre: tuple[int, int] | None = None):
     """A formal context whose generators are the sheaves on Q^n, each
@@ -500,8 +506,8 @@ def family_context(n: int, name: str, prefix: str, twists: range, base_hom, pars
     # the roster, each name with what resolve below returns for it (it is
     # canonical and of the right parity): the context calls resolve only
     # for other names
-    roster = [QuadricSheaf(LINE, k) for k in twists]
-    roster += [QuadricSheaf(kd, k) for k in twists for kd in kinds]
+    roster = [_roster_sheaf(LINE, k) for k in twists]
+    roster += [_roster_sheaf(kd, k) for k in twists for kd in kinds]
     resolved = {prefix + sheaf_name(F.kind, F.twist): F for F in roster}
 
     def sheaf(text: str) -> QuadricSheaf:

@@ -314,6 +314,46 @@ def test_resolved_names_read_as_parsed(case):
     assert _outcome(lambda: parse_expr(ctx, text)) == want
 
 
+_ROSTERS = {d: [g for e, g in _ROSTER_NAMES if e == d] for d, _ in _ROSTER_NAMES}
+
+
+@st.composite
+def _cone_texts(draw):
+    """(d, text, looked up): a one-level cone of roster names of nodal:d,
+    each maybe followed by one shift, twist or ``^m``, in the form the
+    lookup reads or a near miss of it, and whether the lookup reads it."""
+    d = draw(st.sampled_from(sorted(_ROSTERS)))
+    legs = []
+    for _ in range(3):
+        leg = draw(st.sampled_from(_ROSTERS[d]))
+        tail = draw(st.sampled_from(["", "[]", "()", "^"]))
+        if tail:
+            leg += f"{tail[:-1]}{draw(_LITERALS)}{tail[-1:]}" if tail != "^" else f"^{draw(_LITERALS)}"
+        legs.append(leg)
+    a, b, c = legs
+    form = draw(st.sampled_from(["cone({a} -> {b})", "cone({a}->{b})", "cone( {a} -> {b})", "cone({a} -> {b} )",
+                                 "cone({a}  -> {b})", "cone({a} -> {b} -> {c})", "cone({a} -> {b})[1]",
+                                 " cone({a} -> {b})", "cone({a} -> {b})\n"]))
+    looked_up = form == "cone({a} -> {b})" and all(
+        cli._lookup_name(nodal.build_context(d), leg) is not None for leg in (a, b))
+    return d, form.format(a=a, b=b, c=c), looked_up
+
+
+@settings(max_examples=500, deadline=None)
+@example((5, "cone(j*S'(-1)[1] -> j*O(-1))", True))
+@example((5, "cone(j*S'(-1)[-0] -> j*O(-1)[٣])", True))
+@example((4, "cone(j*O[²] -> j*O)", False))
+@given(_cone_texts())
+def test_one_level_cones_read_as_parsed(case):
+    # a cone of two texts the lookup reads is looked up too: the same
+    # object (repr shows the tag) or error as the tokenizer and parser give
+    d, text, looked_up = case
+    ctx = nodal.build_context(d)
+    assert (cli._lookup(ctx, text) is not None) == looked_up
+    want = _outcome(lambda: cli._Parser(cli._tokenize(text), ctx).parse())
+    assert repr(_outcome(lambda: parse_expr(ctx, text))) == repr(want)
+
+
 def test_resolved_name_past_the_literal_cap_stays_a_parse_error(capsys, fresh_contexts):
     # twists add up past the cap, and the context then holds that name;
     # written out, with or without a shift, it is still a literal over the cap
@@ -351,6 +391,32 @@ def test_failing_context_spec_raises_on_every_call(monkeypatch, spec):
             cli._context_for(spec)
         errors.append(str(exc.value))
     assert len(set(errors)) == 1
+
+
+@pytest.mark.parametrize("spec", ["nodal:5\n", "nodal:5 ", " nodal:5"])
+def test_context_spec_is_exact(capsys, spec):
+    # the whole spec is read: a trailing newline is no more part of it
+    # than a space
+    assert main(["hom", "--context", spec, "j*O", "j*O"]) == cli.EXIT_PARSE
+    message = f"nodalcat: parse error at column 1: unknown context {spec!r} (expected nodal:<dim>)\n"
+    assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize("spec", ["3\n", "3..4\n", "3 "])
+def test_dims_spec_is_exact(capsys, spec):
+    assert main(["verify", "--dims", spec]) == cli.EXIT_PARSE
+    assert capsys.readouterr() == ("", f"nodalcat: parse error at column 1: bad dimension range {spec!r} (expected a..b)\n")
+
+
+@pytest.mark.parametrize("name", ["j*O(-1)\n", "j*O(-1) ", "j*S'\n"])
+def test_generator_name_is_exact(capsys, name):
+    # a generator name is the whole text: a trailing newline does not name
+    # j*O(-1), as a trailing space does not
+    message = f"{name!r} is not a pushforward sheaf generator"
+    with pytest.raises(UnknownGenerator, match=re.escape(message)):
+        nodal.parse_push_name(name)
+    assert main(["mutate", "--context", "nodal:5", "--through", name, "j*S'(-1)"]) == cli.EXIT_UNDECIDED
+    assert capsys.readouterr() == ("", f"nodalcat: UnknownGenerator: {message}\n")
 
 
 def test_context_spec_is_read_once_and_built_per_query(capsys, monkeypatch):
