@@ -15,14 +15,13 @@ module implements:
   Hom(W, cone) and (0, -1) for Hom(cone, W); ``nodal.hom_push`` splices
   the restriction triangle with (-2, -1).
 * ``mutate_right`` / ``mutate_left``: mutations through exceptional
-  generators, with cone identification up to shift and rotation, against
-  the context's cone rule and then its registered triangles, indexed only
-  under keys that hold no cone: a mutation probes a generator against
-  shifts of one generator, so no other key is ever asked.  Mutations
-  distribute over sums, shifts and cone legs (they are exact functors); an
-  unidentified cone is kept as a single indecomposable term carrying its
-  own triangle, and the defining orthogonality of the mutation is
-  recorded as a fact.
+  generators.  Mutations distribute over sums, shifts and cone legs (they
+  are exact functors).  The cone of a step on a generator is named by the
+  context's cone rule, up to shift, or else kept as ``cone_of`` its legs,
+  a single indecomposable term whose triangle is registered; when that
+  triangle is new, the defining orthogonality of the mutation is
+  recorded as a fact.  The image of a cone is the cone of the images of
+  its legs, registered with its fact.
 * ``serre_in``: Serre functor of an admissible complement, computed as the
   ambient Serre action followed by right mutation through the stored
   orthogonal collection (compositions ordered as for mutation through a
@@ -30,14 +29,12 @@ module implements:
 * semiorthogonality / exceptionality / sphericalness checks.
 
 Contexts are immutable after construction apart from append-only state:
-registries of added triangles, freshly created mutation cones and their
-orthogonality facts, one rotation index over the registered triangles
-(filled only when a probe misses, so a new context holds none, and only
-with keys that hold no cone), a cache of
-resolved generator names, which a builder may fill with its roster up
-front, the set of generators already checked exceptional as mutation
-targets, and one memo table, holding Hom values and failures under
-(F, G) keys and single mutation steps under (E, F, right) keys.  Entries
+the registered triangles (added ones and mutation cones') and the
+orthogonality facts, a cache of resolved generator names, which a
+builder may fill with its roster up front, the set of generators already
+checked exceptional as mutation targets, and one memo table, holding Hom
+values and failures under (F, G) keys and single mutation steps under
+(E, F, right) keys.  Entries
 are only ever added, never invalidated, so a memoized Hom can predate a
 fact registered later.  This state is updated without locks: a context
 is not thread-safe.
@@ -157,7 +154,7 @@ class Cone(_HashOnce):
         _set_cone_tag(self, tag)
         _set_hash(self, None)
 
-    # written out: a memo and rotation-index key (~6x faster); skips the tag
+    # written out: a memo and triangle-registry key (~6x faster); skips the tag
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.src, self.tgt) == (other.src, other.tgt)
@@ -543,16 +540,14 @@ class Context:
     ``serre_action`` sends a generator name to its image under the ambient
     pair-Serre functor.  ``cone_rule(src, tgt)`` names the cone of a probe
     key of ``_identify_cone`` from a family of triangles the context knows
-    by rule, at no cost before a probe, or returns None; it answers before
-    any registered triangle.
+    by rule, at no cost before a probe, or returns None.
 
-    Registered triangles (``add_triangle``, mutation cones) are only queued
-    when registered; ``_identify_cone`` indexes the queue, in registration
-    order, into the same index when a probe misses.  First registration
-    wins a key, so the index is the one that indexing every triangle at
-    registration would have built.  The index holds only the rotations
-    whose key holds no cone, the only keys a probe can ask for; every
-    registered triangle, cone tag and fact is kept all the same.
+    Registered triangles (``add_triangle``, mutation cones) are kept once
+    each, in registration order.  Cone identification does not read them:
+    every triangle the engine registers is x -> y -> cone(x -> y), which
+    ``cone_of`` builds from the legs alone.  Whether a mutation cone's
+    triangle is new decides whether its step records a fact (see
+    ``_mutate_step``).
     """
 
     def __init__(
@@ -574,16 +569,12 @@ class Context:
         self.serre_action = serre_action
         self.cone_rule = cone_rule
         self._memo: dict = {}
-        self._derived_triangles: list[Triangle] = []
+        # the registered triangles, in registration order: a dict as an
+        # ordered set, for the dedupe in add_triangle
+        self._derived_triangles: dict[Triangle, None] = {}
         self._zero_facts: set = set()
         # whether a zero fact joins two generators, see _hom_compute
         self._gen_facts = False
-        # the registered triangles, for the dedupe in add_triangle
-        self._known_triangles: set[Triangle] = set()
-        # rotation index of the first _indexed registered triangles:
-        # shift-normalized (src, tgt) -> cone, see _identify_cone
-        self._cone_index: dict = {}
-        self._indexed = 0
         # name -> resolved generator, filled by resolve
         self._resolved: dict = {} if resolved is None else resolved
         # generators that passed _require_exceptional; a failure is not stored
@@ -602,27 +593,13 @@ class Context:
     def add_triangle(self, tri: Triangle) -> None:
         self._register_triangle(tri.normalized())
 
-    def _register_triangle(self, tri: Triangle) -> None:
-        """``add_triangle`` of a triangle whose parts are already normal:
-        queued for the rotation index (indexed on a probe miss)."""
-        known = self._known_triangles
-        size = len(known)
-        known.add(tri)  # one hash of the triangle: the set grows when it is new
-        if len(known) > size:
-            self._derived_triangles.append(tri)
-
-    def rotation_index(self) -> dict:
-        """The rotation index of every registered triangle, first
-        registration winning; the queued triangles are indexed first, in
-        registration order.  It holds only keys without a cone, one
-        shift-normalized (src, tgt) pair per live rotation (see
-        ``_index_triangle``).  The dict returned is the context's own index,
-        which cone identification reads: do not modify it."""
+    def _register_triangle(self, tri: Triangle) -> bool:
+        """``add_triangle`` of a triangle whose parts are already normal;
+        whether it is new (an equal triangle, tags aside, was not there)."""
         tris = self._derived_triangles
-        for i in range(self._indexed, len(tris)):
-            _index_triangle(self._cone_index, tris[i])
-        self._indexed = len(tris)
-        return self._cone_index
+        size = len(tris)
+        tris.setdefault(tri)  # one hash of the triangle: the dict grows when it is new
+        return len(tris) > size
 
     def has_resolved(self, name: str) -> bool:
         """Whether ``resolve(name)`` reads its memo: true for the roster a
@@ -803,76 +780,16 @@ def _min_shift(e: ObjExpr) -> int:
     return low or 0
 
 
-def _holds_cone(e: ObjExpr) -> bool:
-    """Whether a normalized term is a cone, shifted or not, or a sum with
-    such a part (sums are flat); a shift never changes the answer."""
-    if e.__class__ is Sum:
-        return any(_strip_shift(p).__class__ is Cone for p, _ in e.parts)
-    return _strip_shift(e).__class__ is Cone
-
-
-def _index_triangle(index: dict, t: Triangle) -> None:
-    """Enter the rotations of t whose key holds no cone into index.
-
-    No probe can ask for any other key (see ``_identify_cone``), so those
-    rotations are skipped before any of their terms is built.  Liveness is
-    read off the vertices: the rotations (x, y), (y, z) and (z, x[1]) are
-    live when neither of their two vertices holds a cone.  A mutation cone
-    or kernel triangle has a cone as z, which leaves at most (x, y).
-
-    First wins: registry order, then rotation order, decides a key; a key
-    holds a cone or not, so skipped keys never collide with live ones.
-    """
-    cx, cy, cz = _holds_cone(t.x), _holds_cone(t.y), _holds_cone(t.z)
-    if not (cx or cy):
-        _index_rotation(index, t.x, t.y, t.z)
-    if not (cy or cz):
-        _index_rotation(index, t.y, t.z, shift_expr(t.x, 1))
-    if not (cz or cx):
-        _index_rotation(index, t.z, shift_expr(t.x, 1), shift_expr(t.y, 1))
-
-
-def _index_rotation(index: dict, p: ObjExpr, q: ObjExpr, r: ObjExpr) -> None:
-    """Rotation (p, q, r) says cone(p -> q) = r; with m = _min_shift(p) its
-    key is (p, q) shifted by -m and its value r[-m], unless the key is held."""
-    m = _min_shift(p)
-    if m:
-        p, q, r = shift_expr(p, -m), shift_expr(q, -m), shift_expr(r, -m)
-    index.setdefault((p, q), r)
-
-
 def _identify_cone(ctx: Context, src: ObjExpr, tgt: ObjExpr) -> ObjExpr | None:
-    """Match cone(src -> tgt) against the context's cone rule, then against
-    registered triangles.
+    """cone(src -> tgt) as the context's cone rule names it, or None.
 
-    Matching is up to a common shift and up to rotation: a triangle
-    x -> y -> z also certifies cone(y -> z) = x[1] and cone(z -> x[1]) = y[1].
-    The probe's key is (src[-m], tgt[-m]), where m is the smallest outer
-    shift of src (of its parts, for a sum), and the hit is shifted back by m.
-
-    ``ctx.cone_rule`` is asked first, on the key.  Each registered triangle
-    sits in a rotation index under the keys of its rotations (p, q, r),
-    shift-normalized the same way and mapping to r[-m], so one lookup
-    finds a match up to a common shift.  When several rotations share a
-    key, the first registered triangle, then its first rotation, holds it.
-
-    Only rotations whose key holds no cone are indexed.  The one caller is
-    the generator branch of ``_mutate_step``: src or tgt is an unshifted
-    generator, and the other is V tensor E, shifts of one generator E, so
-    a probe never holds a cone and a skipped key could never be asked.
-
-    Only on a miss of ``ctx._cone_index`` are the queued triangles indexed
-    into it and the index asked again.  A hit before that is exact: a
-    queued triangle was registered after every indexed one, so under
-    first-registration-wins it cannot hold that key.
+    The rule is asked on the key (src[-m], tgt[-m]), where m is the
+    smallest outer shift of src (of its parts, for a sum), and its hit is
+    shifted back by m, so it matches up to a common shift.
     """
     m = src.m if src.__class__ is Shift else _min_shift(src) if src.__class__ is Sum else 0
     key = (shift_expr(src, -m), shift_expr(tgt, -m)) if m else (src, tgt)
     hit = ctx.cone_rule and ctx.cone_rule(*key)
-    if hit is None:
-        hit = ctx._cone_index.get(key)
-    if hit is None:
-        hit = ctx.rotation_index().get(key)
     return None if hit is None else shift_expr(hit, m)
 
 
@@ -946,13 +863,13 @@ def _mutate_one(ctx: Context, E: Gen, F: ObjExpr, right: bool) -> ObjExpr:
 
     A step with a nonzero Hom is memoized under ``(E, F, right)``; a hit is
     exactly what a recomputation would return.  The result depends only on
-    memoized Homs, which never change once written, and on the cones the
-    rotation index holds, where the first registration of a key wins: a
-    step that found no cone registers the very key it probed, so asking
-    again finds that cone, tag included.  A recomputation registers no new
-    triangle or fact either, so a hit skips nothing.  Steps that return F
-    unchanged (zero Hom) and failing steps are not stored: the first are
-    free, and the second raise again through the Hom memo's stored record.
+    memoized Homs, which never change once written, on the cone rule, a
+    function of its key, and on ``cone_of``, whose tag names the step, so
+    a recomputation returns the same cone, tag included.  It registers no
+    new triangle or fact either, since the step's triangle is registered
+    already, so a hit skips nothing.  Steps that return F unchanged (zero
+    Hom) and failing steps are not stored: the first are free, and the
+    second raise again through the Hom memo's stored record.
     """
     if F.__class__ is Shift:
         # mutation commutes with shifts, and Hom(F[m], E) is Hom(F, E) moved
@@ -981,7 +898,10 @@ def _mutate_step(ctx: Context, E: Gen, F: ObjExpr, V: GradedDim, right: bool) ->
         src = _mutate_one(ctx, E, F.src, right)
         tgt = _mutate_one(ctx, E, F.tgt, right)
         out = cone_of(src, tgt, f"image of {render(F)} under mutation through {E.name}")
-        _record_mutation_cone(ctx, out, E, right)
+        core = _strip_shift(out)
+        if core.__class__ is Cone:
+            _register_cone(ctx, core)
+            ctx._zero_facts.add((core, E) if right else (E, core))
         return out
     # R_E F = cone(F -> V^dual tensor E)[-1], L_E F = cone(V tensor E -> F)
     W = _tensor(V, E, 1 if right else -1)
@@ -990,18 +910,21 @@ def _mutate_step(ctx: Context, E: Gen, F: ObjExpr, V: GradedDim, right: bool) ->
     if cone is None:
         side = "right" if right else "left"
         cone = cone_of(src, tgt, f"{side} mutation of {render(F)} through {E.name}")
-        _record_mutation_cone(ctx, cone, E, right)
+        # neither leg is zero, so core is a cone.  Its triangle is already
+        # registered when set-up or an equal step under another memo key
+        # made this cone; the step then adds no fact, as a rule hit adds none
+        core = _strip_shift(cone)
+        if _register_cone(ctx, core):
+            ctx._zero_facts.add((core, E) if right else (E, core))
     return shift_expr(cone, -1) if right else cone
 
 
-def _record_mutation_cone(ctx: Context, cone: ObjExpr, E: Gen, right: bool) -> None:
-    # a normal cone's legs are normal, so the triangle is registered as is
-    core = _strip_shift(cone)
-    if not isinstance(core, Cone):
-        return
-    ctx._register_triangle(Triangle(core.src, core.tgt, core, tag=core.tag))
-    # add_zero_fact of two unshifted terms
-    ctx._zero_facts.add((core, E) if right else (E, core))
+def _register_cone(ctx: Context, core: Cone) -> bool:
+    """Register the triangle core.src -> core.tgt -> core of a normal,
+    unshifted cone; whether it is new.  Its legs are normal, so it is
+    registered as is.  A mutation's fact about it is added by the caller,
+    as ``add_zero_fact`` of two unshifted terms."""
+    return ctx._register_triangle(Triangle(core.src, core.tgt, core, tag=core.tag))
 
 
 # ---------------------------------------------------------------------------

@@ -342,12 +342,13 @@ def test_chi_conservation_across_registered_triangles():
 
 
 # ---------------------------------------------------------------------------
-# cone identification: the rotation index against a brute-force scan
+# cone identification: the cone rule or cone_of, against a brute-force scan
 # ---------------------------------------------------------------------------
 
 
 def _scan_identify_cone(triangles, src, tgt):
-    """Reference: scan every triangle and rotation, first match wins."""
+    """Reference: scan every triangle and rotation, first match wins; the
+    result and the index of the matching triangle, or (None, None)."""
 
     def outer_shift(e):
         return e.m if isinstance(e, Shift) else 0
@@ -357,12 +358,12 @@ def _scan_identify_cone(triangles, src, tgt):
             return min((outer_shift(p) for p, _ in e.parts), default=0)
         return outer_shift(e)
 
-    for tri in triangles:
+    for i, tri in enumerate(triangles):
         for p, q, res in _rotations(tri.normalized()):
             s = min_shift(src) - min_shift(p)
             if shift_expr(p, s) == src and shift_expr(q, s) == tgt:
-                return shift_expr(res, s)
-    return None
+                return shift_expr(res, s), i
+    return None, None
 
 
 def _rotations(t):
@@ -381,23 +382,25 @@ def _holds_cone(e):
 
 
 def _live(p, q):
-    """Whether the key (p, q) can be probed: neither term holds a cone."""
+    """Whether neither term of the key (p, q) holds a cone."""
     return not _holds_cone(p) and not _holds_cone(q)
 
 
-def test_index_matches_scan_on_verify_probes(monkeypatch, fresh_contexts):
-    # fresh contexts, so the probes do not depend on what earlier tests
-    # registered
-    indexed = formalcat._identify_cone
-    probes = []
+def _record_probes(monkeypatch, record):
+    """Run ``record(ctx, src, tgt, got)`` at every ``_identify_cone`` call of
+    ``verify_dim`` d = 2..22 and of the query-mix script of seed 0, before
+    the step that asked registers anything; the number of calls of each."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    identify = formalcat._identify_cone
+    calls = 0
 
     def recording(ctx, src, tgt):
-        got = indexed(ctx, src, tgt)
-        # the rule answers first, so its triangles come first; repr shows
-        # the cone tags, which equality ignores
-        d = int(ctx.name.split(":")[1])
-        scanned = _scan_identify_cone([*nodal_tautological(d), *ctx.all_triangles()], src, tgt)
-        probes.append((repr(got), repr(scanned)))
+        nonlocal calls
+        calls += 1
+        got = identify(ctx, src, tgt)
+        record(ctx, src, tgt, got)
         return got
 
     monkeypatch.setattr(formalcat, "_identify_cone", recording)
@@ -405,68 +408,80 @@ def test_index_matches_scan_on_verify_probes(monkeypatch, fresh_contexts):
     # to 22 keeps the probes above the floor (320 of them)
     for d in range(2, 23):
         assert nodal.verify_dim(d).all_pass
-    assert len(probes) > 300
-    assert [got for got, _ in probes] == [want for _, want in probes]
-
-
-def test_no_probe_holds_a_cone(monkeypatch, fresh_contexts):
-    # the index keeps only keys without a cone because no probe asks for
-    # any other: recorded over verify and the query-mix script of seed 0
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    import workloads
-
-    indexed = formalcat._identify_cone
-    probes = []
-    monkeypatch.setattr(formalcat, "_identify_cone", lambda *args: probes.append(args[1:]) or indexed(*args))
-    for d in range(2, 23):
-        nodal.verify_dim(d)
-    verify_probes = len(probes)
+    verify_calls = calls
     rosters = {d: nodal.build_context(d).generators for d in range(2, 14)}
     for op in workloads.make_ops("query-mix", 0, rosters):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             cli.main(op["argv"])
-    assert verify_probes > 300 and len(probes) > verify_probes + 150
+    return verify_calls, calls - verify_calls
+
+
+def test_step_cones_match_scan_on_verify_and_query_mix(monkeypatch, fresh_contexts):
+    # fresh contexts, so the probes do not depend on what earlier tests
+    # registered.  A step's cone is the rule's hit, else cone_of of its
+    # legs; wherever a scan of the tautological triangles (the rule's)
+    # and the registered ones finds a cone, it is that one, and the scan
+    # hits a registered triangle exactly when the step's own triangle is
+    # registered already, so that step records no fact
+    seen = {"rule": 0, "registered": 0, "new": 0}
+
+    def record(ctx, src, tgt, got):
+        d = int(ctx.name.split(":")[1])
+        tautological = nodal_tautological(d)
+        scanned, at = _scan_identify_cone([*tautological, *ctx.all_triangles()], src, tgt)
+        cone = formalcat.cone_of(src, tgt, "") if got is None else got
+        if scanned is not None:
+            assert cone == scanned and render(cone) == render(scanned)
+        if got is not None:
+            # the rule's cone is a tautological triangle's
+            assert at is not None and at < len(tautological)
+            seen["rule"] += 1
+            return
+        core = formalcat._strip_shift(cone)
+        registered = Triangle(core.src, core.tgt, core) in ctx._derived_triangles
+        assert (at is not None and at >= len(tautological)) == registered
+        seen["registered" if registered else "new"] += 1
+
+    verify_calls, script_calls = _record_probes(monkeypatch, record)
+    assert verify_calls > 300 and script_calls > 150
+    # every case is met: rule hits, steps onto a registered triangle (the
+    # kernel triangles of odd d, say) and new cones
+    assert seen["rule"] and seen["registered"] and seen["new"]
+
+
+def test_no_probe_holds_a_cone(monkeypatch, fresh_contexts):
+    # the cone rule is asked only on keys without a cone: a mutation probes
+    # an unshifted generator against shifts of one generator
+    probes = []
+    verify_calls, script_calls = _record_probes(monkeypatch, lambda ctx, src, tgt, got: probes.append((src, tgt)))
+    assert verify_calls > 300 and script_calls > 150
     assert all(_live(src, tgt) for src, tgt in probes)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(3, 9), st.data(), st.integers(-4, 4))
-def test_index_finds_every_rotation_up_to_shift(d, data, s):
-    ctx = nodal.build_context(d)
-    triangles = [*nodal_tautological(d), *ctx.all_triangles()]
-    live = [rot for t in triangles for rot in _rotations(t.normalized()) if _live(*rot[:2])]
-    p, q, res = data.draw(st.sampled_from(live))
-    got = formalcat._identify_cone(ctx, shift_expr(p, s), shift_expr(q, s))
-    assert got == shift_expr(res, s)
-    # cone(q -> cone(p -> q)) = p[1] is a rotation too, but its key holds
-    # a cone: no probe asks for it, and the index does not hold it
-    assert formalcat._identify_cone(ctx, shift_expr(q, s), shift_expr(formalcat.cone_of(p, q, ""), s)) is None
-
-
-def test_colliding_keys_first_registered_decides():
+def test_step_records_its_fact_only_with_a_new_triangle():
+    # with Hom(A, B) = C, R_B(A) and L_A(B) are one cone up to shift: the
+    # first step registers cone(A -> B) and Hom(cone, B) = 0, the second
+    # finds that triangle registered and adds no fact
+    table = {("A", "A"): C, ("B", "B"): C, ("A", "B"): C, ("B", "A"): GradedDim.zero()}
+    ctx = Context(name="toy", generators=("A", "B"), base_hom=lambda a, b: table[(a, b)])
     A, B = Gen("A"), Gen("B")
-    first = Triangle(A, B, Cone(A, B, tag="first"))
-    # equal to `first` up to tags: not registered again
-    twin = Triangle(A, B, Cone(A, B, tag="twin"))
-    ctx = Context(name="toy", generators=("A", "B"), base_hom=lambda a, b: C)
-    ctx.add_triangle(first)
-    ctx.add_triangle(twin)
-    assert formalcat._identify_cone(ctx, A, B).tag == "first"
-    # a shifted copy is a new triangle with the same keys
-    ctx.add_triangle(Triangle(Shift(A, 3), Shift(B, 3), Shift(Cone(A, B, tag="shifted"), 3)))
-    assert len(ctx._derived_triangles) == 2
-    got = formalcat._identify_cone(ctx, Shift(A, 2), Shift(B, 2))
-    assert got == Shift(Cone(A, B), 2) and got.expr.tag == "first"
-    assert repr(got) == repr(_scan_identify_cone(ctx.all_triangles(), Shift(A, 2), Shift(B, 2)))
-    # rotations share the rule: a later triangle A -> B -> R loses the key
-    # (A, B) and holds cone(B -> R) = A[1]
-    ctx.add_triangle(Triangle(A, B, Gen("R")))
-    assert formalcat._identify_cone(ctx, B, Gen("R")) == Shift(A, 1)
-    assert formalcat._identify_cone(ctx, A, B).tag == "first"
-    # a key holding a cone is never indexed: cone(B -> cone(A -> B)) = A[1]
-    # is no probe's
-    assert formalcat._identify_cone(ctx, B, Cone(A, B)) is None
-    assert formalcat._identify_cone(ctx, B, A) is None
+    core = Cone(A, B)
+    assert mutate_right(ctx, B, A) == Shift(core, -1)
+    assert list(ctx.all_triangles()) == [Triangle(A, B, core)] and ctx._zero_facts == {(core, B)}
+    assert mutate_left(ctx, A, B) == core
+    assert list(ctx.all_triangles()) == [Triangle(A, B, core)] and ctx._zero_facts == {(core, B)}
+
+
+def test_steps_onto_the_kernel_triangles_record_nothing(fresh_contexts):
+    # at odd d, R_{j*S'}(j*S'') is the companion cone and L_{j*S'}(j*S'')
+    # the kernel cone, shifted; set-up registered both triangles (the
+    # companion's without a fact), so neither step adds a triangle or fact
+    ctx = nodal.build_context(5)
+    sp, spp = Gen("j*S'"), Gen("j*S''")
+    triangles, facts = list(ctx.all_triangles()), set(ctx._zero_facts)
+    assert mutate_right(ctx, sp, spp) == Shift(Cone(spp, Shift(sp, 2)), -1)
+    assert mutate_left(ctx, sp, spp) == Shift(Cone(sp, Shift(spp, 2)), -2)
+    assert list(ctx.all_triangles()) == triangles and ctx._zero_facts == facts
 
 
 def test_add_triangle_dedupes_and_keeps_order():
@@ -477,11 +492,16 @@ def test_add_triangle_dedupes_and_keeps_order():
     t2 = Triangle(A, Shift(B, 1), Cone(A, Shift(B, 1)))
     for tri in (t0, t0, t1, Triangle(Shift(Shift(B, 1), -1), A, Cone(B, A), tag="again"), t2, t1):
         ctx.add_triangle(tri)
-    assert ctx._derived_triangles == [t0, t1, t2]
-    assert list(ctx.all_triangles()) == [t0, t1, t2]
+    # the first registration keeps its tags
+    assert repr(list(ctx.all_triangles())) == repr([t0, t1, t2])
+    # a normal triangle registers as it is, and says whether it is new
+    assert ctx._register_triangle(Triangle(B, A, Cone(B, A, tag="twin"), tag="twin")) is False
+    assert ctx._register_triangle(Triangle(B, B, Cone(B, B))) is True
+    assert len(ctx._derived_triangles) == 4
 
 
 def test_cone_rule_answers_before_registered_triangles():
+    # only the rule names cones: a registered triangle answers no probe
     A, B = Gen("A"), Gen("B")
     asked = []
 
@@ -492,119 +512,14 @@ def test_cone_rule_answers_before_registered_triangles():
     ctx = Context(name="toy", generators=("A", "B"), base_hom=lambda a, b: C, cone_rule=rule)
     Z = Gen("Z")
     ctx.add_triangle(Triangle(A, B, Z))
+    ctx.add_triangle(Triangle(B, A, Cone(B, A)))
     # asked on the shift-normalized key; its hit is shifted back
     assert formalcat._identify_cone(ctx, Shift(A, 2), Shift(B, 2)) == Shift(Gen("R"), 2)
-    assert ctx._indexed == 0
-    # a miss of the rule falls through to the registered triangle
-    assert formalcat._identify_cone(ctx, B, Z) == Shift(A, 1)
-    assert asked == [(A, B), (B, Z)]
-    assert list(ctx.all_triangles()) == [Triangle(A, B, Z)]
-
-
-# the rotation index as it was built before the one-pass indexing: every
-# rotation through _cone_key, its result built from the unshifted leg
-
-
-def _old_min_shift(e):
-    if e.__class__ is Sum:
-        return min((p.m if isinstance(p, Shift) else 0 for p, _ in e.parts), default=0)
-    return e.m if e.__class__ is Shift else 0
-
-
-def _old_cone_key(src, tgt):
-    m = _old_min_shift(src)
-    if not m:
-        return (src, tgt), 0
-    return (shift_expr(src, -m), shift_expr(tgt, -m)), m
-
-
-def _old_index_triangle(index, t):
-    x1 = shift_expr(t.x, 1)
-    for p, q, res, s in ((t.x, t.y, t.z, 0), (t.y, t.z, t.x, 1), (t.z, x1, t.y, 1)):
-        key, m = _old_cone_key(p, q)
-        if key not in index:
-            index[key] = shift_expr(res, s - m)
-
-
-def _old_registry(added):
-    """(triangles, rotation index) of a context that was given ``added``,
-    registered by the rule above, the index kept to the keys without a
-    cone (in its order: a key holds a cone or not, so none collide)."""
-    def normalized(t):
-        return Triangle(_reference_normalize(t.x), _reference_normalize(t.y), _reference_normalize(t.z), t.tag)
-
-    triangles, index, known = [], {}, set()
-    for t in map(normalized, added):
-        if t not in known:
-            known.add(t)
-            triangles.append(t)
-            _old_index_triangle(index, t)
-    return triangles, {key: cone for key, cone in index.items() if _live(*key)}
-
-
-# triangle legs: generators, shifted generators (by 0 too), sums of those
-# with multiplicities 0..3, and one-level cones of all of them
-_leg_gens = st.sampled_from([Gen("A"), Gen("B"), Gen("C")])
-_leg_atoms = _leg_gens | st.builds(Shift, _leg_gens, st.integers(-2, 2))
-_leg_flat = _leg_atoms | st.lists(st.tuples(_leg_atoms, st.integers(0, 3)), max_size=3).map(lambda ps: Sum(tuple(ps)))
-_legs = _leg_flat | st.builds(Cone, _leg_flat, _leg_flat, st.sampled_from(["", "f", "identity"]))
-_index_triangles = st.builds(Triangle, _legs, _legs, _legs, st.sampled_from(["", "t"]))
-
-
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(_index_triangles, min_size=1, max_size=5), st.data())
-def test_rotation_index_matches_the_old_rule(pool, data):
-    # triangles drawn from one pool, so repeats exercise the dedupe, and
-    # colliding keys the first-wins order
-    added = data.draw(st.lists(st.sampled_from(pool), max_size=10))
-    # probes between the registrations: the first miss indexes the queued
-    # triangles mid-sequence, and later registrations refill the queue
-    probe_at = data.draw(st.sets(st.integers(0, 9)))
-    ctx = Context(name="toy", generators=("A", "B", "C"), base_hom=lambda a, b: C)
-    D = Gen("D")  # in no triangle: probing (D, D) always misses
-    for i in range(len(added)):
-        if i in probe_at:
-            _assert_probes_find_the_old_cones(ctx, *_old_registry(added[:i]), data.draw(st.integers(-2, 2)))
-            assert formalcat._identify_cone(ctx, D, D) is None
-            assert ctx._indexed == len(ctx._derived_triangles)
-        ctx.add_triangle(added[i])
-    triangles, index = _old_registry(added)
-    _assert_probes_find_the_old_cones(ctx, triangles, index, data.draw(st.integers(-2, 2)))
-    # repr shows the cone and triangle tags, which equality ignores
-    assert repr(list(ctx.all_triangles())) == repr(triangles)
-    assert repr(list(ctx.rotation_index().items())) == repr(list(index.items()))
-
-
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(_index_triangles, min_size=1, max_size=5), st.data())
-def test_pruned_index_answers_every_probe_as_the_scan(pool, data):
-    # the scan reads all three rotations of every triangle, keys with a
-    # cone included; a probe without a cone gets the same answer from the
-    # pruned index, tags included (repr).  Probes: rotations of the pool
-    # shifted by s, and pairs of random cone-free legs
-    ctx = Context(name="toy", generators=("A", "B", "C"), base_hom=lambda a, b: C)
-    for t in data.draw(st.lists(st.sampled_from(pool), max_size=10)):
-        ctx.add_triangle(t)
-    s = data.draw(st.integers(-2, 2))
-    probes = [(shift_expr(p, s), shift_expr(q, s)) for t in ctx.all_triangles() for p, q, _ in _rotations(t)]
-    probes += data.draw(st.lists(st.tuples(_leg_flat, _leg_flat).map(lambda k: tuple(map(normalize, k)))))
-    for src, tgt in probes:
-        if _live(src, tgt) and not formalcat.is_zero(src):
-            want = _scan_identify_cone(ctx.all_triangles(), src, tgt)
-            assert repr(formalcat._identify_cone(ctx, src, tgt)) == repr(want)
-
-
-def _assert_probes_find_the_old_cones(ctx, triangles, index, s):
-    """Probes shifted by s off each rotation find what the old lookup in
-    ``index`` found: nothing where the probe holds a cone."""
-    for t in triangles:
-        x1 = shift_expr(t.x, 1)
-        for p, q in ((t.x, t.y), (t.y, t.z), (t.z, x1)):
-            src, tgt = shift_expr(p, s), shift_expr(q, s)
-            key, m = _old_cone_key(src, tgt)
-            want = index.get(key)
-            want = None if want is None else shift_expr(want, m)
-            assert repr(formalcat._identify_cone(ctx, src, tgt)) == repr(want)
+    # a miss of the rule is a miss, though a registered triangle has the key
+    assert formalcat._identify_cone(ctx, Shift(B, -1), Shift(A, -1)) is None
+    assert formalcat._identify_cone(ctx, B, Z) is None
+    assert asked == [(A, B), (B, A), (B, Z)]
+    assert list(ctx.all_triangles()) == [Triangle(A, B, Z), Triangle(B, A, Cone(B, A))]
 
 
 # ---------------------------------------------------------------------------
@@ -1327,7 +1242,7 @@ def _run_memo_script(d, script, drop_steps):
         except NodalcatError as exc:
             answers.append((type(exc).__name__, str(exc)))
     facts = sorted(map(repr, ctx._zero_facts))
-    return answers, repr(ctx._derived_triangles), facts
+    return answers, repr(list(ctx.all_triangles())), facts
 
 
 @settings(max_examples=150, deadline=None,
@@ -1349,14 +1264,14 @@ def test_memoized_steps_answer_as_recomputed_ones(fresh_contexts, script):
 def test_second_kernel_generator_is_all_hits(monkeypatch, fresh_contexts, d):
     first = nodal.kernel_generator(d)
     ctx = nodal.build_context(d)
-    memo, triangles = dict(ctx._memo), list(ctx._derived_triangles)
+    memo, triangles = dict(ctx._memo), list(ctx.all_triangles())
     probes = []
     indexed = formalcat._identify_cone
     monkeypatch.setattr(formalcat, "_identify_cone",
                         lambda *args: probes.append(args) or indexed(*args))
     assert repr(nodal.kernel_generator(d)) == repr(first)
     assert ctx._memo == memo
-    assert ctx._derived_triangles == triangles
+    assert list(ctx.all_triangles()) == triangles
     assert probes == []
 
 

@@ -197,13 +197,12 @@ def _rule_probes(n, prefix, twists):
 
 def _assert_built_as_reference(ctx, n, prefix, roster, added):
     # repr shows the cone and triangle tags, which equality ignores
-    assert repr(ctx._derived_triangles) == repr(added)
-    assert ctx._cone_index == {}
+    assert repr(list(ctx.all_triangles())) == repr(added)
     assert ctx.generators == tuple(roster)
     # on probes at the roster twists and five beyond on each side, which
     # hold every rotation of each triangle between sheaves at those twists,
-    # the rule is the rotation index of the written-out triangles, one more
-    # twist on each side included
+    # the rule answers as ``_reference_index`` of the written-out triangles,
+    # one more twist on each side included
     low, top = (f(ctx.resolve(g).twist for g in roster) for f in (min, max))
     probes = list(_rule_probes(n, prefix, range(low - 5, top + 6)))
     assert set(_reference_index(tautological_triangles(n, prefix, range(low - 5, top + 5)))) <= set(probes)
@@ -535,46 +534,31 @@ def test_one_exceptional_check_per_kind(monkeypatch, d, asked):
     assert len(calls) == asked == len(set(calls))
 
 
-def _registry_digests(contexts) -> tuple[str, str]:
-    """Two sha256s over what queries registered: one over each context's
-    derived triangles in registration order and its zero facts ordered by
-    their text, one over its merged rotation index in insertion order;
-    repr shows the tags.
-
-    Laid out as when the tautological triangles of the roster twists and
-    the kernel triangles were static: those first in the index, and the
-    kernel triangles, which odd d now adds first, not among the derived.
-    The index holds only keys without a cone, the static part included."""
-    registry, rotations = hashlib.sha256(), hashlib.sha256()
+def _registry_digest(contexts) -> str:
+    """sha256 over what queries registered: each context's derived
+    triangles in registration order and its zero facts ordered by their
+    text; repr shows the tags.  The kernel triangles, which odd d adds at
+    build, are checked and left out, as when they were static."""
+    registry = hashlib.sha256()
     for ctx in contexts:
         d = int(ctx.name.split(":")[1])
-        static = tautological_triangles(d - 1, "j*", range(2 - d, 1), "pushforward of the tautological sequence")
         kernel = _kernel_triangles() if d % 2 else []
-        assert repr(ctx._derived_triangles[:len(kernel)]) == repr(kernel)
-        registry.update(repr(ctx._derived_triangles[len(kernel):]).encode())
+        triangles = list(ctx.all_triangles())
+        assert repr(triangles[:len(kernel)]) == repr(kernel)
+        registry.update(repr(triangles[len(kernel):]).encode())
         facts = sorted((render(F), render(G), repr((F, G))) for F, G in ctx._zero_facts)
         registry.update(repr(facts).encode())
-        index = {key: cone for key, cone in _reference_index(static + kernel).items()
-                 if not any(map(formalcat._holds_cone, key))}
-        for key, cone in ctx.rotation_index().items():
-            index.setdefault(key, cone)
-        rotations.update(repr(list(index.items())).encode())
-    return registry.hexdigest(), rotations.hexdigest()
+    return registry.hexdigest()
 
 
 def test_verify_leaves_the_same_registry(fresh_contexts):
     # what verify registers is what later queries see, tags included, so
-    # a faster registration path must leave exactly this registry.  The
-    # registry digest is the same as when the index held every rotation;
-    # the index digest was taken once it held only keys without a cone
+    # a faster registration path must leave exactly this registry
     for d in range(2, 16):
         nodal.verify_dim(d)
     contexts = [nodal.build_context(d) for d in range(2, 16)]
     assert sum(len(ctx._derived_triangles) for ctx in contexts) == 42 + 2 * 7
-    assert _registry_digests(contexts) == (
-        "cb0819c09dab6c43258288832262bb4fe29677c44bc0bff0a202e09e8ea7090b",
-        "e23f15fb44593085474800133a11fccb28a5efb0bd9d38f77693c32f3b72820b",
-    )
+    assert _registry_digest(contexts) == "cb0819c09dab6c43258288832262bb4fe29677c44bc0bff0a202e09e8ea7090b"
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ digest is taken over ``json.dumps([argv, rc, stdout, stderr])`` of each op
 in order.  Each digest is printed and compared with the pinned one; the
 exit status is 1 if any differs, so a changed query-mix answer fails.
 After each seed the registry totals over the nodal contexts so far are
-printed too: triangles registered, triangles indexed and rotation-index
-keys.  They are exact, but only logged: they decide no exit status.
+printed too: triangles registered and zero facts.  They are exact, but
+only logged: they decide no exit status.
 Standard library only.
 
     python3 tools/query_digest.py
@@ -56,8 +56,7 @@ def main() -> int:
         print(f"seed {seed}: {got}" + ("" if ok else f" (expected {pinned})"))
         contexts = [nodal.build_context(d) for d in rosters]
         print(f"  registry: {sum(len(list(c.all_triangles())) for c in contexts)} triangles registered, "
-              f"{sum(c._indexed for c in contexts)} indexed, "
-              f"{sum(len(c._cone_index) for c in contexts)} rotation-index keys")
+              f"{sum(len(c._zero_facts) for c in contexts)} zero facts")
         status |= not ok
     return status
 

@@ -8,9 +8,8 @@ and times every item's check.  The kernel generator, which ``verify_dim``
 builds once for three items, is timed as its own row.  Each row is the
 best sum over the dimensions among the repeats.  The "(registry)" row
 counts, over the verify calls of one pass, the derived triangles
-registered, those indexed for cone identification, and the calls of the
-contexts' ``gen_resolve`` (names resolved outside the roster handed over
-at build).  Standard library only.
+registered and the calls of the contexts' ``gen_resolve`` (names
+resolved outside the roster handed over at build).  Standard library only.
 
     python3 tools/verify_items.py [--dims 2..48] [--repeat 5]
 """
@@ -36,9 +35,9 @@ def _dims(text: str) -> range:
     return range(int(lo), int(hi or lo) + 1)
 
 
-def one_pass(dims: range) -> tuple[dict[str, float], tuple[int, int, int]]:
+def one_pass(dims: range) -> tuple[dict[str, float], tuple[int, int]]:
     """Seconds per item, summed over ``dims``, from fresh contexts, and the
-    registry counts (registered, indexed, gen_resolve calls)."""
+    registry counts (registered, gen_resolve calls)."""
     nodal._setup = functools.cache(nodal._setup.__wrapped__)
     nodal._pair_value.cache_clear()
     nodal.parse_push_name.cache_clear()
@@ -85,8 +84,7 @@ def one_pass(dims: range) -> tuple[dict[str, float], tuple[int, int, int]]:
         spent["total"] = time.perf_counter() - t0
     finally:
         nodal.add_item, nodal.kernel_generator = add_item_plain, kernel_plain
-    counts = (sum(len(ctx._derived_triangles) for ctx in contexts) - built,
-              sum(ctx._indexed for ctx in contexts), resolves)
+    counts = (sum(len(ctx._derived_triangles) for ctx in contexts) - built, resolves)
     return spent, counts
 
 
@@ -111,8 +109,7 @@ def main(argv: list[str]) -> int:
     for item, s in sorted(best.items(), key=lambda kv: -kv[1]):
         print(f"  {item:<{width}}  {s * 1e3:8.2f}")
     print(f"  {'verify_dim total':<{width}}  {total * 1e3:8.2f}")
-    print(f"  {'(registry)':<{width}}  {counts[0]} registered, {counts[1]} indexed, "
-          f"{counts[2]} gen_resolve calls")
+    print(f"  {'(registry)':<{width}}  {counts[0]} registered, {counts[1]} gen_resolve calls")
     return 0
 
 
