@@ -22,14 +22,10 @@ numbers, which are written out exactly.
 A text that is a generator name the context has already resolved (its
 whole roster, and any name resolved since), alone or followed by one
 shift ``[m]``, is looked up and not parsed.  Any other text is read in
-one tokenizer pass.  A name with its run of twists ``(k)`` and shifts
-``[m]`` written without spaces is one token, so ``j*S'(-2)[1]`` is one
-token.  Twist and shift commute on a generator: a token's twists are
-summed, its shifts are summed, and it resolves with one call of the
-context's twist rule.  Other postfixes (after a space, or after ``^``)
-apply one at a time.  The parser builds the object as it reads, and a
-syntax error anywhere in a text wins over a generator that does not
-resolve, wherever each lies.
+one tokenizer pass, and its postfixes apply one at a time, in written
+order.  The parser builds the object as it reads, and a syntax error
+anywhere in a text wins over a generator that does not resolve, wherever
+each lies.
 
 Exit codes: 0 success, 1 verification failure, 2 indeterminate or
 unsupported computation, 3 parse or usage error, 4 internal error (an
@@ -98,19 +94,14 @@ class ExprParseError(Exception):
 # tokenizer / parser
 # ---------------------------------------------------------------------------
 
-# A generator (or any other name) takes its run of twists "(k)" and shifts
-# "[m]" into its own token, so "j*S'(-2)[1]" is one match.  A postfix
-# written with spaces, a malformed one or one whose literal is too long
-# ends the run and is read as the tokens after it, with their own columns
-# and messages.  "cone" before "(" is not a name; the generator pattern
-# comes next, since most tokens are generators.
-_LITERAL = rf"-?\d{{1,{MAX_LITERAL_DIGITS}}}"
-_GEN = rf"""(j\*(?:S''|S'|S|O)|(?:S''|S'|S|O)(?!['\w])|[A-Za-z_]\w*)((?:\({_LITERAL}\)|\[{_LITERAL}\])*)"""
-_LITERAL_RE = re.compile(_LITERAL)
+# an integer literal the parser accepts, for the lookup of a shifted name
+_LITERAL_RE = re.compile(rf"-?\d{{1,{MAX_LITERAL_DIGITS}}}")
+# "cone" before "(" is not a name; the generator pattern comes next, since
+# most tokens are generators.
 _TOKEN_RE = re.compile(
-    rf"""
+    r"""
     (?P<cone>cone(?=\())
-  | (?P<gen>{_GEN})
+  | (?P<gen>j\*(?:S''|S'|S|O)|(?:S''|S'|S|O)(?!['\w])|[A-Za-z_]\w*)
   | (?P<ws>\s+)
   | (?P<arrow>->)
   | (?P<plus>\+)
@@ -124,7 +115,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-_POSTFIX_RE = re.compile(r"\((-?\d+)\)|\[(-?\d+)\]")
 
 
 def _int_literal(text: str, column: int) -> int:
@@ -133,30 +123,12 @@ def _int_literal(text: str, column: int) -> int:
     return int(text)
 
 
-def _fold(run: str) -> tuple[int, int | None]:
-    """The sum of the twists and the sum of the shifts of a run of
-    postfixes, the shift None where the run writes none."""
-    twist, shift = 0, None
-    if run:
-        for k, m in _POSTFIX_RE.findall(run):
-            if k:
-                twist += int(k)
-            else:
-                shift = (shift or 0) + int(m)
-    return twist, shift
-
-
 def _tokenize(text: str) -> list[tuple]:
-    """(kind, text, column) per token, then ("end", "", column).  A
-    generator token is ("gen", name, column, twist, shift): the sums of the
-    twists and of the shifts in its run, shift None where it writes none."""
+    """(kind, text, column) per token, then ("end", "", column)."""
     tokens = []
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        if kind == "gen":
-            # groups 3 and 4: the name and the run of _GEN
-            tokens.append((kind, match[3], match.start() + 1, *_fold(match[4])))
-        elif kind == "bad":
+        if kind == "bad":
             raise ExprParseError(f"unexpected character {match.group()!r}", match.start() + 1)
         elif kind != "ws":
             tokens.append((kind, match.group(), match.start() + 1))
@@ -226,7 +198,7 @@ class _Parser:
         kind = tok[0]
         if kind == "gen":
             self.i += 1
-            return ZERO if self.ctx is None else _generator(self.ctx, tok[1], tok[3], tok[4])
+            return ZERO if self.ctx is None else Gen(self.ctx.twist_gen(tok[1], 0))
         if kind == "cone":
             if self.depth == MAX_CONE_DEPTH:
                 raise ExprParseError(f"cones nested more than {MAX_CONE_DEPTH} deep", tok[2])
@@ -238,21 +210,13 @@ class _Parser:
             b = self.parse_sum()
             self.take("rpar")
             self.depth -= 1
-            return formalcat.cone_of(a, b, "")
+            return formalcat.cone_of(a, b)
         if kind == "int":
             if tok[1] != "0":
                 raise ExprParseError(f"unexpected {tok[1]!r}", tok[2])
             self.i += 1
             return ZERO
         raise ExprParseError(f"expected an object, found {tok[1]!r}" if tok[1] else "expected an object", tok[2])
-
-
-# Twist and shift commute on a generator, and a context's twist rule reads
-# only the written name, so a generator token, however long its run,
-# resolves with one call of the rule.
-def _generator(ctx: formalcat.Context, name: str, twist: int, shift: int | None) -> ObjExpr:
-    gen = Gen(ctx.twist_gen(name, twist))
-    return formalcat.shift_expr(gen, shift) if shift else gen
 
 
 def _lookup(ctx: formalcat.Context, text: str) -> ObjExpr | None:
@@ -263,17 +227,18 @@ def _lookup(ctx: formalcat.Context, text: str) -> ObjExpr | None:
     if text.startswith("cone(") and text.endswith(")"):
         src, _, tgt = text[5:-1].partition(" -> ")  # without an arrow tgt is ""
         a, b = _lookup_name(ctx, src), _lookup_name(ctx, tgt)
-        return None if a is None or b is None else formalcat.cone_of(a, b, "")
+        return None if a is None or b is None else formalcat.cone_of(a, b)
     return _lookup_name(ctx, text)
 
 
 def _lookup_name(ctx: formalcat.Context, text: str) -> ObjExpr | None:
     """What the parser reads from a generator name the context has
-    resolved, alone or followed by one shift ``[m]`` (m read by the
-    tokenizer's literal rule); None for any other text.  A resolved name
-    holds its twist as the tokenizer reads it, except a twist past the
-    literal cap (twists add up), which written out is a parse error: a
-    text that long is left to the parser."""
+    resolved, alone or followed by one shift ``[m]`` (m an integer literal
+    of at most ``MAX_LITERAL_DIGITS`` digits, as the parser reads one);
+    None for any other text.  A resolved name holds its twist as the
+    parser reads it, except a twist past the literal cap (twists add up),
+    which written out is a parse error: a text that long is left to the
+    parser."""
     if len(text) > MAX_LITERAL_DIGITS:
         return None
     if ctx.has_resolved(text):
@@ -309,12 +274,12 @@ def parse_sheaf(text: str) -> quadric.QuadricSheaf:
     """Parse a bare sheaf expression O(k), S(k), S'(k), S''(k)."""
     tokens = _tokenize(text)
     head, rest = tokens[0], tokens[1:-1]
-    # a sheaf name, its twists, and after it only twists written apart
-    if (head[0] != "gen" or head[1].startswith("j*") or head[4] is not None
+    # a sheaf name, and after it only twists
+    if (head[0] != "gen" or head[1].startswith("j*")
             or [tok[0] for tok in rest] != ["lpar", "int", "rpar"] * (len(rest) // 3)):
         _Parser(tokens).parse()  # a syntax error comes first
         raise ExprParseError("expected a sheaf expression", 1)
-    twist = head[3] + sum(_int_literal(tok[1], tok[2]) for tok in rest[1::3])
+    twist = sum(_int_literal(tok[1], tok[2]) for tok in rest[1::3])
     try:
         base = quadric.sheaf_from_string(head[1])
     except ValueError:

@@ -142,19 +142,18 @@ class Sum(_HashOnce):
 
 
 class Cone(_HashOnce):
-    """The cone on a map ``src -> tgt``.  ``tag`` names the map for
-    messages; equality and hashing ignore it.  The hash of a nested cone
-    walks the whole tree, so it is computed once per object."""
+    """The cone on a map ``src -> tgt``, known by its two legs.  The hash
+    of a nested cone walks the whole tree, so it is computed once per
+    object."""
 
-    __slots__ = ("src", "tgt", "tag")
+    __slots__ = ("src", "tgt")
 
-    def __init__(self, src: ObjExpr, tgt: ObjExpr, tag: str = ""):
+    def __init__(self, src: ObjExpr, tgt: ObjExpr):
         _set_cone_src(self, src)
         _set_cone_tgt(self, tgt)
-        _set_cone_tag(self, tag)
         _set_hash(self, None)
 
-    # written out: a memo and triangle-registry key (~6x faster); skips the tag
+    # written out: a memo and triangle-registry key (~6x faster)
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.src, self.tgt) == (other.src, other.tgt)
@@ -171,7 +170,7 @@ class Cone(_HashOnce):
 # slot setters for the constructors, which bypass the raising __setattr__
 _set_shift_expr, _set_shift_m = Shift.expr.__set__, Shift.m.__set__
 _set_sum_parts = Sum.parts.__set__
-_set_cone_src, _set_cone_tgt, _set_cone_tag = Cone.src.__set__, Cone.tgt.__set__, Cone.tag.__set__
+_set_cone_src, _set_cone_tgt = Cone.src.__set__, Cone.tgt.__set__
 _set_hash = _HashOnce._hash.__set__
 
 ObjExpr = Gen | Shift | Sum | Cone
@@ -198,18 +197,13 @@ def render(e: ObjExpr) -> str:
     """The text of an expression, in the grammar the CLI parses.
 
     Generators and their shifts, the parts of nearly every sum, are
-    formatted directly, and so is a cone between two of them, the tag of
-    a mutation-cone step; other terms join ``render_chunks``.  The sort
+    formatted directly; other terms join ``render_chunks``.  The sort
     keys of ``_sorted_parts`` come from ``_short_text``, which writes no
     key out longer than ``RUN_SLICE``.
     """
     text = _leaf_text(e)
     if text is not None:
         return text
-    if e.__class__ is Cone:
-        src, tgt = _leaf_text(e.src), _leaf_text(e.tgt)
-        if src is not None and tgt is not None:
-            return f"cone({src} -> {tgt})"
     return "".join(render_chunks(e))
 
 
@@ -401,10 +395,10 @@ def normalize(e: ObjExpr) -> ObjExpr:
     or a sum keeps the hash it has computed; a sum of one generator or
     shifted generator, r >= 2 times, is returned at once.
 
-    Cones over (or under) the zero object simplify; an identity-tagged cone
-    is zero; otherwise the cone is kept intact since a dimension-level
-    calculus cannot prove a map zero.  A cone absorbs the outer shift of
-    its source, so cone(X[s] -> Y) = cone(X -> Y[-s])[s].
+    Cones over (or under) the zero object simplify; otherwise the cone is
+    kept intact since a dimension-level calculus cannot prove a map zero.
+    A cone absorbs the outer shift of its source, so
+    cone(X[s] -> Y) = cone(X -> Y[-s])[s].
     """
     if e.__class__ is Gen:
         return e
@@ -429,26 +423,24 @@ def normalize(e: ObjExpr) -> ObjExpr:
         if len(parts) == 1 and parts[0][1] == 1:
             return parts[0][0]
         return e if parts == e.parts else Sum(parts)
-    out = cone_of(normalize(e.src), normalize(e.tgt), e.tag)
+    out = cone_of(normalize(e.src), normalize(e.tgt))
     if out.__class__ is Cone and out.src is e.src and out.tgt is e.tgt:
         return e
     return out
 
 
-def cone_of(src: ObjExpr, tgt: ObjExpr, tag: str) -> ObjExpr:
-    """``normalize(Cone(src, tgt, tag))`` of normalized legs, which it does
-    not walk again: only the cone's own rules apply (identity tag, zero
-    legs, the source's outer shift)."""
-    if tag == "identity":
-        return ZERO
+def cone_of(src: ObjExpr, tgt: ObjExpr) -> ObjExpr:
+    """``normalize(Cone(src, tgt))`` of normalized legs, which it does not
+    walk again: only the cone's own rules apply (zero legs, the source's
+    outer shift)."""
     if is_zero(src):
         return tgt
     if is_zero(tgt):
         return shift_expr(src, 1)
     s = src.m if src.__class__ is Shift else 0
     if s:
-        return Shift(Cone(shift_expr(src, -s), shift_expr(tgt, -s), tag), s)
-    return Cone(src, tgt, tag)
+        return Shift(Cone(shift_expr(src, -s), shift_expr(tgt, -s)), s)
+    return Cone(src, tgt)
 
 
 def _strip_shift(e: ObjExpr) -> ObjExpr:
@@ -463,7 +455,7 @@ def map_gens(e: ObjExpr, f: Callable[[str], ObjExpr]) -> ObjExpr:
         return shift_expr(map_gens(e.expr, f), e.m)
     if isinstance(e, Sum):
         return sum_exprs((map_gens(p, f), r) for p, r in e.parts)
-    return cone_of(map_gens(e.src, f), map_gens(e.tgt, f), e.tag)
+    return cone_of(map_gens(e.src, f), map_gens(e.tgt, f))
 
 
 # ---------------------------------------------------------------------------
@@ -472,18 +464,16 @@ def map_gens(e: ObjExpr, f: Callable[[str], ObjExpr]) -> ObjExpr:
 
 
 class Triangle(Frozen):
-    """A registered exact triangle x -> y -> z; z is the cone on x -> y.
-    Equality and hashing ignore ``tag``."""
+    """A registered exact triangle x -> y -> z; z is the cone on x -> y."""
 
-    __slots__ = ("x", "y", "z", "tag")
+    __slots__ = ("x", "y", "z")
 
-    def __init__(self, x: ObjExpr, y: ObjExpr, z: ObjExpr, tag: str = ""):
+    def __init__(self, x: ObjExpr, y: ObjExpr, z: ObjExpr):
         _set_tri_x(self, x)
         _set_tri_y(self, y)
         _set_tri_z(self, z)
-        _set_tri_tag(self, tag)
 
-    # written out: a triangle-registry key (~6x faster); skips the tag
+    # written out: a triangle-registry key (~6x faster)
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.x, self.y, self.z) == (other.x, other.y, other.z)
@@ -497,11 +487,10 @@ class Triangle(Frozen):
         x, y, z = normalize(self.x), normalize(self.y), normalize(self.z)
         if x is self.x and y is self.y and z is self.z:
             return self
-        return Triangle(x, y, z, self.tag)
+        return Triangle(x, y, z)
 
 
-_set_tri_x, _set_tri_y = Triangle.x.__set__, Triangle.y.__set__
-_set_tri_z, _set_tri_tag = Triangle.z.__set__, Triangle.tag.__set__
+_set_tri_x, _set_tri_y, _set_tri_z = Triangle.x.__set__, Triangle.y.__set__, Triangle.z.__set__
 
 
 class LefschetzData:
@@ -595,7 +584,7 @@ class Context:
 
     def _register_triangle(self, tri: Triangle) -> bool:
         """``add_triangle`` of a triangle whose parts are already normal;
-        whether it is new (an equal triangle, tags aside, was not there)."""
+        whether it is new (an equal triangle was not there)."""
         tris = self._derived_triangles
         size = len(tris)
         tris.setdefault(tri)  # one hash of the triangle: the dict grows when it is new
@@ -864,12 +853,12 @@ def _mutate_one(ctx: Context, E: Gen, F: ObjExpr, right: bool) -> ObjExpr:
     A step with a nonzero Hom is memoized under ``(E, F, right)``; a hit is
     exactly what a recomputation would return.  The result depends only on
     memoized Homs, which never change once written, on the cone rule, a
-    function of its key, and on ``cone_of``, whose tag names the step, so
-    a recomputation returns the same cone, tag included.  It registers no
-    new triangle or fact either, since the step's triangle is registered
-    already, so a hit skips nothing.  Steps that return F unchanged (zero
-    Hom) and failing steps are not stored: the first are free, and the
-    second raise again through the Hom memo's stored record.
+    function of its key, and on ``cone_of``, a function of the legs, so a
+    recomputation returns the same cone.  It registers no new triangle or
+    fact either, since the step's triangle is registered already, so a hit
+    skips nothing.  Steps that return F unchanged (zero Hom) and failing
+    steps are not stored: the first are free, and the second raise again
+    through the Hom memo's stored record.
     """
     if F.__class__ is Shift:
         # mutation commutes with shifts, and Hom(F[m], E) is Hom(F, E) moved
@@ -897,7 +886,7 @@ def _mutate_step(ctx: Context, E: Gen, F: ObjExpr, V: GradedDim, right: bool) ->
         # stays one indecomposable term
         src = _mutate_one(ctx, E, F.src, right)
         tgt = _mutate_one(ctx, E, F.tgt, right)
-        out = cone_of(src, tgt, f"image of {render(F)} under mutation through {E.name}")
+        out = cone_of(src, tgt)
         core = _strip_shift(out)
         if core.__class__ is Cone:
             _register_cone(ctx, core)
@@ -908,8 +897,7 @@ def _mutate_step(ctx: Context, E: Gen, F: ObjExpr, V: GradedDim, right: bool) ->
     src, tgt = (F, W) if right else (W, F)
     cone = _identify_cone(ctx, src, tgt)
     if cone is None:
-        side = "right" if right else "left"
-        cone = cone_of(src, tgt, f"{side} mutation of {render(F)} through {E.name}")
+        cone = cone_of(src, tgt)
         # neither leg is zero, so core is a cone.  Its triangle is already
         # registered when set-up or an equal step under another memo key
         # made this cone; the step then adds no fact, as a rule hit adds none
@@ -924,7 +912,7 @@ def _register_cone(ctx: Context, core: Cone) -> bool:
     unshifted cone; whether it is new.  Its legs are normal, so it is
     registered as is.  A mutation's fact about it is added by the caller,
     as ``add_zero_fact`` of two unshifted terms."""
-    return ctx._register_triangle(Triangle(core.src, core.tgt, core, tag=core.tag))
+    return ctx._register_triangle(Triangle(core.src, core.tgt, core))
 
 
 # ---------------------------------------------------------------------------

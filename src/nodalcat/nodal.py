@@ -135,12 +135,13 @@ def _setup(d: int) -> NodalSetup:
     ctx = quadric.family_context(n, f"nodal:{d}", "j*", range(1 - n, 2), base_hom, parse_push_name,
                                  serre=(1 - n, n + 1))
     if d % 2 == 1:
-        # the context carries the kernel cone T and its companion T', and
-        # the defining orthogonality of the mutation producing T
+        # the context carries the kernel cone T and its companion T' (the
+        # spinors swapped), and the defining orthogonality of the mutation
+        # producing T
         sp, spp = Gen("j*S'"), Gen("j*S''")
-        for a, b, tag in ((sp, spp, "kernel mutation cone"), (spp, sp, "companion cone with spinors swapped")):
-            ctx.add_triangle(Triangle(a, Shift(b, 2), Cone(a, Shift(b, 2), tag=tag), tag=tag))
-        ctx.add_zero_fact(Cone(sp, Shift(spp, 2), tag="kernel mutation cone"), spp)
+        for a, b in ((sp, spp), (spp, sp)):
+            ctx.add_triangle(Triangle(a, Shift(b, 2), Cone(a, Shift(b, 2))))
+        ctx.add_zero_fact(Cone(sp, Shift(spp, 2)), spp)
 
     # stored orthogonal collection of the resolution subcategory: the
     # pushed Lefschetz blocks B_{n-1}(1-n), ..., B_1(-1); for odd d the
@@ -244,7 +245,7 @@ def kernel_generator(d: int) -> ObjExpr:
         if moved != start:
             raise NodalcatError(f"kernel mutation did not fix j*S: {formalcat.render(moved)}")
         return moved
-    expected = Shift(Cone(Gen("j*S'"), Shift(Gen("j*S''"), 2), tag="kernel mutation cone"), -1)
+    expected = Shift(Cone(Gen("j*S'"), Shift(Gen("j*S''"), 2)), -1)
     if moved != expected:
         raise NodalcatError(f"unexpected kernel mutation result: {formalcat.render(moved)}")
     return formalcat.shift_expr(moved, 1)

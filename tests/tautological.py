@@ -11,10 +11,9 @@ from nodalcat.formalcat import Gen, Triangle
 from nodalcat.quadric import QuadricSheaf as QS
 
 
-def tautological_triangles(n: int, prefix: str, twists, tag: str = "tautological sequence") -> list[Triangle]:
+def tautological_triangles(n: int, prefix: str, twists) -> list[Triangle]:
     """The triangle of each spinor kind of Q^n at each k in ``twists``,
-    in that order, every sheaf written ``prefix`` + its name, tagged
-    "<tag> of <kind> at twist <k>"."""
+    in that order, every sheaf written ``prefix`` + its name."""
     kinds = ("S",) if n % 2 == 1 else ("S'", "S''")
     successor = {"S": "S", "S'": "S''", "S''": "S'"}
     r = 2 ** ((n + 1) // 2)
@@ -24,7 +23,7 @@ def tautological_triangles(n: int, prefix: str, twists, tag: str = "tautological
             legs = (Gen(prefix + QS(kd, k).render()),
                     formalcat.sum_of(Gen(prefix + QS("O", k).render()), r),
                     Gen(prefix + QS(successor[kd], k + 1).render()))
-            out.append(Triangle(*map(formalcat.normalize, legs), tag=f"{tag} of {kd} at twist {k}"))
+            out.append(Triangle(*map(formalcat.normalize, legs)))
     return out
 
 

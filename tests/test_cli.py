@@ -269,7 +269,7 @@ def _stepwise(ctx, parts):
 @example([("j*S'", [("(", -1, False), ("(", 1, False), ("[", 2, False), ("[", -1, False),
                     ("^", 2, False), ("(", 3, False)])])
 @given(st.lists(_postfixed, min_size=1, max_size=3))
-def test_postfix_chains_fold_as_applied_one_at_a_time(parts):
+def test_postfix_chains_read_as_applied_one_at_a_time(parts):
     ctx = nodal.build_context(5)
     assert parse_expr(ctx, _written(parts)) == _stepwise(ctx, parts)
 
@@ -346,7 +346,7 @@ def _cone_texts(draw):
 @given(_cone_texts())
 def test_one_level_cones_read_as_parsed(case):
     # a cone of two texts the lookup reads is looked up too: the same
-    # object (repr shows the tag) or error as the tokenizer and parser give
+    # object or error as the tokenizer and parser give
     d, text, looked_up = case
     ctx = nodal.build_context(d)
     assert (cli._lookup(ctx, text) is not None) == looked_up
@@ -894,6 +894,29 @@ def test_sum_with_a_huge_cone_summand_in_bounded_memory():
     assert proc.stdout == ""
     assert proc.stderr == ("nodalcat: IndeterminateHom: indeterminate degrees [0, 1] "
                            "(Hom(cone(j*S' -> j*S'(-1)^1000000000), j*O))\n")
+
+
+def test_mutation_of_a_cone_with_a_huge_summand_streams_in_bounded_memory():
+    # the image cone's legs hold 10^8 copies; the answer streams, and the
+    # reader keeps its first 100 bytes: no step may write a cone's text out
+    limit = 512 << 20
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nodalcat", "mutate", "--context", "nodal:5", "--dir", "right",
+         "--through", "j*S'(-2)", "cone(j*O(-3) -> j*O(-2)^100000000)"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    try:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        rc = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert head.startswith(b"cone(cone(j*O(-3) -> j*S'(-2) + ")
+    assert err == ""
+    assert rc == cli.EXIT_BROKEN_PIPE
 
 
 def _exact(text):

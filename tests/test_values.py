@@ -3,7 +3,7 @@
 ``GradedDim``, ``QuadricSheaf``, ``Shift``, ``Sum``, ``Cone`` and ``Triangle``
 were frozen dataclasses; the reference copies of those definitions below
 fix what the ``graded.Frozen`` subclasses must keep: equality, hashes and
-reprs (tags ignored by equality), pickle and copy round trips that keep the
+reprs, pickle and copy round trips that keep the
 interned ``Gen`` leaves, frozen attributes and keyword construction.  The
 records ``ChowClass``, ``MukaiVector``, ``PicClass`` and ``Placed`` subclass
 ``graded.Value`` and are checked against ``@dataclass(eq=True)`` copies:
@@ -13,7 +13,7 @@ and unhashable.
 
 import copy
 import pickle
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import pytest
@@ -58,7 +58,6 @@ class Sum:
 class Cone:
     src: object
     tgt: object
-    tag: str = field(default="", compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,7 +65,6 @@ class Triangle:
     x: object
     y: object
     z: object
-    tag: str = field(default="", compare=False)
 
 
 @dataclass(eq=True)
@@ -114,9 +112,9 @@ def _ref(e):
     if isinstance(e, formalcat.Sum):
         return Sum(tuple((_ref(p), r) for p, r in e.parts))
     if isinstance(e, formalcat.Cone):
-        return Cone(_ref(e.src), _ref(e.tgt), e.tag)
+        return Cone(_ref(e.src), _ref(e.tgt))
     if isinstance(e, formalcat.Triangle):
-        return Triangle(_ref(e.x), _ref(e.y), _ref(e.z), e.tag)
+        return Triangle(_ref(e.x), _ref(e.y), _ref(e.z))
     if isinstance(e, graded.GradedDim):
         return GradedDim(e.entries)
     return QuadricSheaf(e.kind, e.twist)
@@ -138,20 +136,19 @@ def _leaves(e):
 
 
 # ---------------------------------------------------------------------------
-# strategies: normalized terms with cone tags, triangles, graded dims, sheaves
+# strategies: normalized terms, triangles, graded dims, sheaves
 # ---------------------------------------------------------------------------
 
-_tags = st.sampled_from(["", "t", "another tag"])
 _terms = st.recursive(
     st.builds(Gen, st.sampled_from(["j*S'", "j*S''(-1)", "j*O", "j*O(2)", "A"])),
     lambda inner: st.one_of(
         st.builds(formalcat.Shift, inner, st.integers(-3, 3)),
-        st.builds(formalcat.Cone, inner, inner, _tags),
+        st.builds(formalcat.Cone, inner, inner),
         st.builds(formalcat.Sum, st.lists(st.tuples(inner, st.integers(0, 4)), max_size=3).map(tuple)),
     ),
     max_leaves=8,
 ).map(normalize)
-_triangles = st.builds(formalcat.Triangle, _terms, _terms, _terms, _tags)
+_triangles = st.builds(formalcat.Triangle, _terms, _terms, _terms)
 _graded = st.dictionaries(st.integers(-4, 4), st.integers(0, 3), max_size=4).map(graded.GradedDim.from_dict)
 _sheaves = st.builds(quadric.QuadricSheaf, st.sampled_from(["O", "S", "S'", "S''"]), st.integers(-3, 3))
 _values = st.one_of(_terms, _triangles, _graded, _sheaves)
@@ -165,19 +162,6 @@ _records = st.one_of(
     st.builds(cubic.Placed, st.sampled_from(["j*", "s*t*", "t*"]),
               st.builds(quadric.QuadricSheaf, st.sampled_from(["O", "S"]), _small), _small),
 )
-
-
-def _retagged(e, tag):
-    """A copy of e with every cone and triangle tag replaced."""
-    if isinstance(e, formalcat.Shift):
-        return formalcat.Shift(_retagged(e.expr, tag), e.m)
-    if isinstance(e, formalcat.Sum):
-        return formalcat.Sum(tuple((_retagged(p, tag), r) for p, r in e.parts))
-    if isinstance(e, formalcat.Cone):
-        return formalcat.Cone(_retagged(e.src, tag), _retagged(e.tgt, tag), tag)
-    if isinstance(e, formalcat.Triangle):
-        return formalcat.Triangle(_retagged(e.x, tag), _retagged(e.y, tag), _retagged(e.z, tag), tag)
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +181,6 @@ def test_eq_hash_and_repr_match_the_dataclasses(a, b):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(_terms, _triangles))
-def test_tags_are_ignored_by_eq_and_hash(e):
-    other = _retagged(e, "renamed")
-    assert other == e and hash(other) == hash(e)
-    assert repr(other) == repr(_ref(other))
-
-
-@settings(max_examples=200, deadline=None)
 @given(_values)
 def test_pickle_and_copy_round_trip(e):
     for clone in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
@@ -219,8 +195,8 @@ _fields = {
     Gen: ("name",),
     formalcat.Shift: ("expr", "m"),
     formalcat.Sum: ("parts",),
-    formalcat.Cone: ("src", "tgt", "tag"),
-    formalcat.Triangle: ("x", "y", "z", "tag"),
+    formalcat.Cone: ("src", "tgt"),
+    formalcat.Triangle: ("x", "y", "z"),
 }
 
 
@@ -242,12 +218,10 @@ def test_keyword_construction_and_defaults():
     A, B = Gen("A"), Gen("B")
     assert formalcat.Shift(expr=A, m=2) == formalcat.Shift(A, 2)
     assert formalcat.Sum(parts=((A, 2),)).parts == ((A, 2),)
-    cone = formalcat.Cone(src=A, tgt=B, tag="f")
-    assert (cone.src, cone.tgt, cone.tag) == (A, B, "f")
-    assert formalcat.Cone(A, B).tag == ""
-    tri = formalcat.Triangle(x=A, y=B, z=cone, tag="t")
-    assert (tri.x, tri.y, tri.z, tri.tag) == (A, B, cone, "t")
-    assert formalcat.Triangle(A, B, cone).tag == ""
+    cone = formalcat.Cone(src=A, tgt=B)
+    assert (cone.src, cone.tgt) == (A, B)
+    tri = formalcat.Triangle(x=A, y=B, z=cone)
+    assert (tri.x, tri.y, tri.z) == (A, B, cone)
     assert graded.GradedDim(entries=((0, 1),)) == graded.GradedDim.point(0)
     assert graded.GradedDim() == graded.GradedDim.zero()
     assert quadric.QuadricSheaf(kind="S", twist=-1) == quadric.QuadricSheaf("S", -1)
