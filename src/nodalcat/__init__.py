@@ -19,7 +19,6 @@ from .formalcat import (
     SOD,
     Shift,
     Sum,
-    Triangle,
     check_exceptional,
     check_semiorthogonal,
     check_spherical,
@@ -46,7 +45,7 @@ __all__ = [
     "GradedDim", "shift", "dual", "euler",
     "QuadricSheaf", "cohomology", "hom_quadric", "cone_ring_dim", "chi_quadric",
     "brute_force_q2",
-    "Gen", "Shift", "Sum", "Cone", "Triangle", "Context", "SOD", "LefschetzData",
+    "Gen", "Shift", "Sum", "Cone", "Context", "SOD", "LefschetzData",
     "normalize", "render", "hom", "mutate_right", "mutate_left", "serre_in",
     "check_exceptional", "check_semiorthogonal", "check_spherical",
     "build_context", "hom_push", "kernel_generator", "perp_collection",

@@ -250,7 +250,7 @@ def _lookup_name(ctx: formalcat.Context, text: str) -> ObjExpr | None:
 
 
 # Parsing reads only a context's resolved names and twist rule, never its
-# facts or triangles, and the terms it returns are immutable: one parse per
+# facts, and the terms it returns are immutable: one parse per
 # (context, text) serves every later query.  A failing parse is not cached
 # and raises again on every call.  The bound caps the contexts and texts the
 # cache keeps alive.

@@ -2,9 +2,8 @@
 
 Objects are terms: generators, shifts, finite sums, and cones of maps
 between previously constructed objects.  A :class:`Context` supplies the
-base graded Hom table between generators, the registered exact triangles,
-orthogonality facts, and the ambient Serre data.  On top of that this
-module implements:
+base graded Hom table between generators, a cone rule, orthogonality
+facts, and the ambient Serre data.  On top of that this module implements:
 
 * ``hom``: graded Hom of arbitrary terms.  Cones are handled by ``splice``,
   the one determinate long-exact-sequence solver: a degree of the unknown
@@ -18,10 +17,10 @@ module implements:
   generators.  Mutations distribute over sums, shifts and cone legs (they
   are exact functors).  The cone of a step on a generator is named by the
   context's cone rule, up to shift, or else kept as ``cone_of`` its legs,
-  a single indecomposable term whose triangle is registered; when that
-  triangle is new, the defining orthogonality of the mutation is
-  recorded as a fact.  The image of a cone is the cone of the images of
-  its legs, registered with its fact.
+  a single indecomposable term.  The image of a cone is the cone of the
+  images of its legs.  Every step that builds a cone records the defining
+  orthogonality of the mutation as a fact: R_E F lies in the left
+  orthogonal of E, and L_E F in its right orthogonal.
 * ``serre_in``: Serre functor of an admissible complement, computed as the
   ambient Serre action followed by right mutation through the stored
   orthogonal collection (compositions ordered as for mutation through a
@@ -29,14 +28,13 @@ module implements:
 * semiorthogonality / exceptionality / sphericalness checks.
 
 Contexts are immutable after construction apart from append-only state:
-the registered triangles (added ones and mutation cones') and the
-orthogonality facts, a cache of resolved generator names, which a
+the orthogonality facts, a cache of resolved generator names, which a
 builder may fill with its roster up front, the set of generators already
 checked exceptional as mutation targets, and one memo table, holding Hom
 values and failures under (F, G) keys and single mutation steps under
 (E, F, right) keys.  Entries
 are only ever added, never invalidated, so a memoized Hom can predate a
-fact registered later.  This state is updated without locks: a context
+fact recorded later.  This state is updated without locks: a context
 is not thread-safe.
 """
 
@@ -153,7 +151,7 @@ class Cone(_HashOnce):
         _set_cone_tgt(self, tgt)
         _set_hash(self, None)
 
-    # written out: a memo and triangle-registry key (~6x faster)
+    # written out: a memo key, where Value's generic methods are ~6x slower
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.src, self.tgt) == (other.src, other.tgt)
@@ -459,38 +457,8 @@ def map_gens(e: ObjExpr, f: Callable[[str], ObjExpr]) -> ObjExpr:
 
 
 # ---------------------------------------------------------------------------
-# triangles and contexts
+# contexts
 # ---------------------------------------------------------------------------
-
-
-class Triangle(Frozen):
-    """A registered exact triangle x -> y -> z; z is the cone on x -> y."""
-
-    __slots__ = ("x", "y", "z")
-
-    def __init__(self, x: ObjExpr, y: ObjExpr, z: ObjExpr):
-        _set_tri_x(self, x)
-        _set_tri_y(self, y)
-        _set_tri_z(self, z)
-
-    # written out: a triangle-registry key (~6x faster)
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.x, self.y, self.z) == (other.x, other.y, other.z)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.x, self.y, self.z))
-
-    def normalized(self) -> "Triangle":
-        """The triangle with normal legs: itself when they already are."""
-        x, y, z = normalize(self.x), normalize(self.y), normalize(self.z)
-        if x is self.x and y is self.y and z is self.z:
-            return self
-        return Triangle(x, y, z)
-
-
-_set_tri_x, _set_tri_y, _set_tri_z = Triangle.x.__set__, Triangle.y.__set__, Triangle.z.__set__
 
 
 class LefschetzData:
@@ -531,13 +499,16 @@ class Context:
     key of ``_identify_cone`` from a family of triangles the context knows
     by rule, at no cost before a probe, or returns None.
 
-    Registered triangles (``add_triangle``, mutation cones) are kept once
-    each, in registration order.  Cone identification does not read them:
-    every triangle the engine registers is x -> y -> cone(x -> y), which
-    ``cone_of`` builds from the legs alone.  Whether a mutation cone's
-    triangle is new decides whether its step records a fact (see
-    ``_mutate_step``).
+    A cone is its two legs; the mutation steps that build cones record
+    their orthogonality facts (``_mutate_step``).
     """
+
+    # always empty, read-only: the benchmark's trace path still reads these
+    # two names; ROADMAP item 1's benchmark change removes the reads
+    _derived_triangles = ()
+
+    def all_triangles(self) -> Iterator:
+        return iter(())
 
     def __init__(
         self,
@@ -558,9 +529,6 @@ class Context:
         self.serre_action = serre_action
         self.cone_rule = cone_rule
         self._memo: dict = {}
-        # the registered triangles, in registration order: a dict as an
-        # ordered set, for the dedupe in add_triangle
-        self._derived_triangles: dict[Triangle, None] = {}
         self._zero_facts: set = set()
         # whether a zero fact joins two generators, see _hom_compute
         self._gen_facts = False
@@ -569,26 +537,10 @@ class Context:
         # generators that passed _require_exceptional; a failure is not stored
         self._checked_exceptional: set[Gen] = set()
 
-    def all_triangles(self) -> Iterator[Triangle]:
-        """The registered triangles, in registration order; the triangles
-        of ``cone_rule`` are not listed."""
-        return iter(self._derived_triangles)
-
     def add_zero_fact(self, F: ObjExpr, G: ObjExpr) -> None:
         F, G = _strip_shift(F), _strip_shift(G)
         self._zero_facts.add((F, G))
         self._gen_facts |= F.__class__ is Gen and G.__class__ is Gen
-
-    def add_triangle(self, tri: Triangle) -> None:
-        self._register_triangle(tri.normalized())
-
-    def _register_triangle(self, tri: Triangle) -> bool:
-        """``add_triangle`` of a triangle whose parts are already normal;
-        whether it is new (an equal triangle was not there)."""
-        tris = self._derived_triangles
-        size = len(tris)
-        tris.setdefault(tri)  # one hash of the triangle: the dict grows when it is new
-        return len(tris) > size
 
     def has_resolved(self, name: str) -> bool:
         """Whether ``resolve(name)`` reads its memo: true for the roster a
@@ -854,11 +806,11 @@ def _mutate_one(ctx: Context, E: Gen, F: ObjExpr, right: bool) -> ObjExpr:
     exactly what a recomputation would return.  The result depends only on
     memoized Homs, which never change once written, on the cone rule, a
     function of its key, and on ``cone_of``, a function of the legs, so a
-    recomputation returns the same cone.  It registers no new triangle or
-    fact either, since the step's triangle is registered already, so a hit
-    skips nothing.  Steps that return F unchanged (zero Hom) and failing
-    steps are not stored: the first are free, and the second raise again
-    through the Hom memo's stored record.
+    recomputation returns the same cone and records the same fact, which
+    the first run recorded already: a hit skips nothing.  Steps that
+    return F unchanged (zero Hom) and failing steps are not stored: the
+    first are free, and the second raise again through the Hom memo's
+    stored record.
     """
     if F.__class__ is Shift:
         # mutation commutes with shifts, and Hom(F[m], E) is Hom(F, E) moved
@@ -877,7 +829,9 @@ def _mutate_one(ctx: Context, E: Gen, F: ObjExpr, right: bool) -> ObjExpr:
 
 def _mutate_step(ctx: Context, E: Gen, F: ObjExpr, V: GradedDim, right: bool) -> ObjExpr:
     """``_mutate_one`` of an unshifted F with V = Hom(F, E) (right) or
-    Hom(E, F) (left) nonzero."""
+    Hom(E, F) (left) nonzero.  A step that builds a cone records its
+    defining orthogonality as a zero fact, Hom(R_E F, E) = 0 or
+    Hom(E, L_E F) = 0, whether or not another step built that cone."""
     if F.__class__ is Sum:
         return sum_exprs((_mutate_one(ctx, E, p, right), r) for p, r in F.parts)
     if F.__class__ is Cone:
@@ -889,7 +843,6 @@ def _mutate_step(ctx: Context, E: Gen, F: ObjExpr, V: GradedDim, right: bool) ->
         out = cone_of(src, tgt)
         core = _strip_shift(out)
         if core.__class__ is Cone:
-            _register_cone(ctx, core)
             ctx._zero_facts.add((core, E) if right else (E, core))
         return out
     # R_E F = cone(F -> V^dual tensor E)[-1], L_E F = cone(V tensor E -> F)
@@ -898,21 +851,11 @@ def _mutate_step(ctx: Context, E: Gen, F: ObjExpr, V: GradedDim, right: bool) ->
     cone = _identify_cone(ctx, src, tgt)
     if cone is None:
         cone = cone_of(src, tgt)
-        # neither leg is zero, so core is a cone.  Its triangle is already
-        # registered when set-up or an equal step under another memo key
-        # made this cone; the step then adds no fact, as a rule hit adds none
+        # neither leg is zero, so core is a cone; a rule hit names a
+        # generator, whose orthogonality the base table already gives
         core = _strip_shift(cone)
-        if _register_cone(ctx, core):
-            ctx._zero_facts.add((core, E) if right else (E, core))
+        ctx._zero_facts.add((core, E) if right else (E, core))
     return shift_expr(cone, -1) if right else cone
-
-
-def _register_cone(ctx: Context, core: Cone) -> bool:
-    """Register the triangle core.src -> core.tgt -> core of a normal,
-    unshifted cone; whether it is new.  Its legs are normal, so it is
-    registered as is.  A mutation's fact about it is added by the caller,
-    as ``add_zero_fact`` of two unshifted terms."""
-    return ctx._register_triangle(Triangle(core.src, core.tgt, core))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from functools import cache, lru_cache
 
 from . import formalcat, quadric
 from .errors import Failure, IndeterminateHom, NodalcatError, UnknownGenerator, UnsupportedPair
-from .formalcat import Cone, Context, Gen, ObjExpr, Shift, Triangle
+from .formalcat import Cone, Context, Gen, ObjExpr, Shift
 from .graded import GradedDim
 
 _PUSH_RE = re.compile(r"j\*(O|S''|S'|S)(?:\((-?\d+)\))?")
@@ -135,13 +135,9 @@ def _setup(d: int) -> NodalSetup:
     ctx = quadric.family_context(n, f"nodal:{d}", "j*", range(1 - n, 2), base_hom, parse_push_name,
                                  serre=(1 - n, n + 1))
     if d % 2 == 1:
-        # the context carries the kernel cone T and its companion T' (the
-        # spinors swapped), and the defining orthogonality of the mutation
-        # producing T
-        sp, spp = Gen("j*S'"), Gen("j*S''")
-        for a, b in ((sp, spp), (spp, sp)):
-            ctx.add_triangle(Triangle(a, Shift(b, 2), Cone(a, Shift(b, 2))))
-        ctx.add_zero_fact(Cone(sp, Shift(spp, 2)), spp)
+        # the defining orthogonality of the mutation producing the kernel
+        # cone T = cone(j*S' -> j*S''[2])
+        ctx.add_zero_fact(Cone(Gen("j*S'"), Shift(Gen("j*S''"), 2)), Gen("j*S''"))
 
     # stored orthogonal collection of the resolution subcategory: the
     # pushed Lefschetz blocks B_{n-1}(1-n), ..., B_1(-1); for odd d the

@@ -17,7 +17,6 @@ from nodalcat.formalcat import (
     SOD,
     Shift,
     Sum,
-    Triangle,
     ZERO,
     check_exceptional,
     check_semiorthogonal,
@@ -104,7 +103,6 @@ class TestNormalize:
         # the shape of every tautological middle term and one-degree tensor
         e = Sum(((part, r),))
         assert normalize(e) is e
-        assert Triangle(Gen("B"), e, Gen("C")).normalized().y is e
 
     @pytest.mark.parametrize("raw", [
         Sum(((Gen("A"), 1),)),
@@ -314,25 +312,32 @@ class TestSerre:
         assert obj == shift_expr(Gen("j*S"), 2)
 
 
+def _fact_triangles(ctx):
+    """The triangle (x, y, cone(x -> y)) of each cone in the context's zero
+    facts, ordered by its compact text."""
+    cones = {e for pair in ctx._zero_facts for e in pair if isinstance(e, Cone)}
+    return [(c.src, c.tgt, c) for c in sorted(cones, key=lambda c: "".join(formalcat.render_chunks(c, True)))]
+
+
 def test_chi_conservation_across_registered_triangles():
     from nodalcat.errors import UnsupportedPair
 
     for d in range(2, 14):
         ctx = nodal.build_context(d)
-        for tri in [*nodal_tautological(d), *ctx.all_triangles()]:
+        for x, y, z in [*nodal_tautological(d), *_fact_triangles(ctx)]:
             for w in ctx.generators:
                 W = Gen(w)
                 try:
-                    ax = hom(ctx, W, tri.x).euler()
-                    ay = hom(ctx, W, tri.y).euler()
-                    az = hom(ctx, W, tri.z).euler()
+                    ax = hom(ctx, W, x).euler()
+                    ay = hom(ctx, W, y).euler()
+                    az = hom(ctx, W, z).euler()
                 except (UnsupportedPair, IndeterminateHom):
                     continue
                 assert ay == ax + az
                 try:
-                    bx = hom(ctx, tri.x, W).euler()
-                    by = hom(ctx, tri.y, W).euler()
-                    bz = hom(ctx, tri.z, W).euler()
+                    bx = hom(ctx, x, W).euler()
+                    by = hom(ctx, y, W).euler()
+                    bz = hom(ctx, z, W).euler()
                 except (UnsupportedPair, IndeterminateHom):
                     continue
                 assert by == bx + bz
@@ -344,8 +349,9 @@ def test_chi_conservation_across_registered_triangles():
 
 
 def _scan_identify_cone(triangles, src, tgt):
-    """Reference: scan every triangle and rotation, first match wins; the
-    result and the index of the matching triangle, or (None, None)."""
+    """Reference: scan every triangle (x, y, z) and rotation, first match
+    wins; the result and the index of the matching triangle, or
+    (None, None)."""
 
     def outer_shift(e):
         return e.m if isinstance(e, Shift) else 0
@@ -356,7 +362,7 @@ def _scan_identify_cone(triangles, src, tgt):
         return outer_shift(e)
 
     for i, tri in enumerate(triangles):
-        for p, q, res in _rotations(tri.normalized()):
+        for p, q, res in _rotations(tuple(map(normalize, tri))):
             s = min_shift(src) - min_shift(p)
             if shift_expr(p, s) == src and shift_expr(q, s) == tgt:
                 return shift_expr(res, s), i
@@ -365,8 +371,9 @@ def _scan_identify_cone(triangles, src, tgt):
 
 def _rotations(t):
     """(p, q, r) of each rotation of a normal triangle: cone(p -> q) = r."""
-    x1 = shift_expr(t.x, 1)
-    return ((t.x, t.y, t.z), (t.y, t.z, x1), (t.z, x1, shift_expr(t.y, 1)))
+    x, y, z = t
+    x1 = shift_expr(x, 1)
+    return ((x, y, z), (y, z, x1), (z, x1, shift_expr(y, 1)))
 
 
 def _holds_cone(e):
@@ -386,7 +393,7 @@ def _live(p, q):
 def _record_probes(monkeypatch, record):
     """Run ``record(ctx, src, tgt, got)`` at every ``_identify_cone`` call of
     ``verify_dim`` d = 2..22 and of the query-mix script of seed 0, before
-    the step that asked registers anything; the number of calls of each."""
+    the step that asked records its fact; the number of calls of each."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import workloads
 
@@ -415,17 +422,17 @@ def _record_probes(monkeypatch, record):
 
 def test_step_cones_match_scan_on_verify_and_query_mix(monkeypatch, fresh_contexts):
     # fresh contexts, so the probes do not depend on what earlier tests
-    # registered.  A step's cone is the rule's hit, else cone_of of its
-    # legs; wherever a scan of the tautological triangles (the rule's)
-    # and the registered ones finds a cone, it is that one, and the scan
-    # hits a registered triangle exactly when the step's own triangle is
-    # registered already, so that step records no fact
-    seen = {"rule": 0, "registered": 0, "new": 0}
+    # recorded.  A step's cone is the rule's hit, else cone_of of its legs;
+    # wherever a scan of the tautological triangles (the rule's) and the
+    # triangles of the cones with a fact finds a cone, it is that one, and
+    # the scan hits a cone with a fact exactly when the step's own cone has
+    # one already
+    seen = {"rule": 0, "recorded": 0, "new": 0}
 
     def record(ctx, src, tgt, got):
         d = int(ctx.name.split(":")[1])
         tautological = nodal_tautological(d)
-        scanned, at = _scan_identify_cone([*tautological, *ctx.all_triangles()], src, tgt)
+        scanned, at = _scan_identify_cone([*tautological, *_fact_triangles(ctx)], src, tgt)
         cone = formalcat.cone_of(src, tgt) if got is None else got
         if scanned is not None:
             assert cone == scanned and render(cone) == render(scanned)
@@ -435,15 +442,15 @@ def test_step_cones_match_scan_on_verify_and_query_mix(monkeypatch, fresh_contex
             seen["rule"] += 1
             return
         core = formalcat._strip_shift(cone)
-        registered = Triangle(core.src, core.tgt, core) in ctx._derived_triangles
-        assert (at is not None and at >= len(tautological)) == registered
-        seen["registered" if registered else "new"] += 1
+        recorded = any(core in pair for pair in ctx._zero_facts)
+        assert (at is not None and at >= len(tautological)) == recorded
+        seen["recorded" if recorded else "new"] += 1
 
     verify_calls, script_calls = _record_probes(monkeypatch, record)
     assert verify_calls > 300 and script_calls > 150
-    # every case is met: rule hits, steps onto a registered triangle (the
-    # kernel triangles of odd d, say) and new cones
-    assert seen["rule"] and seen["registered"] and seen["new"]
+    # every case is met: rule hits, steps onto a cone with a fact (the
+    # kernel cone of odd d, say) and new cones
+    assert seen["rule"] and seen["recorded"] and seen["new"]
 
 
 def test_no_probe_holds_a_cone(monkeypatch, fresh_contexts):
@@ -455,50 +462,50 @@ def test_no_probe_holds_a_cone(monkeypatch, fresh_contexts):
     assert all(_live(src, tgt) for src, tgt in probes)
 
 
-def test_step_records_its_fact_only_with_a_new_triangle():
-    # with Hom(A, B) = C, R_B(A) and L_A(B) are one cone up to shift: the
-    # first step registers cone(A -> B) and Hom(cone, B) = 0, the second
-    # finds that triangle registered and adds no fact
+def test_facts_do_not_depend_on_the_mutation_order():
+    # with Hom(A, B) = C, R_B(A) and L_A(B) are one cone up to shift.
+    # R_B(A) lies in the left orthogonal of B and L_A(B) in the right
+    # orthogonal of A: each step records its fact about cone(A -> B),
+    # whichever runs first, so both orders answer Hom(A, cone) = 0
     table = {("A", "A"): C, ("B", "B"): C, ("A", "B"): C, ("B", "A"): GradedDim.zero()}
-    ctx = Context(name="toy", generators=("A", "B"), base_hom=lambda a, b: table[(a, b)])
     A, B = Gen("A"), Gen("B")
     core = Cone(A, B)
-    assert mutate_right(ctx, B, A) == Shift(core, -1)
-    assert list(ctx.all_triangles()) == [Triangle(A, B, core)] and ctx._zero_facts == {(core, B)}
-    assert mutate_left(ctx, A, B) == core
-    assert list(ctx.all_triangles()) == [Triangle(A, B, core)] and ctx._zero_facts == {(core, B)}
+    outcomes = []
+    for right_first in (True, False):
+        ctx = Context(name="toy", generators=("A", "B"), base_hom=lambda a, b: table[(a, b)])
+        for right in (right_first, not right_first):
+            if right:
+                assert mutate_right(ctx, B, A) == Shift(core, -1)
+            else:
+                assert mutate_left(ctx, A, B) == core
+        outcomes.append((ctx._zero_facts, _mutation_outcome(hom, ctx, A, core)))
+    assert outcomes[0] == outcomes[1] == ({(core, B), (A, core)}, GradedDim.zero())
 
 
-def test_steps_onto_the_kernel_triangles_record_nothing(fresh_contexts):
+def test_each_step_records_its_own_fact(fresh_contexts):
     # at odd d, R_{j*S'}(j*S'') is the companion cone and L_{j*S'}(j*S'')
-    # the kernel cone, shifted; set-up registered both triangles (the
-    # companion's without a fact), so neither step adds a triangle or fact
+    # the kernel cone, shifted; set-up recorded only the kernel cone's
+    # fact through j*S'', and each step adds its own
     ctx = nodal.build_context(5)
     sp, spp = Gen("j*S'"), Gen("j*S''")
-    triangles, facts = list(ctx.all_triangles()), set(ctx._zero_facts)
-    assert mutate_right(ctx, sp, spp) == Shift(Cone(spp, Shift(sp, 2)), -1)
-    assert mutate_left(ctx, sp, spp) == Shift(Cone(sp, Shift(spp, 2)), -2)
-    assert list(ctx.all_triangles()) == triangles and ctx._zero_facts == facts
+    facts = set(ctx._zero_facts)
+    companion, kernel = Cone(spp, Shift(sp, 2)), Cone(sp, Shift(spp, 2))
+    assert facts == {(kernel, spp)}
+    assert mutate_right(ctx, sp, spp) == Shift(companion, -1)
+    assert mutate_left(ctx, sp, spp) == Shift(kernel, -2)
+    assert ctx._zero_facts == facts | {(companion, sp), (sp, kernel)}
 
 
-def test_add_triangle_dedupes_and_keeps_order():
-    A, B = Gen("A"), Gen("B")
-    t0 = Triangle(A, B, Cone(A, B))
-    ctx = Context(name="toy", generators=("A", "B"), base_hom=lambda a, b: C)
-    t1 = Triangle(B, A, Cone(B, A))
-    t2 = Triangle(A, Shift(B, 1), Cone(A, Shift(B, 1)))
-    for tri in (t0, t0, t1, Triangle(Shift(Shift(B, 1), -1), A, Cone(B, A)), t2, t1):
-        ctx.add_triangle(tri)
-    # each triangle once, in the order of its first registration
-    assert repr(list(ctx.all_triangles())) == repr([t0, t1, t2])
-    # a normal triangle registers as it is, and says whether it is new
-    assert ctx._register_triangle(Triangle(B, A, Cone(B, A))) is False
-    assert ctx._register_triangle(Triangle(B, B, Cone(B, B))) is True
-    assert len(ctx._derived_triangles) == 4
+def test_benchmark_view_of_triangles_stays_empty(fresh_contexts):
+    # the benchmark's trace path reads these two names; a context stores no
+    # triangle, so both read empty after any step
+    ctx = nodal.build_context(5)
+    mutate_left(ctx, Gen("j*S'"), Gen("j*S''"))
+    assert ctx._derived_triangles == () and list(ctx.all_triangles()) == []
 
 
 def test_cone_rule_answers_before_registered_triangles():
-    # only the rule names cones: a registered triangle answers no probe
+    # only the rule names cones: no other triangle answers a probe
     A, B = Gen("A"), Gen("B")
     asked = []
 
@@ -507,16 +514,13 @@ def test_cone_rule_answers_before_registered_triangles():
         return Gen("R") if (src, tgt) == (A, B) else None
 
     ctx = Context(name="toy", generators=("A", "B"), base_hom=lambda a, b: C, cone_rule=rule)
-    Z = Gen("Z")
-    ctx.add_triangle(Triangle(A, B, Z))
-    ctx.add_triangle(Triangle(B, A, Cone(B, A)))
     # asked on the shift-normalized key; its hit is shifted back
     assert formalcat._identify_cone(ctx, Shift(A, 2), Shift(B, 2)) == Shift(Gen("R"), 2)
-    # a miss of the rule is a miss, though a registered triangle has the key
+    # a miss of the rule is a miss, even on (B, R), a rotation of the rule's
+    # triangle A -> B -> R
     assert formalcat._identify_cone(ctx, Shift(B, -1), Shift(A, -1)) is None
-    assert formalcat._identify_cone(ctx, B, Z) is None
-    assert asked == [(A, B), (B, A), (B, Z)]
-    assert list(ctx.all_triangles()) == [Triangle(A, B, Z), Triangle(B, A, Cone(B, A))]
+    assert formalcat._identify_cone(ctx, B, Gen("R")) is None
+    assert asked == [(A, B), (B, A), (B, Gen("R"))]
 
 
 # ---------------------------------------------------------------------------
@@ -1213,9 +1217,9 @@ def _memo_scripts(draw):
 
 
 def _run_memo_script(d, script, drop_steps):
-    """Answers (reprs or typed errors), derived triangles and
-    zero facts of a script on a fresh context; with ``drop_steps``
-    every mutation entry leaves the memo before each query."""
+    """Answers (reprs or typed errors) and zero facts of a script on a
+    fresh context; with ``drop_steps`` every mutation entry leaves the
+    memo before each query."""
     nodal._setup.cache_clear()
     setup = nodal._setup(d)
     ctx = setup.context
@@ -1236,8 +1240,7 @@ def _run_memo_script(d, script, drop_steps):
             answers.append(repr(got))
         except NodalcatError as exc:
             answers.append((type(exc).__name__, str(exc)))
-    facts = sorted(map(repr, ctx._zero_facts))
-    return answers, repr(list(ctx.all_triangles())), facts
+    return answers, sorted(map(repr, ctx._zero_facts))
 
 
 @settings(max_examples=150, deadline=None,
@@ -1259,15 +1262,69 @@ def test_memoized_steps_answer_as_recomputed_ones(fresh_contexts, script):
 def test_second_kernel_generator_is_all_hits(monkeypatch, fresh_contexts, d):
     first = nodal.kernel_generator(d)
     ctx = nodal.build_context(d)
-    memo, triangles = dict(ctx._memo), list(ctx.all_triangles())
+    memo, facts = dict(ctx._memo), set(ctx._zero_facts)
     probes = []
     indexed = formalcat._identify_cone
     monkeypatch.setattr(formalcat, "_identify_cone",
                         lambda *args: probes.append(args) or indexed(*args))
     assert repr(nodal.kernel_generator(d)) == repr(first)
     assert ctx._memo == memo
-    assert list(ctx.all_triangles()) == triangles
+    assert ctx._zero_facts == facts
     assert probes == []
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_memo_scripts())
+def test_facts_do_not_depend_on_the_script_order(fresh_contexts, script):
+    # a script and its reverse, each on a fresh context: an answer can
+    # still depend on the order, through a memoized Hom that predates a
+    # later fact; wherever no answer does, the facts agree
+    d, queries = script
+    answers, facts = _run_memo_script(d, queries, False)
+    back, back_facts = _run_memo_script(d, queries[::-1], False)
+    if answers == back[::-1]:
+        assert facts == back_facts
+
+
+_TOY_GENS = ("A", "B", "D")
+
+
+@st.composite
+def _toy_scripts(draw):
+    """A base table over three exceptional generators, with random Homs
+    between distinct ones, and a script of mutations of generators and
+    shifted generators, each through one generator.  Half the Homs are C
+    in one degree, where R_E(F) and L_F(E) are one cone up to shift."""
+    rows = st.builds(GradedDim.point, st.integers(-1, 1)) | st.dictionaries(
+        st.integers(-1, 1), st.integers(1, 2), max_size=2).map(GradedDim.from_dict)
+    table = {(a, b): C if a == b else draw(rows) for a in _TOY_GENS for b in _TOY_GENS}
+    step = st.tuples(st.booleans(), st.sampled_from(_TOY_GENS), st.sampled_from(_TOY_GENS), st.integers(-2, 2))
+    return table, draw(st.lists(step, min_size=1, max_size=8))
+
+
+def _run_toy_script(table, script):
+    """Answers and zero facts of a script on a fresh toy context, and then
+    the Hom outcome of every pair of its generators and cones with a fact."""
+    ctx = Context(name="toy", generators=_TOY_GENS, base_hom=lambda a, b: table[(a, b)])
+    answers = [(mutate_right if right else mutate_left)(ctx, Gen(E), shift_expr(Gen(F), m))
+               for right, E, F, m in script]
+    terms = [*map(Gen, _TOY_GENS), *(z for _, _, z in _fact_triangles(ctx))]
+    return answers, ctx._zero_facts, [_mutation_outcome(hom, ctx, X, Y) for X in terms for Y in terms]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_toy_scripts())
+# R_B(A) and L_A(B) are one cone when Hom(A, B) = C
+@example(({(a, b): C if a == b or (a, b) == ("A", "B") else GradedDim.zero()
+           for a in _TOY_GENS for b in _TOY_GENS},
+          [(True, "B", "A", 0), (False, "A", "B", 0)]))
+def test_toy_facts_and_homs_do_not_depend_on_the_script_order(script):
+    table, steps = script
+    answers, facts, homs = _run_toy_script(table, steps)
+    back, back_facts, back_homs = _run_toy_script(table, steps[::-1])
+    assert answers == back[::-1]
+    assert facts == back_facts and homs == back_homs
 
 
 def _raised_twice(exc_type, f, *args):

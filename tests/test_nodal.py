@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nodalcat import formalcat, nodal, quadric
 from nodalcat.errors import NodalcatError, UnknownGenerator, UnsupportedPair
-from nodalcat.formalcat import SOD, Cone, Gen, Shift, Sum, Triangle, normalize, render
+from nodalcat.formalcat import SOD, Cone, Gen, Shift, Sum, normalize, render
 from nodalcat.graded import GradedDim
 from nodalcat.quadric import QuadricSheaf as QS
 from tautological import tautological_triangles
@@ -151,20 +151,19 @@ class TestBuildContext:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_triangles():
-    """The kernel cone's triangle and its companion's, as odd d adds them."""
-    sp, spp = Gen("j*S'"), Gen("j*S''")
-    return [Triangle(sp, Shift(spp, 2), Cone(sp, Shift(spp, 2))),
-            Triangle(spp, Shift(sp, 2), Cone(spp, Shift(sp, 2)))]
+def _kernel_facts():
+    """The kernel cone's fact, as odd d records it at build."""
+    spp = Gen("j*S''")
+    return {(Cone(Gen("j*S'"), Shift(spp, 2)), spp)}
 
 
 def _reference_index(triangles) -> dict:
-    """Every rotation of every triangle shifted by its minimal shift, the
-    zero one included, first registration winning."""
+    """Every rotation of every triangle (x, y, z) shifted by its minimal
+    shift, the zero one included, first triangle winning."""
     index = {}
-    for t in triangles:
-        x1 = formalcat.shift_expr(t.x, 1)
-        for p, q, res in ((t.x, t.y, t.z), (t.y, t.z, x1), (t.z, x1, formalcat.shift_expr(t.y, 1))):
+    for x, y, z in triangles:
+        x1 = formalcat.shift_expr(x, 1)
+        for p, q, res in ((x, y, z), (y, z, x1), (z, x1, formalcat.shift_expr(y, 1))):
             m = formalcat._min_shift(p)
             key = (formalcat.shift_expr(p, -m), formalcat.shift_expr(q, -m))
             index.setdefault(key, formalcat.shift_expr(res, -m))
@@ -191,8 +190,8 @@ def _rule_probes(n, prefix, twists):
         yield from ((p, q) for p in sources for q in targets)
 
 
-def _assert_built_as_reference(ctx, n, prefix, roster, added):
-    assert repr(list(ctx.all_triangles())) == repr(added)
+def _assert_built_as_reference(ctx, n, prefix, roster, facts):
+    assert ctx._zero_facts == facts
     assert ctx.generators == tuple(roster)
     # on probes at the roster twists and five beyond on each side, which
     # hold every rotation of each triangle between sheaves at those twists,
@@ -212,14 +211,14 @@ def test_nodal_context_built_as_the_reference(d):
     n, kinds = d - 1, quadric.spinor_kinds(d - 1)
     roster = [nodal.push_name(QS("O", k)) for k in range(1 - n, 2)]
     roster += [nodal.push_name(QS(kd, k)) for k in range(1 - n, 2) for kd in kinds]
-    _assert_built_as_reference(ctx, n, "j*", roster, _kernel_triangles() if d % 2 else [])
+    _assert_built_as_reference(ctx, n, "j*", roster, _kernel_facts() if d % 2 else set())
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_quadric_context_built_as_the_reference(n):
     kinds = ("S",) if n % 2 == 1 else ("S'", "S''")
     roster = [QS("O", k).render() for k in (0, 1)] + [QS(kd, k).render() for k in (0, 1) for kd in kinds]
-    _assert_built_as_reference(quadric.sheaf_context(n), n, "", roster, [])
+    _assert_built_as_reference(quadric.sheaf_context(n), n, "", roster, set())
 
 
 # (context, another spelling of a generator, the name the context writes)
@@ -529,31 +528,24 @@ def test_one_exceptional_check_per_kind(monkeypatch, d, asked):
     assert len(calls) == asked == len(set(calls))
 
 
-def _registry_digest(contexts) -> str:
-    """sha256 over what queries registered: each context's derived
-    triangles in registration order and its zero facts ordered by their
-    text.  The kernel triangles, which odd d adds at
-    build, are checked and left out, as when they were static."""
-    registry = hashlib.sha256()
+def _facts_digest(contexts) -> str:
+    """sha256 over each context's zero facts, ordered by their text."""
+    digest = hashlib.sha256()
     for ctx in contexts:
-        d = int(ctx.name.split(":")[1])
-        kernel = _kernel_triangles() if d % 2 else []
-        triangles = list(ctx.all_triangles())
-        assert repr(triangles[:len(kernel)]) == repr(kernel)
-        registry.update(repr(triangles[len(kernel):]).encode())
         facts = sorted((render(F), render(G), repr((F, G))) for F, G in ctx._zero_facts)
-        registry.update(repr(facts).encode())
-    return registry.hexdigest()
+        digest.update(repr(facts).encode())
+    return digest.hexdigest()
 
 
 def test_verify_leaves_the_same_registry(fresh_contexts):
-    # what verify registers is what later queries see, so a faster
-    # registration path must leave exactly this registry
+    # the facts verify records are what later queries see, so a faster
+    # mutation path must leave exactly these facts: the kernel cone's
+    # fact of each odd d and 49 that the verify calls record
     for d in range(2, 16):
         nodal.verify_dim(d)
     contexts = [nodal.build_context(d) for d in range(2, 16)]
-    assert sum(len(ctx._derived_triangles) for ctx in contexts) == 42 + 2 * 7
-    assert _registry_digest(contexts) == "0933a35df628fc3c11fff354bd18063aa4fc87b37723c5199234ea2d4219090e"
+    assert sum(len(ctx._zero_facts) for ctx in contexts) == 49 + 7
+    assert _facts_digest(contexts) == "21a04944c2425cc35b195df0ca7099b453021208a976fb1cca055b6f9a197a4a"
 
 
 # ---------------------------------------------------------------------------

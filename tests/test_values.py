@@ -1,7 +1,7 @@
 """The value types against the dataclasses they replaced.
 
-``GradedDim``, ``QuadricSheaf``, ``Shift``, ``Sum``, ``Cone`` and ``Triangle``
-were frozen dataclasses; the reference copies of those definitions below
+``GradedDim``, ``QuadricSheaf``, ``Shift``, ``Sum`` and ``Cone`` were
+frozen dataclasses; the reference copies of those definitions below
 fix what the ``graded.Frozen`` subclasses must keep: equality, hashes and
 reprs, pickle and copy round trips that keep the
 interned ``Gen`` leaves, frozen attributes and keyword construction.  The
@@ -60,13 +60,6 @@ class Cone:
     tgt: object
 
 
-@dataclass(frozen=True, slots=True)
-class Triangle:
-    x: object
-    y: object
-    z: object
-
-
 @dataclass(eq=True)
 class ChowClass:
     n: int
@@ -113,8 +106,6 @@ def _ref(e):
         return Sum(tuple((_ref(p), r) for p, r in e.parts))
     if isinstance(e, formalcat.Cone):
         return Cone(_ref(e.src), _ref(e.tgt))
-    if isinstance(e, formalcat.Triangle):
-        return Triangle(_ref(e.x), _ref(e.y), _ref(e.z))
     if isinstance(e, graded.GradedDim):
         return GradedDim(e.entries)
     return QuadricSheaf(e.kind, e.twist)
@@ -130,13 +121,11 @@ def _leaves(e):
         return [g for p, _ in e.parts for g in _leaves(p)]
     if isinstance(e, formalcat.Cone):
         return _leaves(e.src) + _leaves(e.tgt)
-    if isinstance(e, formalcat.Triangle):
-        return _leaves(e.x) + _leaves(e.y) + _leaves(e.z)
     return []
 
 
 # ---------------------------------------------------------------------------
-# strategies: normalized terms, triangles, graded dims, sheaves
+# strategies: normalized terms, graded dims, sheaves
 # ---------------------------------------------------------------------------
 
 _terms = st.recursive(
@@ -148,10 +137,9 @@ _terms = st.recursive(
     ),
     max_leaves=8,
 ).map(normalize)
-_triangles = st.builds(formalcat.Triangle, _terms, _terms, _terms)
 _graded = st.dictionaries(st.integers(-4, 4), st.integers(0, 3), max_size=4).map(graded.GradedDim.from_dict)
 _sheaves = st.builds(quadric.QuadricSheaf, st.sampled_from(["O", "S", "S'", "S''"]), st.integers(-3, 3))
-_values = st.one_of(_terms, _triangles, _graded, _sheaves)
+_values = st.one_of(_terms, _graded, _sheaves)
 
 _small = st.integers(-1, 1)
 _records = st.one_of(
@@ -196,7 +184,6 @@ _fields = {
     formalcat.Shift: ("expr", "m"),
     formalcat.Sum: ("parts",),
     formalcat.Cone: ("src", "tgt"),
-    formalcat.Triangle: ("x", "y", "z"),
 }
 
 
@@ -220,8 +207,6 @@ def test_keyword_construction_and_defaults():
     assert formalcat.Sum(parts=((A, 2),)).parts == ((A, 2),)
     cone = formalcat.Cone(src=A, tgt=B)
     assert (cone.src, cone.tgt) == (A, B)
-    tri = formalcat.Triangle(x=A, y=B, z=cone)
-    assert (tri.x, tri.y, tri.z) == (A, B, cone)
     assert graded.GradedDim(entries=((0, 1),)) == graded.GradedDim.point(0)
     assert graded.GradedDim() == graded.GradedDim.zero()
     assert quadric.QuadricSheaf(kind="S", twist=-1) == quadric.QuadricSheaf("S", -1)

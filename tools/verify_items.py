@@ -7,9 +7,9 @@ as the "(context build)" row, then runs ``nodal.verify_dim(d)`` for each d
 and times every item's check.  The kernel generator, which ``verify_dim``
 builds once for three items, is timed as its own row.  Each row is the
 best sum over the dimensions among the repeats.  The "(registry)" row
-counts, over the verify calls of one pass, the derived triangles
-registered and the calls of the contexts' ``gen_resolve`` (names
-resolved outside the roster handed over at build).  Standard library only.
+counts, over the verify calls of one pass, the zero facts recorded and
+the calls of the contexts' ``gen_resolve`` (names resolved outside the
+roster handed over at build).  Standard library only.
 
     python3 tools/verify_items.py [--dims 2..48] [--repeat 5]
 """
@@ -37,7 +37,7 @@ def _dims(text: str) -> range:
 
 def one_pass(dims: range) -> tuple[dict[str, float], tuple[int, int]]:
     """Seconds per item, summed over ``dims``, from fresh contexts, and the
-    registry counts (registered, gen_resolve calls)."""
+    registry counts (facts recorded, gen_resolve calls)."""
     nodal._setup = functools.cache(nodal._setup.__wrapped__)
     nodal._pair_value.cache_clear()
     nodal.parse_push_name.cache_clear()
@@ -56,8 +56,9 @@ def one_pass(dims: range) -> tuple[dict[str, float], tuple[int, int]]:
 
     for ctx in contexts:
         ctx.gen_resolve = counted(ctx.gen_resolve)
-    # the kernel triangles odd d adds at build are not the verify calls'
-    built = sum(len(ctx._derived_triangles) for ctx in contexts)
+    # the kernel cone's fact, which odd d records at build, is not the
+    # verify calls'
+    built = sum(len(ctx._zero_facts) for ctx in contexts)
 
     def add_item(items, id, citation, expected, compute):
         def timed():
@@ -84,7 +85,7 @@ def one_pass(dims: range) -> tuple[dict[str, float], tuple[int, int]]:
         spent["total"] = time.perf_counter() - t0
     finally:
         nodal.add_item, nodal.kernel_generator = add_item_plain, kernel_plain
-    counts = (sum(len(ctx._derived_triangles) for ctx in contexts) - built, resolves)
+    counts = (sum(len(ctx._zero_facts) for ctx in contexts) - built, resolves)
     return spent, counts
 
 
@@ -109,7 +110,7 @@ def main(argv: list[str]) -> int:
     for item, s in sorted(best.items(), key=lambda kv: -kv[1]):
         print(f"  {item:<{width}}  {s * 1e3:8.2f}")
     print(f"  {'verify_dim total':<{width}}  {total * 1e3:8.2f}")
-    print(f"  {'(registry)':<{width}}  {counts[0]} registered, {counts[1]} gen_resolve calls")
+    print(f"  {'(registry)':<{width}}  {counts[0]} facts recorded, {counts[1]} gen_resolve calls")
     return 0
 
 
