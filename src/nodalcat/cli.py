@@ -43,15 +43,7 @@ from functools import cache, lru_cache
 from types import SimpleNamespace
 
 from . import cubic, formalcat, mukai, nodal, quadric
-from .errors import (
-    IndeterminateHom,
-    NodalcatError,
-    NotExceptional,
-    ParityMismatch,
-    RuleNotApplicable,
-    UnknownGenerator,
-    UnsupportedPair,
-)
+from .errors import NodalcatError
 from .formalcat import ZERO, Gen, ObjExpr
 
 EXIT_OK = 0
@@ -189,7 +181,7 @@ class _Parser:
                 tok = self.take("int")
                 if tok[1].startswith("-"):
                     raise ExprParseError(f"expected a multiplicity of 0 or more, found {tok[1]!r}", tok[2])
-                node = formalcat.sum_of(node, _int_literal(tok[1], tok[2]))
+                node = formalcat.sum_exprs(((node, _int_literal(tok[1], tok[2])),))
             else:
                 return node
 
@@ -620,12 +612,10 @@ def _main(argv) -> int:
     except ExprParseError as exc:
         print(f"nodalcat: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (IndeterminateHom, UnsupportedPair, UnknownGenerator, NotExceptional,
-            ParityMismatch, RuleNotApplicable) as exc:
-        print(f"nodalcat: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDED
     except NodalcatError as exc:
-        print(f"nodalcat: {exc}", file=sys.stderr)
+        # a subclass names itself; the bare base class carries its message alone
+        kind = "" if type(exc) is NodalcatError else f"{type(exc).__name__}: "
+        print(f"nodalcat: {kind}{exc}", file=sys.stderr)
         return EXIT_UNDECIDED
     except ValueError as exc:
         print(f"nodalcat: {exc}", file=sys.stderr)

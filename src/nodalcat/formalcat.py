@@ -192,26 +192,12 @@ def is_zero(e: ObjExpr) -> bool:
 
 
 def render(e: ObjExpr) -> str:
-    """The text of an expression, in the grammar the CLI parses.
-
-    Generators and their shifts, the parts of nearly every sum, are
-    formatted directly; other terms join ``render_chunks``.  The sort
-    keys of ``_sorted_parts`` come from ``_short_text``, which writes no
-    key out longer than ``RUN_SLICE``.
+    """The text of an expression, in the grammar the CLI parses: the
+    pieces of ``render_chunks``, joined.  The sort keys of
+    ``_sorted_parts`` come from ``_short_text``, which writes no key out
+    longer than ``RUN_SLICE``.
     """
-    text = _leaf_text(e)
-    if text is not None:
-        return text
     return "".join(render_chunks(e))
-
-
-def _leaf_text(e: ObjExpr) -> str | None:
-    """The text of a generator or a shifted generator, else None."""
-    if e.__class__ is Gen:
-        return e.name
-    if e.__class__ is Shift and e.expr.__class__ is Gen:
-        return f"{e.expr.name}[{e.m}]"
-    return None
 
 
 def render_chunks(e: ObjExpr, compact: bool = False) -> Iterator[str]:
@@ -279,10 +265,13 @@ def render_chunks(e: ObjExpr, compact: bool = False) -> Iterator[str]:
 
 def _short_text(e: ObjExpr) -> str | None:
     """``render(e)`` if it is at most ``RUN_SLICE`` characters long, else
-    None, having read at most one chunk past that length."""
-    text = _leaf_text(e)
-    if text is not None:
-        return text
+    None, having read at most one chunk past that length.  Generators
+    and their shifts, the parts of nearly every sum, are formatted
+    directly."""
+    if e.__class__ is Gen:
+        return e.name
+    if e.__class__ is Shift and e.expr.__class__ is Gen:
+        return f"{e.expr.name}[{e.m}]"
     out: list[str] = []
     size = 0
     for chunk in render_chunks(e):
@@ -301,10 +290,6 @@ def shift_expr(e: ObjExpr, m: int) -> ObjExpr:
         k = e.m + m
         return e.expr if k == 0 else Shift(e.expr, k)
     if e.__class__ is Sum:
-        if len(e.parts) == 1:
-            # one part: nothing to merge or sort
-            (p, r), = e.parts
-            return Sum(((Shift(p, m) if p.__class__ is Gen else shift_expr(p, m), r),) if r else ())
         return Sum(_sorted_parts([(shift_expr(p, m), r) for p, r in e.parts]))
     return Shift(e, m)
 
@@ -372,16 +357,6 @@ def _text_order(a: Iterable[str], b: Iterable[str]) -> int:
         j += n
 
 
-def sum_of(expr: ObjExpr, mult: int) -> ObjExpr:
-    """``mult`` copies of an expression, as a normalized sum."""
-    e = normalize(expr)
-    if mult == 0 or is_zero(e):
-        return ZERO
-    if mult == 1:
-        return e
-    return normalize(Sum(((e, mult),)))
-
-
 def sum_exprs(parts) -> ObjExpr:
     return normalize(Sum(tuple((p, r) for p, r in parts)))
 
@@ -390,8 +365,7 @@ def normalize(e: ObjExpr) -> ObjExpr:
     """Canonical normal form: shifts at leaves, sums flat, trivial cones gone.
 
     A term already in normal form comes back as the same object, so a cone
-    or a sum keeps the hash it has computed; a sum of one generator or
-    shifted generator, r >= 2 times, is returned at once.
+    or a sum keeps the hash it has computed.
 
     Cones over (or under) the zero object simplify; otherwise the cone is
     kept intact since a dimension-level calculus cannot prove a map zero.
@@ -406,10 +380,6 @@ def normalize(e: ObjExpr) -> ObjExpr:
             return e
         return shift_expr(inner, e.m)
     if e.__class__ is Sum:
-        if len(e.parts) == 1:
-            (p, r), = e.parts
-            if r >= 2 and (p.__class__ is Gen or p.__class__ is Shift and p.m and p.expr.__class__ is Gen):
-                return e
         flat: list[tuple[ObjExpr, int]] = []
         for p, r in e.parts:
             q = normalize(p)
@@ -476,7 +446,9 @@ class SOD:
 
 
 class Context:
-    """Immutable computation context for the formal calculus.
+    """Computation context for the formal calculus: rules fixed at
+    construction, and append-only state (the memo, the zero facts, the
+    resolve cache and the set of generators checked exceptional).
 
     ``gen_resolve(name)`` decides which names are generators at all: it
     returns the object a name stands for (a sheaf, say) or raises
@@ -616,8 +588,6 @@ def _hom_compute(ctx: Context, F: ObjExpr, G: ObjExpr) -> GradedDim | Failure:
     # a fact holds for the unshifted pair, as add_zero_fact stores it
     if facts and (F.expr if fc is Shift else F, G.expr if gc is Shift else G) in facts:
         return GradedDim.zero()
-    if fc is Sum and not F.parts or gc is Sum and not G.parts:
-        return GradedDim.zero()
     if fc is Sum:
         out = GradedDim.zero()
         for p, r in F.parts:
@@ -728,9 +698,8 @@ def _identify_cone(ctx: Context, src: ObjExpr, tgt: ObjExpr) -> ObjExpr | None:
     smallest outer shift of src (of its parts, for a sum), and its hit is
     shifted back by m, so it matches up to a common shift.
     """
-    m = src.m if src.__class__ is Shift else _min_shift(src) if src.__class__ is Sum else 0
-    key = (shift_expr(src, -m), shift_expr(tgt, -m)) if m else (src, tgt)
-    hit = ctx.cone_rule and ctx.cone_rule(*key)
+    m = _min_shift(src)
+    hit = ctx.cone_rule and ctx.cone_rule(shift_expr(src, -m), shift_expr(tgt, -m))
     return None if hit is None else shift_expr(hit, m)
 
 
@@ -742,7 +711,6 @@ def _require_exceptional(ctx: Context, E: Gen) -> None:
     """
     if E in ctx._checked_exceptional:
         return
-    ctx.resolve(E.name)
     value = _hom(ctx, E, E)
     if value != _ENDO_EXCEPTIONAL:
         raise NotExceptional(f"{E.name} has Hom-algebra {value.render()}")
@@ -815,8 +783,8 @@ def _mutate_one(ctx: Context, E: Gen, F: ObjExpr, right: bool) -> ObjExpr:
     if F.__class__ is Shift:
         # mutation commutes with shifts, and Hom(F[m], E) is Hom(F, E) moved
         return shift_expr(_mutate_one(ctx, E, F.expr, right), F.m)
-    if F is E or F.__class__ is Sum and not F.parts:
-        return ZERO  # the cone on the identity map, or zero
+    if F is E:
+        return ZERO  # the cone on the identity map
     V = _hom(ctx, F, E) if right else _hom(ctx, E, F)
     if not V.entries:
         return F

@@ -2,7 +2,7 @@
 
 A family context knows the triangles Sp(k) -> O(k)^r -> next(k + 1) by
 rule, at every twist; tests that walk triangles take this list instead,
-built here without the engine's rule: each leg through ``sum_of`` and
+built here without the engine's rule: each leg through ``sum_exprs`` and
 ``normalize``, the successor kind and the middle rank spelled out.  A
 triangle x -> y -> z is the plain tuple (x, y, z).
 """
@@ -22,7 +22,7 @@ def tautological_triangles(n: int, prefix: str, twists) -> list[tuple]:
     for k in twists:
         for kd in kinds:
             legs = (Gen(prefix + QS(kd, k).render()),
-                    formalcat.sum_of(Gen(prefix + QS("O", k).render()), r),
+                    formalcat.sum_exprs(((Gen(prefix + QS("O", k).render()), r),)),
                     Gen(prefix + QS(successor[kd], k + 1).render()))
             out.append(tuple(map(formalcat.normalize, legs)))
     return out

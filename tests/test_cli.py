@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import re
@@ -260,7 +263,7 @@ def _stepwise(ctx, parts):
             elif op == "[":
                 out = formalcat.shift_expr(out, v)
             else:
-                out = formalcat.sum_of(out, abs(v))
+                out = formalcat.sum_exprs(((out, abs(v)),))
         values.append(out)
     return values[0] if len(values) == 1 else formalcat.sum_exprs((v, 1) for v in values)
 
@@ -776,6 +779,28 @@ def test_fixed_script_output_ignores_hash_seed():
     # depended on the iteration order of a set of expressions would show
     digests = {_fixed_script_digest(PYTHONHASHSEED=seed) for seed in ("0", "1")}
     assert digests == {_FIXED_SCRIPT_SHA256}
+
+
+def test_query_mix_answers_do_not_depend_on_earlier_queries(monkeypatch, fresh_contexts):
+    # every op of the benchmark's seed-0 query-mix script on fresh contexts
+    # and an empty parse cache gives the answers the pinned digest holds,
+    # which the script otherwise gives on contexts shared across its ops
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "bench"))
+    monkeypatch.syspath_prepend(str(root / "tools"))
+    import query_digest
+    import workloads
+
+    rosters = {d: nodal.build_context(d).generators for d in range(2, 14)}
+    digest = hashlib.sha256()
+    for op in workloads.make_ops("query-mix", 0, rosters):
+        nodal._setup.cache_clear()
+        cli.parse_expr.cache_clear()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(op["argv"])
+        digest.update(json.dumps([op["argv"], rc, out.getvalue(), err.getvalue()]).encode())
+    assert digest.hexdigest() == query_digest.PINNED[0]
 
 
 def test_import_loads_no_code_generating_modules():

@@ -28,7 +28,7 @@ from nodalcat.formalcat import (
     render,
     serre_in,
     shift_expr,
-    sum_of,
+    sum_exprs,
 )
 from nodalcat.graded import GradedDim
 from tautological import nodal_tautological
@@ -95,7 +95,7 @@ class TestNormalize:
         assert e == Shift(Cone(Gen("A"), Shift(Gen("B"), 3)), 2)
 
     def test_render_sum_repeats(self):
-        assert render(sum_of(Gen("A"), 3)) == "A + A + A"
+        assert render(sum_exprs(((Gen("A"), 3),))) == "A + A + A"
 
     @pytest.mark.parametrize("part", [Gen("A"), Shift(Gen("A"), -2), Shift(Gen("A"), 5)])
     @pytest.mark.parametrize("r", [2, 3, 10**9])
@@ -140,7 +140,7 @@ class TestHomStructural:
 
     def test_sum_additive(self):
         ctx = _toy_context()
-        two_a = sum_of(Gen("A"), 2)
+        two_a = sum_exprs(((Gen("A"), 2),))
         assert hom(ctx, two_a, Gen("B")) == gd({1: 4})
 
     def test_zero_objects(self):
@@ -203,7 +203,7 @@ class TestMutations:
         # V = C^2[-1], so the cone target is B^2[1]
         core = moved.expr if isinstance(moved, Shift) else moved
         assert isinstance(core, Cone)
-        assert core.tgt == sum_of(Shift(Gen("B"), 1), 2)
+        assert core.tgt == sum_exprs(((Shift(Gen("B"), 1), 2),))
         assert hom(ctx, moved, Gen("B")).is_zero
 
     def test_left_mutation_records_orthogonality(self):

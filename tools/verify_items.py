@@ -6,7 +6,7 @@ process would, builds every context first (the benchmark's set-up), timed
 as the "(context build)" row, then runs ``nodal.verify_dim(d)`` for each d
 and times every item's check.  The kernel generator, which ``verify_dim``
 builds once for three items, is timed as its own row.  Each row is the
-best sum over the dimensions among the repeats.  The "(registry)" row
+best sum over the dimensions among the repeats.  The "(facts)" row
 counts, over the verify calls of one pass, the zero facts recorded and
 the calls of the contexts' ``gen_resolve`` (names resolved outside the
 roster handed over at build).  Standard library only.
@@ -37,7 +37,7 @@ def _dims(text: str) -> range:
 
 def one_pass(dims: range) -> tuple[dict[str, float], tuple[int, int]]:
     """Seconds per item, summed over ``dims``, from fresh contexts, and the
-    registry counts (facts recorded, gen_resolve calls)."""
+    counts of the "(facts)" row (facts recorded, gen_resolve calls)."""
     nodal._setup = functools.cache(nodal._setup.__wrapped__)
     nodal._pair_value.cache_clear()
     nodal.parse_push_name.cache_clear()
@@ -110,7 +110,7 @@ def main(argv: list[str]) -> int:
     for item, s in sorted(best.items(), key=lambda kv: -kv[1]):
         print(f"  {item:<{width}}  {s * 1e3:8.2f}")
     print(f"  {'verify_dim total':<{width}}  {total * 1e3:8.2f}")
-    print(f"  {'(registry)':<{width}}  {counts[0]} facts recorded, {counts[1]} gen_resolve calls")
+    print(f"  {'(facts)':<{width}}  {counts[0]} facts recorded, {counts[1]} gen_resolve calls")
     return 0
 
 
