@@ -2,7 +2,7 @@
 
 Objects are terms: generators, shifts, finite sums, and cones of maps
 between previously constructed objects.  A :class:`Context` supplies the
-base graded Hom table between generators, a cone rule, orthogonality
+base graded Hom table between generators, a step rule, orthogonality
 facts, and the ambient Serre data.  On top of that this module implements:
 
 * ``hom``: graded Hom of arbitrary terms.  Cones are handled by ``splice``,
@@ -15,9 +15,9 @@ facts, and the ambient Serre data.  On top of that this module implements:
   the restriction triangle with (-2, -1).
 * ``mutate_right`` / ``mutate_left``: mutations through exceptional
   generators.  Mutations distribute over sums, shifts and cone legs (they
-  are exact functors).  The cone of a step on a generator is named by the
-  context's cone rule, up to shift, or else kept as ``cone_of`` its legs,
-  a single indecomposable term.  The image of a cone is the cone of the
+  are exact functors).  A step of one generator through another is named
+  by the context's step rule, or else kept as ``cone_of`` its legs, a
+  single indecomposable term.  The image of a cone is the cone of the
   images of its legs.  Every step that builds a cone records the defining
   orthogonality of the mutation as a fact: R_E F lies in the left
   orthogonal of E, and L_E F in its right orthogonal.
@@ -467,9 +467,11 @@ class Context:
     generator twisted by k steps of the context line bundle; `twist_expr`
     applies it leafwise, and a relative dualizing twist is one such twist.
     ``serre_action`` sends a generator name to its image under the ambient
-    pair-Serre functor.  ``cone_rule(src, tgt)`` names the cone of a probe
-    key of ``_identify_cone`` from a family of triangles the context knows
-    by rule, at no cost before a probe, or returns None.
+    pair-Serre functor.  ``step_rule(E, F, V, right)`` names a mutation
+    step of a generator F through a generator E, R_E F (``right``) or
+    L_E F, with V = Hom(F, E) or Hom(E, F) nonzero: it returns the step's
+    result, shift included, or None.  E and F have resolved, since V is
+    their Hom.
 
     A cone is its two legs; the mutation steps that build cones record
     their orthogonality facts (``_mutate_step``).
@@ -490,7 +492,7 @@ class Context:
         gen_resolve: Callable[[str], object] | None = None,
         twist_gen: Callable[[str, int], str] | None = None,
         serre_action: Callable[[str], ObjExpr] | None = None,
-        cone_rule: Callable[[ObjExpr, ObjExpr], ObjExpr | None] | None = None,
+        step_rule: Callable[[Gen, Gen, GradedDim, bool], ObjExpr | None] | None = None,
         resolved: dict | None = None,
     ):
         self.name = name
@@ -499,7 +501,7 @@ class Context:
         self.gen_resolve = gen_resolve
         self.twist_gen = twist_gen
         self.serre_action = serre_action
-        self.cone_rule = cone_rule
+        self.step_rule = step_rule
         self._memo: dict = {}
         self._zero_facts: set = set()
         # whether a zero fact joins two generators, see _hom_compute
@@ -680,29 +682,6 @@ def _solve_contravariant(ctx: Context, Z: Cone, W: ObjExpr) -> GradedDim:
 # ---------------------------------------------------------------------------
 
 
-def _min_shift(e: ObjExpr) -> int:
-    """Smallest outer shift of a normalized term, over the parts of a sum."""
-    if e.__class__ is not Sum:
-        return e.m if e.__class__ is Shift else 0
-    low = None
-    for p, _ in e.parts:
-        m = p.m if p.__class__ is Shift else 0
-        low = m if low is None or m < low else low
-    return low or 0
-
-
-def _identify_cone(ctx: Context, src: ObjExpr, tgt: ObjExpr) -> ObjExpr | None:
-    """cone(src -> tgt) as the context's cone rule names it, or None.
-
-    The rule is asked on the key (src[-m], tgt[-m]), where m is the
-    smallest outer shift of src (of its parts, for a sum), and its hit is
-    shifted back by m, so it matches up to a common shift.
-    """
-    m = _min_shift(src)
-    hit = ctx.cone_rule and ctx.cone_rule(shift_expr(src, -m), shift_expr(tgt, -m))
-    return None if hit is None else shift_expr(hit, m)
-
-
 def _require_exceptional(ctx: Context, E: Gen) -> None:
     """Raise unless E is a known generator with Hom(E, E) = C.
 
@@ -772,13 +751,13 @@ def _mutate_one(ctx: Context, E: Gen, F: ObjExpr, right: bool) -> ObjExpr:
 
     A step with a nonzero Hom is memoized under ``(E, F, right)``; a hit is
     exactly what a recomputation would return.  The result depends only on
-    memoized Homs, which never change once written, on the cone rule, a
-    function of its key, and on ``cone_of``, a function of the legs, so a
-    recomputation returns the same cone and records the same fact, which
-    the first run recorded already: a hit skips nothing.  Steps that
-    return F unchanged (zero Hom) and failing steps are not stored: the
-    first are free, and the second raise again through the Hom memo's
-    stored record.
+    memoized Homs, which never change once written, on the step rule, a
+    function of (E, F, V, right), and on ``cone_of``, a function of the
+    legs, so a recomputation returns the same cone and records the same
+    fact, which the first run recorded already: a hit skips nothing.
+    Steps that return F unchanged (zero Hom) and failing steps are not
+    stored: the first are free, and the second raise again through the
+    Hom memo's stored record.
     """
     if F.__class__ is Shift:
         # mutation commutes with shifts, and Hom(F[m], E) is Hom(F, E) moved
@@ -797,9 +776,11 @@ def _mutate_one(ctx: Context, E: Gen, F: ObjExpr, right: bool) -> ObjExpr:
 
 def _mutate_step(ctx: Context, E: Gen, F: ObjExpr, V: GradedDim, right: bool) -> ObjExpr:
     """``_mutate_one`` of an unshifted F with V = Hom(F, E) (right) or
-    Hom(E, F) (left) nonzero.  A step that builds a cone records its
-    defining orthogonality as a zero fact, Hom(R_E F, E) = 0 or
-    Hom(E, L_E F) = 0, whether or not another step built that cone."""
+    Hom(E, F) (left) nonzero.  A step of a generator asks the context's
+    step rule first.  A step that builds a cone records its defining
+    orthogonality as a zero fact, Hom(R_E F, E) = 0 or Hom(E, L_E F) = 0,
+    whether or not another step built that cone; a rule's answer records
+    none, as the base table already gives its orthogonality."""
     if F.__class__ is Sum:
         return sum_exprs((_mutate_one(ctx, E, p, right), r) for p, r in F.parts)
     if F.__class__ is Cone:
@@ -813,16 +794,15 @@ def _mutate_step(ctx: Context, E: Gen, F: ObjExpr, V: GradedDim, right: bool) ->
         if core.__class__ is Cone:
             ctx._zero_facts.add((core, E) if right else (E, core))
         return out
+    named = ctx.step_rule and ctx.step_rule(E, F, V, right)
+    if named is not None:
+        return named
     # R_E F = cone(F -> V^dual tensor E)[-1], L_E F = cone(V tensor E -> F)
     W = _tensor(V, E, 1 if right else -1)
-    src, tgt = (F, W) if right else (W, F)
-    cone = _identify_cone(ctx, src, tgt)
-    if cone is None:
-        cone = cone_of(src, tgt)
-        # neither leg is zero, so core is a cone; a rule hit names a
-        # generator, whose orthogonality the base table already gives
-        core = _strip_shift(cone)
-        ctx._zero_facts.add((core, E) if right else (E, core))
+    cone = cone_of(F, W) if right else cone_of(W, F)
+    # neither leg is zero, so core is a cone
+    core = _strip_shift(cone)
+    ctx._zero_facts.add((core, E) if right else (E, core))
     return shift_expr(cone, -1) if right else cone
 
 

@@ -496,9 +496,15 @@ def family_context(n: int, name: str, prefix: str, twists: range, base_hom, pars
     pair-Serre action F -> F(t)[s].
 
     The tautological triangles Sp(k) -> O(k)^r -> next(k + 1) of every
-    spinor kind are the context's cone rule, at every twist k: tensoring
-    by O(1) is an autoequivalence, so no twist needs a triangle of its
-    own, and the build stores none.
+    spinor kind (Ottaviani 1988) name the context's mutation steps, at
+    every twist k: tensoring by O(1) is an autoequivalence, so no twist
+    needs a triangle of its own, and the build stores none.  With
+    Sp~ = next(Sp), the step rule names
+      R_{O(k)} Sp(k) = next(k + 1)[-1] and L_{O(k-1)} Sp(k) = Sp~(k - 1)[1],
+      each with V = C^r in degree 0, and
+      R_{Sp~(k-1)} Sp(k) = L_{Sp(k)} Sp~(k - 1) = O(k - 1)^r,
+      each with V = C in degree 1,
+    and no other step.
     """
     from . import formalcat
 
@@ -539,37 +545,26 @@ def family_context(n: int, name: str, prefix: str, twists: range, base_hom, pars
     def gen(kind: str, k: int) -> "formalcat.Gen":
         return formalcat.Gen(prefix + sheaf_name(kind, k))
 
-    def sheaf_of(e) -> QuadricSheaf | None:
-        """The sheaf of a generator, None for any other term.  A probe's
-        generators have all resolved before, as Hom arguments or as the
-        mutation's target, so ``resolved``, the context's resolve cache,
-        holds them; other names go through ``resolve``."""
-        return (resolved.get(e.name) or resolve(e.name)) if e.__class__ is formalcat.Gen else None
-
-    def lines_twist(e: "formalcat.Sum") -> int | None:
-        """k if the sum ``e`` is the middle term O(k)^r, else None."""
-        F = sheaf_of(e.parts[0][0]) if len(e.parts) == 1 and e.parts[0][1] == r else None
-        return F.twist if F is not None and F.kind == LINE else None
-
-    def cone_rule(src, tgt):
-        """cone(src -> tgt) by a rotation of a tautological triangle, read
-        off its spinor generator F = Sp(k), the source or else the target:
-        (F, O(k)^r) -> next(k + 1), (O(k - 1)^r, F) -> Sp~(k - 1)[1] and
-        (F, Sp~(k - 1)[1]) -> O(k - 1)^r[1], where next(Sp~) = Sp; else
-        None."""
-        F = sheaf_of(src if src.__class__ is formalcat.Gen else tgt)
-        if F is None or F.kind == LINE:
+    def step_rule(E, F, V, right):
+        """The steps of the tautological triangles, see above; E and F
+        have resolved (V is their Hom), so the resolve cache holds both."""
+        e, f = resolved[E.name], resolved[F.name]
+        if f.kind == LINE:
             return None
-        k, other = F.twist, successor[F.kind]
-        if tgt.__class__ is formalcat.Sum:
-            return gen(other, k + 1) if lines_twist(tgt) == k else None
-        if src.__class__ is formalcat.Sum:
-            return formalcat.Shift(gen(other, k - 1), 1) if lines_twist(src) == k - 1 else None
-        if tgt == formalcat.Shift(gen(other, k - 1), 1):
-            return formalcat.Sum(((formalcat.Shift(gen(LINE, k - 1), 1), r),))
-        return None
+        if e.kind == LINE:
+            # R_{O(k)} Sp(k) = next(k + 1)[-1], L_{O(k-1)} Sp(k) = Sp~(k - 1)[1]
+            k = f.twist if right else f.twist - 1
+            if V != lines or e.twist != k:
+                return None
+            return formalcat.Shift(gen(successor[f.kind], k + 1 if right else k), -1 if right else 1)
+        # R_{Sp~(k-1)} Sp(k) = L_{Sp(k)} Sp~(k - 1) = O(k - 1)^r
+        top, low = (f, e) if right else (e, f)
+        if V != spinor_hom or low.kind != successor[top.kind] or low.twist != top.twist - 1:
+            return None
+        return formalcat.Sum(((gen(LINE, low.twist), r),))
 
     r, successor = taut_rank(n), {kd: next_spinor(n, kd) for kd in kinds}
+    lines, spinor_hom = GradedDim.point(0, r), GradedDim.point(1, 1)
     return formalcat.Context(
         name=name,
         generators=tuple(resolved),
@@ -577,7 +572,7 @@ def family_context(n: int, name: str, prefix: str, twists: range, base_hom, pars
         gen_resolve=resolve,
         twist_gen=twist,
         serre_action=serre_action if serre else None,
-        cone_rule=cone_rule,
+        step_rule=step_rule,
         resolved=resolved,
     )
 

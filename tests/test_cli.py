@@ -484,6 +484,17 @@ class TestCommands:
         assert rc == 0
         assert capsys.readouterr().out == "cone(j*S' -> j*S''[2])[-1]\n"
 
+    # the four steps the step rule names, at nodal:5 (r = 4, next(S') = S'')
+    @pytest.mark.parametrize("direction, through, target, answer", [
+        ("right", "j*O", "j*S'", "j*S''(1)[-1]"),
+        ("left", "j*O(-1)", "j*S'", "j*S''(-1)[1]"),
+        ("right", "j*S''(-1)", "j*S'", " + ".join(["j*O(-1)"] * 4)),
+        ("left", "j*S'", "j*S''(-1)", " + ".join(["j*O(-1)"] * 4)),
+    ])
+    def test_mutate_named_steps(self, capsys, direction, through, target, answer):
+        assert main(["mutate", "--context", "nodal:5", "--dir", direction, "--through", through, target]) == 0
+        assert capsys.readouterr().out == answer + "\n"
+
     def test_serre(self, capsys):
         assert main(["serre", "--context", "nodal:4", "j*S"]) == 0
         assert capsys.readouterr().out == "j*S[2]\n"

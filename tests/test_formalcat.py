@@ -31,7 +31,7 @@ from nodalcat.formalcat import (
     sum_exprs,
 )
 from nodalcat.graded import GradedDim
-from tautological import nodal_tautological
+from tautological import nodal_tautological, scan_cone, step_legs
 
 
 def gd(d):
@@ -312,10 +312,10 @@ class TestSerre:
         assert obj == shift_expr(Gen("j*S"), 2)
 
 
-def _fact_triangles(ctx):
-    """The triangle (x, y, cone(x -> y)) of each cone in the context's zero
+def _fact_triangles(facts):
+    """The triangle (x, y, cone(x -> y)) of each cone in a set of zero
     facts, ordered by its compact text."""
-    cones = {e for pair in ctx._zero_facts for e in pair if isinstance(e, Cone)}
+    cones = {e for pair in facts for e in pair if isinstance(e, Cone)}
     return [(c.src, c.tgt, c) for c in sorted(cones, key=lambda c: "".join(formalcat.render_chunks(c, True)))]
 
 
@@ -324,7 +324,7 @@ def test_chi_conservation_across_registered_triangles():
 
     for d in range(2, 14):
         ctx = nodal.build_context(d)
-        for x, y, z in [*nodal_tautological(d), *_fact_triangles(ctx)]:
+        for x, y, z in [*nodal_tautological(d), *_fact_triangles(ctx._zero_facts)]:
             for w in ctx.generators:
                 W = Gen(w)
                 try:
@@ -344,72 +344,34 @@ def test_chi_conservation_across_registered_triangles():
 
 
 # ---------------------------------------------------------------------------
-# cone identification: the cone rule or cone_of, against a brute-force scan
+# generator steps: the step rule or cone_of, against a brute-force scan
 # ---------------------------------------------------------------------------
 
 
-def _scan_identify_cone(triangles, src, tgt):
-    """Reference: scan every triangle (x, y, z) and rotation, first match
-    wins; the result and the index of the matching triangle, or
-    (None, None)."""
-
-    def outer_shift(e):
-        return e.m if isinstance(e, Shift) else 0
-
-    def min_shift(e):
-        if isinstance(e, Sum):
-            return min((outer_shift(p) for p, _ in e.parts), default=0)
-        return outer_shift(e)
-
-    for i, tri in enumerate(triangles):
-        for p, q, res in _rotations(tuple(map(normalize, tri))):
-            s = min_shift(src) - min_shift(p)
-            if shift_expr(p, s) == src and shift_expr(q, s) == tgt:
-                return shift_expr(res, s), i
-    return None, None
-
-
-def _rotations(t):
-    """(p, q, r) of each rotation of a normal triangle: cone(p -> q) = r."""
-    x, y, z = t
-    x1 = shift_expr(x, 1)
-    return ((x, y, z), (y, z, x1), (z, x1, shift_expr(y, 1)))
-
-
-def _holds_cone(e):
-    """Reference: whether a cone stands anywhere in e outside another cone."""
-    if isinstance(e, Sum):
-        return any(_holds_cone(p) for p, _ in e.parts)
-    if isinstance(e, Shift):
-        return _holds_cone(e.expr)
-    return isinstance(e, Cone)
-
-
-def _live(p, q):
-    """Whether neither term of the key (p, q) holds a cone."""
-    return not _holds_cone(p) and not _holds_cone(q)
-
-
-def _record_probes(monkeypatch, record):
-    """Run ``record(ctx, src, tgt, got)`` at every ``_identify_cone`` call of
-    ``verify_dim`` d = 2..22 and of the query-mix script of seed 0, before
-    the step that asked records its fact; the number of calls of each."""
+def _record_steps(monkeypatch, record):
+    """Run ``record(ctx, E, F, V, right, got, facts)`` at every generator
+    step of ``verify_dim`` d = 2..22 and of the query-mix script of seed 0,
+    with ``got`` the step's result and ``facts`` the zero facts before the
+    step; the number of steps of each."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import workloads
 
-    identify = formalcat._identify_cone
+    step = formalcat._mutate_step
     calls = 0
 
-    def recording(ctx, src, tgt):
+    def recording(ctx, E, F, V, right):
         nonlocal calls
+        if F.__class__ is not Gen:
+            return step(ctx, E, F, V, right)
         calls += 1
-        got = identify(ctx, src, tgt)
-        record(ctx, src, tgt, got)
+        facts = set(ctx._zero_facts)
+        got = step(ctx, E, F, V, right)
+        record(ctx, E, F, V, right, got, facts)
         return got
 
-    monkeypatch.setattr(formalcat, "_identify_cone", recording)
-    # mutation steps are memoized, so only a step's first run probes: d up
-    # to 22 keeps the probes above the floor (320 of them)
+    monkeypatch.setattr(formalcat, "_mutate_step", recording)
+    # mutation steps are memoized, so a step runs once: d up to 22 keeps
+    # the steps above the floor (320 of them)
     for d in range(2, 23):
         assert nodal.verify_dim(d).all_pass
     verify_calls = calls
@@ -421,45 +383,40 @@ def _record_probes(monkeypatch, record):
 
 
 def test_step_cones_match_scan_on_verify_and_query_mix(monkeypatch, fresh_contexts):
-    # fresh contexts, so the probes do not depend on what earlier tests
-    # recorded.  A step's cone is the rule's hit, else cone_of of its legs;
-    # wherever a scan of the tautological triangles (the rule's) and the
-    # triangles of the cones with a fact finds a cone, it is that one, and
-    # the scan hits a cone with a fact exactly when the step's own cone has
-    # one already
+    # fresh contexts, so the steps do not depend on what earlier tests
+    # recorded.  A generator step is the step rule's answer, else cone_of
+    # of its legs; wherever a scan of the tautological triangles and the
+    # triangles of the cones with a fact finds the cone of the legs, the
+    # step is that cone, and the scan hits a cone with a fact exactly when
+    # the step's own cone had one already
     seen = {"rule": 0, "recorded": 0, "new": 0}
 
-    def record(ctx, src, tgt, got):
+    def record(ctx, E, F, V, right, got, facts):
         d = int(ctx.name.split(":")[1])
         tautological = nodal_tautological(d)
-        scanned, at = _scan_identify_cone([*tautological, *_fact_triangles(ctx)], src, tgt)
-        cone = formalcat.cone_of(src, tgt) if got is None else got
+        before = _fact_triangles(facts)
+        src, tgt = step_legs(E, F, V, right)
+        scanned, at = scan_cone([*tautological, *before], src, tgt)
+        cone = shift_expr(got, 1) if right else got
         if scanned is not None:
             assert cone == scanned and render(cone) == render(scanned)
-        if got is not None:
-            # the rule's cone is a tautological triangle's
+        if ctx.step_rule(E, F, V, right) is not None:
+            # the rule's step is a tautological triangle's, and records no
+            # fact
             assert at is not None and at < len(tautological)
+            assert ctx._zero_facts == facts
             seen["rule"] += 1
             return
-        core = formalcat._strip_shift(cone)
-        recorded = any(core in pair for pair in ctx._zero_facts)
+        assert cone == formalcat.cone_of(src, tgt)
+        recorded = any(formalcat._strip_shift(cone) in pair for pair in facts)
         assert (at is not None and at >= len(tautological)) == recorded
         seen["recorded" if recorded else "new"] += 1
 
-    verify_calls, script_calls = _record_probes(monkeypatch, record)
+    verify_calls, script_calls = _record_steps(monkeypatch, record)
     assert verify_calls > 300 and script_calls > 150
-    # every case is met: rule hits, steps onto a cone with a fact (the
+    # every case is met: rule steps, steps onto a cone with a fact (the
     # kernel cone of odd d, say) and new cones
     assert seen["rule"] and seen["recorded"] and seen["new"]
-
-
-def test_no_probe_holds_a_cone(monkeypatch, fresh_contexts):
-    # the cone rule is asked only on keys without a cone: a mutation probes
-    # an unshifted generator against shifts of one generator
-    probes = []
-    verify_calls, script_calls = _record_probes(monkeypatch, lambda ctx, src, tgt, got: probes.append((src, tgt)))
-    assert verify_calls > 300 and script_calls > 150
-    assert all(_live(src, tgt) for src, tgt in probes)
 
 
 def test_facts_do_not_depend_on_the_mutation_order():
@@ -504,23 +461,25 @@ def test_benchmark_view_of_triangles_stays_empty(fresh_contexts):
     assert ctx._derived_triangles == () and list(ctx.all_triangles()) == []
 
 
-def test_cone_rule_answers_before_registered_triangles():
-    # only the rule names cones: no other triangle answers a probe
+def test_step_rule_is_asked_once_per_step():
+    # the rule is asked on a step's first run, and only there; its answer
+    # records no fact, and on None the step is cone_of its legs and records
+    # its fact
     A, B = Gen("A"), Gen("B")
     asked = []
 
-    def rule(src, tgt):
-        asked.append((src, tgt))
-        return Gen("R") if (src, tgt) == (A, B) else None
+    def rule(E, F, V, right):
+        asked.append((E, F, V, right))
+        return Shift(Gen("R"), -1) if right else None
 
-    ctx = Context(name="toy", generators=("A", "B"), base_hom=lambda a, b: C, cone_rule=rule)
-    # asked on the shift-normalized key; its hit is shifted back
-    assert formalcat._identify_cone(ctx, Shift(A, 2), Shift(B, 2)) == Shift(Gen("R"), 2)
-    # a miss of the rule is a miss, even on (B, R), a rotation of the rule's
-    # triangle A -> B -> R
-    assert formalcat._identify_cone(ctx, Shift(B, -1), Shift(A, -1)) is None
-    assert formalcat._identify_cone(ctx, B, Gen("R")) is None
-    assert asked == [(A, B), (B, A), (B, Gen("R"))]
+    ctx = Context(name="toy", generators=("A", "B"), base_hom=lambda a, b: C, step_rule=rule)
+    for _ in range(2):
+        assert mutate_right(ctx, B, A) == Shift(Gen("R"), -1)
+    assert asked == [(B, A, C, True)] and not ctx._zero_facts
+    for _ in range(2):
+        assert mutate_left(ctx, A, Shift(B, 2)) == Shift(Cone(A, B), 2)
+    assert asked == [(B, A, C, True), (A, B, C, False)]
+    assert ctx._zero_facts == {(A, Cone(A, B))}
 
 
 # ---------------------------------------------------------------------------
@@ -1260,17 +1219,20 @@ def test_memoized_steps_answer_as_recomputed_ones(fresh_contexts, script):
 
 @pytest.mark.parametrize("d", range(3, 10))
 def test_second_kernel_generator_is_all_hits(monkeypatch, fresh_contexts, d):
-    first = nodal.kernel_generator(d)
     ctx = nodal.build_context(d)
+    asked = []
+    rule = ctx.step_rule
+    monkeypatch.setattr(ctx, "step_rule", lambda *args: asked.append(args) or rule(*args))
+    first = nodal.kernel_generator(d)
+    # the first run asks the rule of the context the second one reads; at
+    # even d every Hom to the collection is zero, so no step runs
+    assert bool(asked) == (d % 2 == 1)
+    asked.clear()
     memo, facts = dict(ctx._memo), set(ctx._zero_facts)
-    probes = []
-    indexed = formalcat._identify_cone
-    monkeypatch.setattr(formalcat, "_identify_cone",
-                        lambda *args: probes.append(args) or indexed(*args))
     assert repr(nodal.kernel_generator(d)) == repr(first)
     assert ctx._memo == memo
     assert ctx._zero_facts == facts
-    assert probes == []
+    assert asked == []
 
 
 @settings(max_examples=100, deadline=None,
@@ -1309,7 +1271,7 @@ def _run_toy_script(table, script):
     ctx = Context(name="toy", generators=_TOY_GENS, base_hom=lambda a, b: table[(a, b)])
     answers = [(mutate_right if right else mutate_left)(ctx, Gen(E), shift_expr(Gen(F), m))
                for right, E, F, m in script]
-    terms = [*map(Gen, _TOY_GENS), *(z for _, _, z in _fact_triangles(ctx))]
+    terms = [*map(Gen, _TOY_GENS), *(z for _, _, z in _fact_triangles(ctx._zero_facts))]
     return answers, ctx._zero_facts, [_mutation_outcome(hom, ctx, X, Y) for X in terms for Y in terms]
 
 

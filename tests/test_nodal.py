@@ -6,10 +6,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nodalcat import formalcat, nodal, quadric
 from nodalcat.errors import NodalcatError, UnknownGenerator, UnsupportedPair
-from nodalcat.formalcat import SOD, Cone, Gen, Shift, Sum, normalize, render
+from nodalcat.formalcat import SOD, Cone, Gen, Shift, normalize, render
 from nodalcat.graded import GradedDim
 from nodalcat.quadric import QuadricSheaf as QS
-from tautological import tautological_triangles
+from tautological import min_shift, rotations, scan_cone, step_legs, tautological_triangles
 
 
 def gd(d):
@@ -147,7 +147,7 @@ class TestBuildContext:
 
 
 # ---------------------------------------------------------------------------
-# context construction, and the cone rule against the written-out triangles
+# context construction, and the step rule against the written-out triangles
 # ---------------------------------------------------------------------------
 
 
@@ -161,48 +161,61 @@ def _reference_index(triangles) -> dict:
     """Every rotation of every triangle (x, y, z) shifted by its minimal
     shift, the zero one included, first triangle winning."""
     index = {}
-    for x, y, z in triangles:
-        x1 = formalcat.shift_expr(x, 1)
-        for p, q, res in ((x, y, z), (y, z, x1), (z, x1, formalcat.shift_expr(y, 1))):
-            m = formalcat._min_shift(p)
+    for tri in triangles:
+        for p, q, res in rotations(tri):
+            m = min_shift(p)
             key = (formalcat.shift_expr(p, -m), formalcat.shift_expr(q, -m))
             index.setdefault(key, formalcat.shift_expr(res, -m))
     return index
 
 
-def _rule_probes(n, prefix, twists):
-    """Probe keys around the tautological triangles: pairs of generators,
-    middle terms of every nearby rank, once-shifted spinors and sums of r
-    spinors, at a twist k and at the twists k - 1..k + 1 of ``twists``;
-    every source unshifted, as ``_identify_cone`` asks the rule."""
-    kinds = ("S",) if n % 2 == 1 else ("S'", "S''")
-    r = 2 ** ((n + 1) // 2)
+def _step_values(r: int) -> list:
+    """Hom values of the steps near the tautological triangles, whose middle
+    rank is r: 0, C^(r-1), C^r, C^(r+1), C^r[-1], C[-1], C^2[-1], C[-2]."""
+    return [GradedDim.zero(), *(gd({0: m}) for m in (r - 1, r, r + 1)),
+            gd({1: r}), gd({1: 1}), gd({1: 2}), gd({2: 1})]
+
+
+def _rule_steps(n, prefix, twists):
+    """Generator steps around the tautological triangles: F at each twist k
+    of ``twists``, E at k - 1..k + 1 of them, both directions, and every
+    value of ``_step_values``."""
+    kinds = ("O", "S") if n % 2 == 1 else ("O", "S'", "S''")
+    values = _step_values(2 ** ((n + 1) // 2))
 
     def at(k):
-        line = Gen(prefix + QS("O", k).render())
-        spinors = [Gen(prefix + QS(kd, k).render()) for kd in kinds]
-        return [line, *spinors, *(Sum(((line, m),)) for m in (r - 1, r, r + 1)),
-                Sum(((Shift(line, 1), r),)), *(Shift(g, 1) for g in spinors), *(Sum(((g, r),)) for g in spinors)]
+        return [Gen(prefix + QS(kd, k).render()) for kd in kinds]
 
     for k in twists:
-        sources = [e for e in at(k) if formalcat._min_shift(e) == 0]
-        targets = [e for j in (k - 1, k, k + 1) if j in twists for e in at(j)]
-        yield from ((p, q) for p in sources for q in targets)
+        for F in at(k):
+            for E in (e for j in (k - 1, k, k + 1) if j in twists for e in at(j)):
+                for V in values:
+                    yield E, F, V, True
+                    yield E, F, V, False
 
 
 def _assert_built_as_reference(ctx, n, prefix, roster, facts):
     assert ctx._zero_facts == facts
     assert ctx.generators == tuple(roster)
-    # on probes at the roster twists and five beyond on each side, which
-    # hold every rotation of each triangle between sheaves at those twists,
+    # on the steps at the roster twists and five beyond on each side, which
+    # reach every rotation of each triangle between sheaves at those twists,
     # the rule answers as ``_reference_index`` of the written-out triangles,
     # one more twist on each side included
     low, top = (f(ctx.resolve(g).twist for g in roster) for f in (min, max))
-    probes = list(_rule_probes(n, prefix, range(low - 5, top + 6)))
-    assert set(_reference_index(tautological_triangles(n, prefix, range(low - 5, top + 5)))) <= set(probes)
     index = _reference_index(tautological_triangles(n, prefix, range(low - 6, top + 6)))
-    for src, tgt in probes:
-        assert repr(ctx.cone_rule(src, tgt)) == repr(index.get((src, tgt))), (src, tgt)
+    keys = set()
+    for E, F, V, right in _rule_steps(n, prefix, range(low - 5, top + 6)):
+        # the rule reads both from the resolve cache
+        ctx.resolve(E.name), ctx.resolve(F.name)
+        src, tgt = step_legs(E, F, V, right)
+        m = min_shift(src)
+        key = (formalcat.shift_expr(src, -m), formalcat.shift_expr(tgt, -m))
+        keys.add(key)
+        want = index.get(key)
+        if want is not None:
+            want = formalcat.shift_expr(want, m - 1 if right else m)
+        assert repr(ctx.step_rule(E, F, V, right)) == repr(want), (E, F, V, right)
+    assert set(_reference_index(tautological_triangles(n, prefix, range(low - 5, top + 5)))) <= keys
 
 
 @pytest.mark.parametrize("d", range(2, 31))
@@ -219,6 +232,63 @@ def test_quadric_context_built_as_the_reference(n):
     kinds = ("S",) if n % 2 == 1 else ("S'", "S''")
     roster = [QS("O", k).render() for k in (0, 1)] + [QS(kd, k).render() for k in (0, 1) for kd in kinds]
     _assert_built_as_reference(quadric.sheaf_context(n), n, "", roster, set())
+
+
+@st.composite
+def _drawn_steps(draw):
+    """A family context, nodal:2..13 or ``quadric.sheaf_context(1..8)``, as
+    (kind, dimension), and a generator step (E, F, V, right) in it: F at a
+    twist k in -6..6, E at k - 1..k + 1, V from ``_step_values``; E's
+    kind is drawn more often as the successor of F's, and V as one of the
+    two values of the named steps."""
+    where = draw(st.tuples(st.just("nodal"), st.integers(2, 13)) | st.tuples(st.just("quadric"), st.integers(1, 8)))
+    n = where[1] - 1 if where[0] == "nodal" else where[1]
+    prefix = "j*" if where[0] == "nodal" else ""
+    kinds = st.sampled_from(("O", "S") if n % 2 == 1 else ("O", "S'", "S''"))
+    k, f = draw(st.integers(-6, 6)), draw(kinds)
+    successor = {"O": "O", "S": "S", "S'": "S''", "S''": "S'"}[f]
+    F = Gen(prefix + QS(f, k).render())
+    E = Gen(prefix + QS(draw(kinds | st.just(successor)), k + draw(st.integers(-1, 1))).render())
+    values = _step_values(2 ** ((n + 1) // 2))
+    V = draw(st.sampled_from(values) | st.sampled_from(values[2:6:3]))
+    return where, E, F, V, draw(st.booleans())
+
+
+def _nodal5_step(through, target, V, right):
+    return ("nodal", 5), Gen(through), Gen(target), gd(V), right
+
+
+@settings(max_examples=300, deadline=None)
+@given(_drawn_steps())
+# the four named steps at nodal:5 (r = 4), a value one off in rank or in
+# degree, and the spinor steps one twist off
+@example(_nodal5_step("j*O", "j*S'", {0: 4}, True))
+@example(_nodal5_step("j*O(-1)", "j*S'", {0: 4}, False))
+@example(_nodal5_step("j*S''(-1)", "j*S'", {1: 1}, True))
+@example(_nodal5_step("j*S'", "j*S''(-1)", {1: 1}, False))
+@example(_nodal5_step("j*O", "j*S'", {0: 5}, True))
+@example(_nodal5_step("j*O(-1)", "j*S'", {1: 4}, False))
+@example(_nodal5_step("j*S''(-1)", "j*S'", {1: 2}, True))
+@example(_nodal5_step("j*S'", "j*S''(-1)", {2: 1}, False))
+@example(_nodal5_step("j*O", "j*S'", {0: 4}, False))
+@example(_nodal5_step("j*S''", "j*S'", {1: 1}, True))
+@example(_nodal5_step("j*S'", "j*S''", {1: 1}, False))
+def test_step_rule_matches_the_triangle_scan(step):
+    # the rule's answer is the scan's cone of the step's legs, moved by
+    # [-1] for a right step, or None where no rotation matches
+    (kind, dim), E, F, V, right = step
+    if kind == "nodal":
+        ctx, n = nodal._setup.__wrapped__(dim).context, dim - 1
+    else:
+        ctx, n = quadric.sheaf_context(dim), dim
+    # the rule reads both from the resolve cache
+    ctx.resolve(E.name)
+    k = ctx.resolve(F.name).twist
+    triangles = tautological_triangles(n, "j*" if kind == "nodal" else "", range(k - 3, k + 3))
+    want, _ = scan_cone(triangles, *step_legs(E, F, V, right))
+    if want is not None and right:
+        want = formalcat.shift_expr(want, -1)
+    assert repr(ctx.step_rule(E, F, V, right)) == repr(want)
 
 
 # (context, another spelling of a generator, the name the context writes)

@@ -7,9 +7,11 @@ as the "(context build)" row, then runs ``nodal.verify_dim(d)`` for each d
 and times every item's check.  The kernel generator, which ``verify_dim``
 builds once for three items, is timed as its own row.  Each row is the
 best sum over the dimensions among the repeats.  The "(facts)" row
-counts, over the verify calls of one pass, the zero facts recorded and
-the calls of the contexts' ``gen_resolve`` (names resolved outside the
-roster handed over at build).  Standard library only.
+counts, over the verify calls of one pass, the zero facts recorded, the
+calls of the contexts' ``gen_resolve`` (names resolved outside the
+roster handed over at build), and the generator mutation steps that
+asked the contexts' ``step_rule`` and that it named.  Standard library
+only.
 
     python3 tools/verify_items.py [--dims 2..48] [--repeat 5]
 """
@@ -35,9 +37,10 @@ def _dims(text: str) -> range:
     return range(int(lo), int(hi or lo) + 1)
 
 
-def one_pass(dims: range) -> tuple[dict[str, float], tuple[int, int]]:
+def one_pass(dims: range) -> tuple[dict[str, float], tuple[int, int, int, int]]:
     """Seconds per item, summed over ``dims``, from fresh contexts, and the
-    counts of the "(facts)" row (facts recorded, gen_resolve calls)."""
+    counts of the "(facts)" row (facts recorded, gen_resolve calls, steps
+    that asked the step rule, steps it named)."""
     nodal._setup = functools.cache(nodal._setup.__wrapped__)
     nodal._pair_value.cache_clear()
     nodal.parse_push_name.cache_clear()
@@ -45,7 +48,7 @@ def one_pass(dims: range) -> tuple[dict[str, float], tuple[int, int]]:
     t0 = time.perf_counter()
     contexts = [nodal.build_context(d) for d in dims]
     spent = {BUILD: time.perf_counter() - t0}
-    resolves = 0
+    resolves = asked = named = 0
 
     def counted(gen_resolve):
         def resolve(name):
@@ -54,8 +57,18 @@ def one_pass(dims: range) -> tuple[dict[str, float], tuple[int, int]]:
             return gen_resolve(name)
         return resolve
 
+    def counted_rule(step_rule):
+        def rule(E, F, V, right):
+            nonlocal asked, named
+            asked += 1
+            out = step_rule(E, F, V, right)
+            named += out is not None
+            return out
+        return rule
+
     for ctx in contexts:
         ctx.gen_resolve = counted(ctx.gen_resolve)
+        ctx.step_rule = counted_rule(ctx.step_rule)
     # the kernel cone's fact, which odd d records at build, is not the
     # verify calls'
     built = sum(len(ctx._zero_facts) for ctx in contexts)
@@ -85,7 +98,7 @@ def one_pass(dims: range) -> tuple[dict[str, float], tuple[int, int]]:
         spent["total"] = time.perf_counter() - t0
     finally:
         nodal.add_item, nodal.kernel_generator = add_item_plain, kernel_plain
-    counts = (sum(len(ctx._zero_facts) for ctx in contexts) - built, resolves)
+    counts = (sum(len(ctx._zero_facts) for ctx in contexts) - built, resolves, asked, named)
     return spent, counts
 
 
@@ -110,7 +123,8 @@ def main(argv: list[str]) -> int:
     for item, s in sorted(best.items(), key=lambda kv: -kv[1]):
         print(f"  {item:<{width}}  {s * 1e3:8.2f}")
     print(f"  {'verify_dim total':<{width}}  {total * 1e3:8.2f}")
-    print(f"  {'(facts)':<{width}}  {counts[0]} facts recorded, {counts[1]} gen_resolve calls")
+    print(f"  {'(facts)':<{width}}  {counts[0]} facts recorded, {counts[1]} gen_resolve calls, "
+          f"{counts[2]} steps asked the step rule, {counts[3]} named")
     return 0
 
 
